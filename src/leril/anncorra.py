@@ -21,6 +21,12 @@ the root. This notation can express arbitrary dependency trees.
 Bracketed segments group tokens: ``[rAma_ne/k1 khIra/k2 khAyI::v]<s>``.
 Bare tokens inside a group attach to the group's head verb with a warning.
 
+Default attachment and the tree checks are linear in sentence length: two
+sweeps give every token's nearest verbal token, one walk over the parent
+links finds any cycle, and mirrored links are checked against a set.
+Group-head lookups cost the summed length of the groups, which is the
+sentence length times the bracket nesting depth.
+
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
 node tag; the ``/`` versus ``::`` position disambiguates. Tree equality
@@ -33,7 +39,7 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .diagnostics import Diagnostic, LerilError, error, warning
 
@@ -316,11 +322,51 @@ def parse_token(
     return AnnToken(surface, rel_tag, self_index, parent_ref, node_tag)
 
 
-def _nearest_verbal(verbal: list[bool], position: int) -> int | None:
-    candidates = [q for q, is_verbal in enumerate(verbal) if is_verbal and q != position]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda q: (abs(q - position), 0 if q > position else 1))
+def _nearest_verbal_table(verbal: list[bool]) -> list[int | None]:
+    """For every position, the nearest other verbal position, or None.
+
+    Nearest means smallest token distance; a tie goes to the right. One
+    sweep records the last verbal position strictly to the left, a second
+    sweep the first strictly to the right, and picks between them.
+    """
+    table: list[int | None] = []
+    left = None
+    for p, is_verbal in enumerate(verbal):
+        table.append(left)
+        if is_verbal:
+            left = p
+    right = None
+    for p in range(len(verbal) - 1, -1, -1):
+        left = table[p]
+        if right is not None and (left is None or right - p <= p - left):
+            table[p] = right
+        if verbal[p]:
+            right = p
+    return table
+
+
+def _has_cycle(parents: list[int | None]) -> bool:
+    """Whether following parent links from some node comes back to a node.
+
+    Three-colour walk, linear in the node count: each node is entered once,
+    and a walk stops at a node already known to end outside any cycle. A
+    parent that is None or out of range ends the walk.
+    """
+    n = len(parents)
+    UNSEEN, ON_PATH, DONE = 0, 1, 2
+    state = [UNSEEN] * n
+    for start in range(n):
+        path = []
+        p = start
+        while p is not None and 0 <= p < n and state[p] == UNSEEN:
+            state[p] = ON_PATH
+            path.append(p)
+            p = parents[p]
+        if p is not None and 0 <= p < n and state[p] == ON_PATH:
+            return True
+        for q in path:
+            state[q] = DONE
+    return False
 
 
 def _is_bare(node: DepNode) -> bool:
@@ -338,20 +384,15 @@ def _group_head(nodes: list[DepNode], group: Group) -> int | None:
 
 
 def resolve(
-    tokens: list[AnnToken], registry: TagRegistry
+    tokens: list[AnnToken], registry: TagRegistry, groups: Sequence[Group] = ()
 ) -> tuple[DepTree | None, list[Diagnostic]]:
     """Build a dependency tree from tokens in surface order.
 
     Explicit ``->`` references resolve through index labels; tokens with a
-    relation but no reference attach to the nearest verbal token. Exactly
-    one token must remain unattached; it becomes the root.
+    relation but no reference attach to the nearest verbal token, and bare
+    tokens inside ``groups`` attach to the head of their innermost group.
+    Exactly one token must remain unattached; it becomes the root.
     """
-    return _resolve(tokens, registry, ())
-
-
-def _resolve(
-    tokens: list[AnnToken], registry: TagRegistry, groups: tuple[Group, ...]
-) -> tuple[DepTree | None, list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     if not tokens:
         return None, [error("no tokens to resolve")]
@@ -376,6 +417,7 @@ def _resolve(
             labels[node.index] = node.position
 
     verbal = [registry.is_verbal(n.rel_tag, n.node_tag) for n in nodes]
+    nearest_verbal = _nearest_verbal_table(verbal)
     for p, token in enumerate(tokens):
         if token.parent_ref is not None:
             target = labels.get(token.parent_ref)
@@ -388,7 +430,7 @@ def _resolve(
             else:
                 nodes[p].parent = target
         elif token.rel_tag is not None:
-            target = _nearest_verbal(verbal, p)
+            target = nearest_verbal[p]
             if target is None:
                 diagnostics.append(
                     error(f"no verbal token available to attach '{token.surface}'")
@@ -428,15 +470,9 @@ def _resolve(
     if failed:
         return None, diagnostics
 
-    for start in range(len(nodes)):
-        seen: set[int] = set()
-        p: int | None = start
-        while p is not None:
-            if p in seen:
-                diagnostics.append(error("cycle in parent references"))
-                return None, diagnostics
-            seen.add(p)
-            p = nodes[p].parent
+    if _has_cycle([node.parent for node in nodes]):
+        diagnostics.append(error("cycle in parent references"))
+        return None, diagnostics
 
     roots = [node.position for node in nodes if node.parent is None]
     if not roots:
@@ -535,7 +571,7 @@ def parse_sentence(
     if not tokens:
         return None, diagnostics + [error("empty sentence")]
 
-    tree, resolve_diags = _resolve(tokens, registry, tuple(groups))
+    tree, resolve_diags = resolve(tokens, registry, groups)
     return tree, diagnostics + resolve_diags
 
 
@@ -556,6 +592,8 @@ def validate_tree(tree: DepTree) -> list[Diagnostic]:
     elif roots[0] != tree.root:
         diagnostics.append(error("root field does not name the parentless node"))
 
+    # (list index of the parent, child position) for every child link
+    child_links = {(p, child) for p, node in enumerate(nodes) for child in node.children}
     for node in nodes:
         for child in node.children:
             if not (0 <= child < len(nodes)) or nodes[child].parent != node.position:
@@ -565,7 +603,7 @@ def validate_tree(tree: DepTree) -> list[Diagnostic]:
         if node.parent is not None:
             if not (0 <= node.parent < len(nodes)):
                 diagnostics.append(error(f"node {node.position} has an out-of-range parent"))
-            elif node.position not in nodes[node.parent].children:
+            elif (node.parent, node.position) not in child_links:
                 diagnostics.append(
                     error(
                         f"parent link {node.position}->{node.parent} is not mirrored "
@@ -573,16 +611,9 @@ def validate_tree(tree: DepTree) -> list[Diagnostic]:
                     )
                 )
 
-    for start in range(len(nodes)):
-        seen: set[int] = set()
-        p: int | None = start
-        while p is not None:
-            if p in seen:
-                diagnostics.append(error("cycle in parent references"))
-                return diagnostics
-            seen.add(p)
-            parent = nodes[p].parent
-            p = parent if parent is not None and 0 <= parent < len(nodes) else None
+    if _has_cycle([node.parent for node in nodes]):
+        diagnostics.append(error("cycle in parent references"))
+        return diagnostics
 
     labels: dict[str, int] = {}
     for node in nodes:
@@ -624,23 +655,25 @@ def emit_minimal(tree: DepTree, registry: TagRegistry) -> str:
 
 def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
     nodes = tree.nodes
-    verbal = (
-        [registry.is_verbal(n.rel_tag, n.node_tag) for n in nodes] if minimal else None
+    nearest_verbal = (
+        _nearest_verbal_table([registry.is_verbal(n.rel_tag, n.node_tag) for n in nodes])
+        if minimal
+        else None
     )
+    group_heads = _innermost_group_heads(tree)
 
     keep: dict[int, int] = {}
     for node in nodes:
         if node.parent is None:
             continue
         if node.rel_tag is None:
-            head = _emit_group_head(tree, node.position)
-            if head != node.parent:
+            if group_heads.get(node.position) != node.parent:
                 raise EmitError(
                     f"cannot serialize node '{node.surface}': no relation tag and no "
                     "covering group headed by its parent"
                 )
             continue
-        if minimal and _nearest_verbal(verbal, node.position) == node.parent:
+        if minimal and nearest_verbal[node.position] == node.parent:
             continue
         keep[node.position] = node.parent
 
@@ -690,12 +723,20 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
     return " ".join(chunks)
 
 
-def _emit_group_head(tree: DepTree, position: int) -> int | None:
-    covering = [g for g in tree.groups if g.start <= position < g.stop]
-    if not covering:
-        return None
-    innermost = min(covering, key=lambda g: g.stop - g.start)
-    return _group_head(tree.nodes, innermost)
+def _innermost_group_heads(tree: DepTree) -> dict[int, int | None]:
+    """Map each position a group covers to the head of its innermost group.
+
+    Innermost means shortest, the first listed on a tie. Groups are painted
+    longest first, equal spans the last listed first, so the last group
+    written at a position is its innermost one.
+    """
+    n = len(tree.nodes)
+    innermost: dict[int, Group] = {}
+    for group in sorted(reversed(tree.groups), key=lambda g: g.start - g.stop):
+        for p in range(max(group.start, 0), min(group.stop, n)):
+            innermost[p] = group
+    heads = {group: _group_head(tree.nodes, group) for group in set(innermost.values())}
+    return {p: heads[group] for p, group in innermost.items()}
 
 
 def to_interchange(tree: DepTree) -> dict:

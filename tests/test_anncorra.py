@@ -12,6 +12,7 @@ from leril.anncorra import (
     DepNode,
     DepTree,
     TagsetError,
+    _nearest_verbal_table,
     default_registry,
     emit_explicit,
     emit_minimal,
@@ -309,6 +310,68 @@ class TestParseSentence:
         errors = [d for d in diags if d.severity == Severity.ERROR]
         # column points at the missing index right after the arrow
         assert errors and errors[0].column == 17
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.booleans(), max_size=40))
+def test_nearest_verbal_table_matches_definition(verbal):
+    # smallest distance, ties go right, a token never picks itself
+    expected = [
+        min(
+            (q for q, is_verbal in enumerate(verbal) if is_verbal and q != p),
+            key=lambda q: (abs(q - p), q < p),
+            default=None,
+        )
+        for p in range(len(verbal))
+    ]
+    assert _nearest_verbal_table(verbal) == expected
+
+
+LONG = 5000
+
+
+def _chain_line(n, closed=False):
+    """``w0 -> w1 -> ... -> w(n-1)``; closed, the last token points back at w0."""
+    tokens = [f"w{p}/k1:i{p}->i{p + 1}" for p in range(n - 1)]
+    tokens.append(f"w{n - 1}/k1:i{n - 1}->i0" if closed else f"w{n - 1}::v:i{n - 1}")
+    return " ".join(tokens)
+
+
+def _cycle_count(diags):
+    return sum(d.message == "cycle in parent references" for d in diags)
+
+
+class TestLongSentences:
+    def test_long_chain_parses_validates_and_round_trips(self, registry):
+        tree, diags = parse_sentence(_chain_line(LONG), registry)
+        assert diags == []
+        assert tree.root == LONG - 1
+        assert [n.parent for n in tree.nodes[:-1]] == list(range(1, LONG))
+        assert validate_tree(tree) == []
+        for emitted in (emit_explicit(tree), emit_minimal(tree, registry)):
+            back, diags = parse_sentence(emitted, registry)
+            assert diags == []
+            assert back == tree
+
+    def test_long_cycle_is_reported_once(self, registry):
+        tree, diags = parse_sentence(_chain_line(LONG, closed=True), registry)
+        assert tree is None
+        assert _cycle_count(diags) == 1
+
+        nodes = [
+            DepNode(p, f"w{p}", "k1", parent=(p + 1) % LONG, children=[(p - 1) % LONG])
+            for p in range(LONG)
+        ]
+        assert _cycle_count(validate_tree(DepTree(nodes, root=0))) == 1
+
+    def test_flat_tree_validates_and_reports_unmirrored_link(self):
+        parents = [None] + [0] * LONG
+        tree = make_tree(parents, [None] + ["k1"] * LONG, ["v"] + [None] * LONG)
+        assert validate_tree(tree) == []
+        tree.nodes[0].children.remove(1234)
+        assert [d.message for d in validate_tree(tree)] == [
+            "parent link 1234->0 is not mirrored by a child link"
+        ]
 
 
 # Random-tree property: explicit emission always reparses to the same tree.
