@@ -322,6 +322,7 @@ def _cmd_transfer(args):
         )
 
     tokens = transfer.tokenize_sentence(args.sentence)
+    folded = [transfer.inflection_fold(token) for token in tokens]
     blocks = []
     for label, _number, frame_e, frame_i in candidates:
         try:
@@ -330,11 +331,15 @@ def _cmd_transfer(args):
         except transfer.FrameError as exc:
             diags.append(warning(f"{label}: {exc}"))
             continue
-        binding = transfer.match_frame(source, tokens)
+        binding = transfer.match_frame(source, tokens, folded)
         if binding is None:
             continue
         render_binding = annotate(binding) if args.gloss_slots else binding
-        output = transfer.render_target(target, render_binding, args.optional)
+        try:
+            output = transfer.render_target(target, render_binding, args.optional)
+        except transfer.TransferError as exc:
+            diags.append(warning(f"{label}: {exc}"))
+            continue
         table = [
             f"{letter}\t{' '.join(span)}"
             for letter, span in sorted(binding.bindings.items())

@@ -13,6 +13,16 @@ slots are resolved left to right and each takes the shortest span that
 still lets the rest of the frame match, which makes matching
 deterministic. Rendering substitutes captured spans verbatim; slot fillers
 are never translated here, that belongs to a full MT system downstream.
+
+Cost: a sentence is tokenized and folded once per transfer, however many
+frames are tried on it. A frame whose required literal's fold is not among
+the sentence's folds is rejected before any search. Otherwise one table of
+(element, token) states is filled from the last element back, each state
+holding whether the rest of the frame can consume the rest of the
+sentence, and the binding is read off its true states: O(elements x n)
+for n tokens, with no backtracking. A target slot that the source frame
+does not bind raises ``TransferError``; ``transfer_sentence`` and the CLI
+report it as a warning for that frame pair and go on to the next.
 """
 
 from __future__ import annotations
@@ -60,7 +70,6 @@ class TransferResult:
     output: str
     binding: SlotBinding
     meaning_number: int
-    unmatched: bool = False
 
 
 OPTIONAL_POLICIES = ("include", "drop", "bracket")
@@ -121,43 +130,61 @@ def tokenize_sentence(sentence: str) -> list[str]:
     return tokens
 
 
-def match_frame(frame: Frame, sentence: list[str]) -> SlotBinding | None:
+def match_frame(
+    frame: Frame, sentence: list[str], folded: list[str] | None = None
+) -> SlotBinding | None:
     """Match a source frame against tokenized sentence text.
 
+    ``folded`` holds ``inflection_fold`` of each sentence token; a caller
+    that tries many frames on one sentence folds it once and passes it.
     Returns the slot binding, or None when no assignment exists.
     """
-
+    if folded is None:
+        folded = [inflection_fold(token) for token in sentence]
     elements = frame.elements
-    n = len(sentence)
-
-    def matches(pattern: str, token: str) -> bool:
-        return inflection_fold(pattern) == inflection_fold(token)
-
-    def backtrack(ei: int, ti: int, bound: dict[str, tuple[str, ...]]):
-        if ei == len(elements):
-            return dict(bound) if ti == n else None
-        el = elements[ei]
-        if el.kind == "literal":
-            if ti < n and matches(el.value, sentence[ti]):
-                return backtrack(ei + 1, ti + 1, bound)
+    folds: list[str | None] = []
+    for el in elements:
+        if el.kind == "slot":
+            folds.append(None)
+            continue
+        fold = inflection_fold(el.value)
+        if el.kind == "literal" and fold not in folded:
             return None
-        if el.kind == "optional":
-            if ti < n and matches(el.value, sentence[ti]):
-                result = backtrack(ei + 1, ti + 1, bound)
-                if result is not None:
-                    return result
-            return backtrack(ei + 1, ti, bound)
-        # slot: shortest capture first
-        for end in range(ti + 1, n + 1):
-            bound[el.value] = tuple(sentence[ti:end])
-            result = backtrack(ei + 1, end, bound)
-            if result is not None:
-                return result
-        bound.pop(el.value, None)
+        folds.append(fold)
+
+    # rest[e][t]: elements[e:] consume exactly sentence[t:]. Rows are built
+    # from the last element back; a slot's row is true before the last true
+    # position of the row after it, since its span may end at any later one.
+    n = len(sentence)
+    rest = [[False] * n + [True]]
+    for el, fold in zip(reversed(elements), reversed(folds)):
+        after = rest[-1]
+        if fold is None:
+            last = n - after[::-1].index(True)
+            row = [True] * last + [False] * (n + 1 - last)
+        else:
+            row = [folded[t] == fold and after[t + 1] for t in range(n)] + [False]
+            if el.kind == "optional":
+                row = [here or skip for here, skip in zip(row, after)]
+        if True not in row:
+            return None
+        rest.append(row)
+    rest.reverse()
+    if not rest[0][0]:
         return None
 
-    result = backtrack(0, 0, {})
-    return SlotBinding(result) if result is not None else None
+    # Walk the true states: an optional literal is taken when the rest still
+    # matches after it, a slot takes the shortest span that lets the rest match.
+    bindings: dict[str, tuple[str, ...]] = {}
+    t = 0
+    for el, fold, after in zip(elements, folds, rest[1:]):
+        if fold is None:
+            end = after.index(True, t + 1)
+            bindings[el.value] = tuple(sentence[t:end])
+            t = end
+        elif el.kind == "literal" or (t < n and folded[t] == fold and after[t + 1]):
+            t += 1
+    return SlotBinding(bindings)
 
 
 def render_target(
@@ -188,14 +215,21 @@ def render_target(
 
 
 def transfer_meaning(
-    meaning, tokens: list[str], optional_policy: str = "include"
-) -> TransferResult:
-    """Apply one meaning's frame pair to pre-tokenized sentence text."""
+    meaning,
+    tokens: list[str],
+    optional_policy: str = "include",
+    folded: list[str] | None = None,
+) -> TransferResult | None:
+    """Apply one meaning's frame pair to pre-tokenized sentence text.
+
+    Returns None when the source frame does not match. ``folded`` is passed
+    on to ``match_frame``.
+    """
     source = parse_frame(meaning.frame_e or "", "source")
     target = parse_frame(meaning.frame_i or "", "target")
-    binding = match_frame(source, tokens)
+    binding = match_frame(source, tokens, folded)
     if binding is None:
-        return TransferResult("", SlotBinding({}), meaning.number, unmatched=True)
+        return None
     output = render_target(target, binding, optional_policy)
     return TransferResult(output, binding, meaning.number)
 
@@ -210,6 +244,7 @@ def transfer_sentence(
     are skipped silently.
     """
     tokens = tokenize_sentence(sentence)
+    folded = [inflection_fold(token) for token in tokens]
     results: list[TransferResult] = []
     diagnostics: list[Diagnostic] = []
     for meaning in sorted(record.meanings, key=lambda m: m.number):
@@ -226,10 +261,10 @@ def transfer_sentence(
             )
             continue
         try:
-            result = transfer_meaning(meaning, tokens, optional_policy)
+            result = transfer_meaning(meaning, tokens, optional_policy, folded)
         except (FrameError, TransferError) as exc:
             diagnostics.append(warning(f"meaning {meaning.number}: {exc}"))
             continue
-        if not result.unmatched:
+        if result is not None:
             results.append(result)
     return results, diagnostics

@@ -280,6 +280,30 @@ class TestTransfer:
         assert code == 0
         assert out.splitlines()[0] == "I school{=pAThaSAlA} ko jAtA hai"
 
+    def test_unbound_target_slot_warns_and_keeps_other_matches(self, capsys, tmp_path):
+        lexicon = tmp_path / "lex.tlg"
+        lexicon.write_text(
+            'HEADWORD::"go","V"\n'
+            'MEANING::1::"jAnA"\n'
+            "FRAME_E:: A goes to B\n"
+            "FRAME_I:: A B C hai\n"
+            "\n"
+            'HEADWORD::"reach","V"\n'
+            'MEANING::1::"pahuMcanA"\n'
+            "FRAME_E:: A goes to B\n"
+            "FRAME_I:: A B AtA hai\n"
+        )
+        for flags, expected_code in (([], 0), (["--strict"], 1)):
+            code, out, err = _run(
+                capsys, "transfer", *flags, "--lexicon", str(lexicon), "I go to school."
+            )
+            assert code == expected_code
+            assert out.splitlines() == ["I school AtA hai", "A\tI", "B\tschool"]
+            assert err.splitlines() == [
+                "warning: meaning 1 of 'go': slot C is unbound",
+                "info: matched meaning 1 of 'reach'",
+            ]
+
 
 class TestCorpus:
     def test_add_query_stats_export(self, capsys, tmp_path):

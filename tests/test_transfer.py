@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leril.diagnostics import Severity
@@ -112,6 +112,86 @@ class TestMatchFrame:
         binding = match_frame(frame, ["p", "x", "q", "x", "r"])
         # A takes the shortest span that still lets the rest match
         assert binding.bindings == {"A": ("p",), "B": ("q", "x", "r")}
+
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_long_no_match_with_many_slots(self, n):
+        frame = parse_frame("A B C D E z")
+        sentence = [f"w{i}" for i in range(n - 2)] + ["z", "q"]
+        assert match_frame(frame, sentence) is None
+
+    def test_long_adjacent_slots_take_leftmost_shortest_spans(self):
+        frame = parse_frame("A B C goes to D E")
+        sentence = [f"w{i}" for i in range(400)]
+        sentence[100] = "goes"  # not followed by "to"
+        sentence[200:202] = ["going", "to"]  # first place the rest can match
+        sentence[300:302] = ["go", "to"]
+        binding = match_frame(frame, sentence)
+        assert binding.bindings == {
+            "A": ("w0",),
+            "B": ("w1",),
+            "C": tuple(sentence[2:200]),
+            "D": ("w202",),
+            "E": tuple(sentence[203:]),
+        }
+
+    def test_frame_longer_than_the_recursion_limit(self):
+        frame = parse_frame(" ".join(["goes"] * 1500 + ["A"]))
+        binding = match_frame(frame, ["go"] * 1500 + ["home"])
+        assert binding.bindings == {"A": ("home",)}
+
+
+_COLLIDING = ["go", "goes", "going", "Goed", "is", "to", "tos"]
+
+
+def _widths(kinds: list[str], n: int):
+    """Every way to give each element a width so that the widths sum to n:
+    slots take 1..n tokens shortest first, optionals 1 then 0, literals 1.
+    The earliest element varies slowest, which is leftmost-shortest order."""
+    if not kinds:
+        if n == 0:
+            yield ()
+        return
+    first = {"slot": range(1, n + 1), "optional": (1, 0), "literal": (1,)}[kinds[0]]
+    for width in first:
+        if width <= n:
+            for rest in _widths(kinds[1:], n - width):
+                yield (width,) + rest
+
+
+def _reference_match(frame: Frame, sentence: list[str]):
+    """Brute force: the first width assignment, in leftmost-shortest order,
+    whose literals fold onto the tokens they cover."""
+    for widths in _widths([el.kind for el in frame.elements], len(sentence)):
+        binding, start = {}, 0
+        for el, width in zip(frame.elements, widths):
+            if el.kind == "slot":
+                binding[el.value] = tuple(sentence[start : start + width])
+            elif width and inflection_fold(el.value) != inflection_fold(sentence[start]):
+                break
+            start += width
+        else:
+            return binding
+    return None
+
+
+@st.composite
+def _frames(draw):
+    elements = []
+    letters = iter("ABCDEF")
+    kinds = st.lists(st.sampled_from(["slot", "literal", "optional"]), min_size=1, max_size=6)
+    for kind in draw(kinds):
+        value = next(letters) if kind == "slot" else draw(st.sampled_from(_COLLIDING))
+        elements.append(FrameElement(kind, value))
+    return Frame("source", tuple(elements))
+
+
+@settings(max_examples=400)
+@given(_frames(), st.lists(st.sampled_from(_COLLIDING), max_size=9))
+def test_match_frame_agrees_with_brute_force(frame, sentence):
+    expected = _reference_match(frame, sentence)
+    folded = [inflection_fold(token) for token in sentence]
+    for binding in (match_frame(frame, sentence), match_frame(frame, sentence, folded)):
+        assert (None if binding is None else dict(binding.bindings)) == expected
 
 
 class TestRenderTarget:
