@@ -21,6 +21,10 @@ the root. This notation can express arbitrary dependency trees.
 Bracketed segments group tokens: ``[rAma_ne/k1 khIra/k2 khAyI::v]<s>``.
 Bare tokens inside a group attach to the group's head verb with a warning.
 
+Each token is read by one compiled regular expression of the grammar
+above. The character walk that defines the grammar runs only on tokens
+the expression rejects, to name the error and its column.
+
 Default attachment and the tree checks are linear in sentence length: two
 sweeps give every token's nearest verbal token, one walk over the parent
 links finds any cycle, and mirrored links are checked against a set.
@@ -207,8 +211,19 @@ class DepTree:
     groups: list[Group] = field(default_factory=list)
 
 
-_TAG_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
-_LABEL_RE = re.compile(r"[a-z][0-9]*")
+_TAG = r"[A-Za-z][A-Za-z0-9]*"
+_LABEL = r"[a-z][0-9]*"
+_TAG_RE = re.compile(_TAG)
+_LABEL_RE = re.compile(_LABEL)
+# Every well-formed token, as ``_walk_token`` reads it: a surface up to the
+# first '/' or ':', then /REL[:self][->ref], then ::NODE[:self]. The node
+# part takes a self index only when the relation part has none. A surface
+# may hold '-' but never '>', so it cannot run on into a '->'.
+_TOKEN_RE = re.compile(
+    r"(?P<surface>[^/:\[\]<>]+)"
+    rf"(?:/(?P<rel>{_TAG})(?::(?P<rel_self>{_LABEL}))?(?:->(?P<ref>{_LABEL}))?)?"
+    rf"(?:::(?P<node>{_TAG})(?(rel_self)|(?::(?P<node_self>{_LABEL}))?))?"
+)
 
 
 def _col(column: int | None, offset: int) -> int:
@@ -226,6 +241,48 @@ def parse_token(
 
     Unknown tags parse successfully with a warning appended to
     ``diagnostics``; structural problems raise AnnCorraParseError.
+    """
+    m = _TOKEN_RE.fullmatch(token)
+    if m is None:
+        return _walk_token(token, registry, diagnostics=diagnostics, column=column)
+    return _token_from_match(m, registry, diagnostics, column)
+
+
+def _token_from_match(
+    m: re.Match, registry: TagRegistry, diagnostics: list[Diagnostic] | None, column: int | None
+) -> AnnToken:
+    surface, rel_tag, rel_self, parent_ref, node_tag, node_self = m.groups()
+    if rel_tag is not None:
+        canonical = registry.canonical_relation(rel_tag)
+        if canonical is not None:
+            rel_tag = canonical
+        elif diagnostics is not None:
+            diagnostics.append(
+                warning(f"unknown relation tag '{rel_tag}'", column=_col(column, m.start("rel")))
+            )
+    if node_tag is not None:
+        canonical = registry.canonical_node(node_tag)
+        if canonical is not None:
+            node_tag = canonical
+        elif diagnostics is not None:
+            diagnostics.append(
+                warning(f"unknown node tag '{node_tag}'", column=_col(column, m.start("node")))
+            )
+    return AnnToken(surface, rel_tag, rel_self or node_self, parent_ref, node_tag)
+
+
+def _walk_token(
+    token: str,
+    registry: TagRegistry,
+    *,
+    diagnostics: list[Diagnostic] | None = None,
+    column: int | None = None,
+) -> AnnToken:
+    """The character walk that defines the token grammar and its errors.
+
+    ``parse_token`` runs it only on tokens ``_TOKEN_RE`` rejects, where it
+    raises the error with its column; tests check that both accept the
+    same tokens with the same result.
     """
     if not token:
         raise AnnCorraParseError("empty token", column=column)
@@ -489,6 +546,7 @@ def resolve(
     return DepTree(nodes, roots[0], list(groups)), diagnostics
 
 
+_CHUNK_RE = re.compile(r"\S+")
 _CLOSER_RE = re.compile(r"\]<([^<>\[\]]*)>$")
 
 
@@ -502,9 +560,13 @@ def parse_sentence(
     stack: list[int] = []
     failed = False
 
-    for m in re.finditer(r"\S+", line):
+    for m in _CHUNK_RE.finditer(line):
         chunk = m.group()
         column = m.start() + 1
+        token_match = _TOKEN_RE.fullmatch(chunk)
+        if token_match is not None:  # a well-formed token carries no brackets
+            tokens.append(_token_from_match(token_match, registry, diagnostics, column))
+            continue
 
         opens = 0
         while chunk.startswith("["):

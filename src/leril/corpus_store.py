@@ -8,16 +8,23 @@ The layout is deliberately human-readable so dumps can be shipped as-is.
 
 Contract: single writer, any number of readers. Opening read-write takes
 a ``.lock`` file in the store directory; readers take a snapshot at open
-and ignore the lock. Statistics are recomputed from current contents on
-every call, never cached.
+and ignore the lock. Every open parses every stored sentence once, with
+the compiled token grammar of ``anncorra`` (its character walk runs only
+on malformed tokens); nothing is cached between opens. Statistics are
+recomputed from current contents on every call.
+
+``add_sentence`` appends only records that read back as written: an id
+or line that the data file would give back changed (an id with
+whitespace or an empty id, a line starting with ``#``, with leading or
+trailing whitespace or with a line break) is rejected.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from collections import Counter
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
 from .anncorra import (
@@ -27,7 +34,6 @@ from .anncorra import (
     iter_sentences,
     load_tagset,
     parse_sentence,
-    to_interchange,
 )
 from .diagnostics import Diagnostic, LerilError, has_errors, warning
 
@@ -86,8 +92,7 @@ class CorpusStore:
 
         if mode == "rw":
             self._acquire_lock()
-        self._records: dict[str, CorpusRecord] = {}
-        self._order: list[str] = []
+        self._records: dict[str, CorpusRecord] = {}  # in store order
         try:
             self._load()
         except Exception:
@@ -127,15 +132,21 @@ class CorpusStore:
                     auto += 1
                     sentence_id = f"{language}-{auto}"
                 try:
-                    self._ingest(sentence_id, line, language, source=str(data_file))
+                    record, _ = self._parse_record(sentence_id, line, language, str(data_file))
                 except CorpusError as exc:
                     raise CorpusError(
                         f"{data_file}:{lineno}: {exc}", exc.diagnostics
                     ) from None
+                self._records[sentence_id] = record
 
-    def _ingest(
+    def _parse_record(
         self, sentence_id: str, line: str, language: str, source: str | None
-    ) -> CorpusRecord:
+    ) -> tuple[CorpusRecord, list[Diagnostic]]:
+        """Check one sentence against the store and parse it, not yet indexed.
+
+        Rejects a duplicate id and a line that does not parse and resolve
+        cleanly; returns the record with the parse's warnings.
+        """
         if sentence_id in self._records:
             raise CorpusError(f"duplicate sentence id '{sentence_id}'")
         tree, diagnostics = parse_sentence(line, self.registry)
@@ -145,10 +156,7 @@ class CorpusStore:
                 + "; ".join(d.render() for d in diagnostics),
                 diagnostics,
             )
-        record = CorpusRecord(sentence_id, line, tree, language, source)
-        self._records[sentence_id] = record
-        self._order.append(sentence_id)
-        return record
+        return CorpusRecord(sentence_id, line, tree, language, source), diagnostics
 
     def __len__(self) -> int:
         return len(self._records)
@@ -160,7 +168,7 @@ class CorpusStore:
         return self._records.get(sentence_id)
 
     def records(self) -> list[CorpusRecord]:
-        return [self._records[sid] for sid in self._order]
+        return list(self._records.values())
 
     def add_sentence(
         self,
@@ -172,29 +180,32 @@ class CorpusStore:
     ) -> CorpusRecord:
         """Validate, persist and index one sentence.
 
-        Rejects duplicates and lines that do not parse and resolve
-        cleanly. Parse warnings are appended to ``diagnostics`` when a
+        Rejects duplicates, lines that do not parse and resolve cleanly,
+        and any id or line that would not read back unchanged from the
+        data file. Parse warnings are appended to ``diagnostics`` when a
         list is supplied.
         """
         if self.mode != "rw":
             raise CorpusError("store opened read-only")
-        if sentence_id in self._records:
-            raise CorpusError(f"duplicate sentence id '{sentence_id}'")
-        tree, parse_diags = parse_sentence(line, self.registry)
-        if tree is None or has_errors(parse_diags):
+        record, parse_diags = self._parse_record(sentence_id, line, language, source)
+        text = f"# {sentence_id}\n{line}\n"
+        read_back = list(iter_sentences(text))
+        if read_back != [(sentence_id, 2, line)]:
+            if read_back and read_back[0][0] != sentence_id:
+                raise CorpusError(
+                    f"sentence id {sentence_id!r} rejected: it would not read back "
+                    "unchanged from the store"
+                )
             raise CorpusError(
-                f"sentence '{sentence_id}' rejected: "
-                + "; ".join(d.render() for d in parse_diags),
-                parse_diags,
+                f"sentence '{sentence_id}' rejected: its line would not read back "
+                "unchanged from the store"
             )
         if diagnostics is not None:
             diagnostics.extend(parse_diags)
-        record = CorpusRecord(sentence_id, line, tree, language, source)
         data_file = self.path / f"{language}.anncorra"
         with data_file.open("a", encoding="utf-8") as fh:
-            fh.write(f"# {sentence_id}\n{line}\n")
+            fh.write(text)
         self._records[sentence_id] = record
-        self._order.append(sentence_id)
         return record
 
     def query_by_relation(self, rel_tag: str) -> tuple[list[tuple[str, int]], list[Diagnostic]]:
@@ -225,7 +236,7 @@ class CorpusStore:
             depths.append(_tree_depth(record.tree))
         average = sum(depths) / len(depths) if depths else 0.0
         return CorpusStats(
-            sentences=len(self._order),
+            sentences=len(self._records),
             relation_counts=dict(relation_counts),
             node_counts=dict(node_counts),
             average_depth=average,
@@ -240,21 +251,61 @@ class CorpusStore:
                 lines.append(record.raw)
             return "\n".join(lines) + "\n" if lines else ""
         if format == "interchange":
-            doc = {
-                "format": "anncorra-corpus",
-                "records": [
-                    {
-                        "id": record.id,
-                        "language": record.language,
-                        "source": record.source,
-                        "raw": record.raw,
-                        "tree": to_interchange(record.tree),
-                    }
-                    for record in self.records()
-                ],
-            }
-            return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+            records = _json_array([_interchange_record(r) for r in self.records()], "  ")
+            return f'{{\n  "format": "anncorra-corpus",\n  "records": {records}\n}}\n'
         raise ValueError(f"unknown export format: {format!r}")
+
+
+# The interchange export is the text of
+#   json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+# for doc = {"format": "anncorra-corpus", "records": [{"id", "language",
+# "source", "raw", "tree": anncorra.to_interchange(tree)}, ...]}, written
+# directly: with ``indent`` set, json.dumps runs its pure-Python encoder.
+# Strings go through the escaping function json.dumps uses for them.
+
+
+def _json_or_null(text: str | None) -> str:
+    return "null" if text is None else _json_string(text)
+
+
+def _json_array(items: list[str], margin: str) -> str:
+    """Items already written at ``margin`` plus two spaces, as one array."""
+    return "[\n" + ",\n".join(items) + f"\n{margin}]" if items else "[]"
+
+
+def _interchange_record(record: CorpusRecord) -> str:
+    tree = record.tree
+    nodes = [
+        "          {\n"
+        f'            "node": {_json_or_null(node.node_tag)},\n'
+        f'            "parent": {"null" if node.parent is None else node.parent},\n'
+        f'            "position": {node.position},\n'
+        f'            "rel": {_json_or_null(node.rel_tag)},\n'
+        f'            "surface": {_json_string(node.surface)}\n'
+        "          }"
+        for node in tree.nodes
+    ]
+    groups = [
+        "          {\n"
+        f'            "start": {group.start},\n'
+        f'            "stop": {group.stop},\n'
+        f'            "tag": {_json_string(group.tag)}\n'
+        "          }"
+        for group in tree.groups
+    ]
+    return (
+        "    {\n"
+        f'      "id": {_json_string(record.id)},\n'
+        f'      "language": {_json_string(record.language)},\n'
+        f'      "raw": {_json_string(record.raw)},\n'
+        f'      "source": {_json_or_null(record.source)},\n'
+        '      "tree": {\n'
+        f'        "groups": {_json_array(groups, "        ")},\n'
+        f'        "nodes": {_json_array(nodes, "        ")},\n'
+        f'        "root": {tree.root}\n'
+        "      }\n"
+        "    }"
+    )
 
 
 def _tree_depth(tree: DepTree) -> int:

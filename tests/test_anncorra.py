@@ -1,18 +1,23 @@
 import random
+import re
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treegen import enumerate_trees, make_tree, random_tree
 
+from leril import anncorra
 from leril.anncorra import (
     AnnCorraParseError,
     AnnToken,
     DepNode,
     DepTree,
+    TagRegistry,
     TagsetError,
     _nearest_verbal_table,
+    _walk_token,
     default_registry,
     emit_explicit,
     emit_minimal,
@@ -117,6 +122,74 @@ class TestParseToken:
     def test_malformed_tokens(self, registry, bad):
         with pytest.raises(AnnCorraParseError):
             parse_token(bad, registry)
+
+
+# Tokens over the characters the grammar cares about, plus a non-ASCII
+# letter: free text, runs of grammar fragments, and surface + relation part
+# + node part picked from well-formed and malformed variants, so that
+# accepted, warned-about and rejected tokens are all common.
+_TOKEN_CHARS = "ak1vx/:->[]<_\u00e9"
+_FRAGMENTS = [
+    "a", "k", "k1", "v", "V", "x", "/", ":", "::", "-", ">", "->", "[", "]", "<", "_", "\u00e9"
+]
+_SURFACES = ["a", "x", "\u00e9", "a-", "_"]
+_REL_PARTS = ["", "/k1", "/kx", "/K1", "/k1:a", "/k1->x", "/k1:x->a", "/k1:b->a"]
+_NODE_PARTS = ["", "::v", "::V", "::x", "::v:a", "::v:x"]
+_BAD_PARTS = [
+    "", "a>", "[", "/", "/k1:", "/k1->", "->a", "/k1:A", ":a", "/1", "::", "::v:", "::v->a", "::v::v"
+]
+_well_formed = st.tuples(
+    *(st.sampled_from(parts) for parts in (_SURFACES, _REL_PARTS, _NODE_PARTS))
+).map("".join)
+_tokens = st.one_of(
+    st.text(alphabet=_TOKEN_CHARS, max_size=12),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join),
+    _well_formed,
+    st.tuples(_well_formed, st.sampled_from(_BAD_PARTS), st.integers(0, 12)).map(
+        lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]
+    ),
+)
+# The default registry knows k1 and v; an empty one makes every tag unknown.
+_registries = st.sampled_from([anncorra.default_registry(), TagRegistry([])])
+
+
+def _token_outcome(parse, token, registry, diagnostics, column):
+    try:
+        result = parse(token, registry, diagnostics=diagnostics, column=column)
+    except AnnCorraParseError as exc:
+        return "error", str(exc), exc.column, diagnostics
+    return "ok", result, diagnostics
+
+
+@settings(max_examples=800, deadline=None)
+@given(_tokens, _registries, st.booleans(), st.sampled_from([None, 1, 9]))
+@example("a/k1:a->x::v", anncorra.default_registry(), True, 3)
+@example("a/kx:a::x", TagRegistry([]), True, 1)
+@example("x/k1:i::v:j", anncorra.default_registry(), True, None)
+@example("\u00e9-_/V->a", anncorra.default_registry(), False, None)
+def test_parse_token_matches_character_walk(token, registry, collect, column):
+    # same token, same warnings with the same columns, or the same error
+    expected = _token_outcome(_walk_token, token, registry, [] if collect else None, column)
+    got = _token_outcome(parse_token, token, registry, [] if collect else None, column)
+    assert got == expected
+
+
+_chunks = st.tuples(
+    st.sampled_from(["", "", "", "[", "[["]),
+    st.one_of(_tokens, _well_formed, _well_formed),
+    st.sampled_from(["", "", "", "]<s>", "]<k1>", "]<>", "]<zz>", "]", "]<s>]<s>"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_chunks, min_size=1, max_size=6), _registries)
+@example(["[rAma_ne/k1", "khIra", "khAyI::v]<s>"], anncorra.default_registry())
+def test_parse_sentence_matches_character_walk(chunks, registry):
+    # the reference sends every chunk through bracket stripping and the walk
+    line = " ".join(chunks)
+    with mock.patch.object(anncorra, "_TOKEN_RE", re.compile(r"(?!)")):
+        expected = parse_sentence(line, registry)
+    assert parse_sentence(line, registry) == expected
 
 
 def _parse_tokens(line, registry):

@@ -1,5 +1,10 @@
-import pytest
+import json
+import random
 
+import pytest
+from treegen import random_tree
+
+from leril.anncorra import Group, emit_explicit, to_interchange
 from leril.corpus_store import CorpusError, CorpusStore, StoreLockedError
 from leril.diagnostics import Severity
 
@@ -41,6 +46,53 @@ class TestAdd:
         with CorpusStore(tmp_path / "store", "r") as reader:
             with pytest.raises(CorpusError, match="read-only"):
                 reader.add_sentence("s2", explicit_line, "hin")
+
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "#piyA::v:i",
+            " piyA::v:i",
+            "piyA::v:i ",
+            "rAma_ne/k1\npiyA::v:i",
+            "rAma_ne/k1\x0cpiyA::v:i",
+            "rAma_ne/k1\u2028piyA::v:i",
+        ],
+        ids=["comment", "leading-space", "trailing-space", "newline", "form-feed", "u2028"],
+    )
+    def test_line_that_would_not_read_back_is_rejected(self, tmp_path, line):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "piyA::v:i", "hin")
+            with pytest.raises(CorpusError, match="line would not read back"):
+                writer.add_sentence("s2", line, "hin")
+            assert "s2" not in writer
+        with CorpusStore(path, "r") as reader:
+            assert [(r.id, r.raw) for r in reader.records()] == [("s1", "piyA::v:i")]
+
+    @pytest.mark.parametrize(
+        "sentence_id",
+        ["my id", "", "s\n2", " s2"],
+        ids=["space", "empty", "newline", "leading-space"],
+    )
+    def test_id_that_would_not_read_back_is_rejected(self, tmp_path, sentence_id):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "piyA::v:i", "hin")
+            with pytest.raises(CorpusError, match="id .* would not read back"):
+                writer.add_sentence(sentence_id, "piyA::v:i", "hin")
+            assert sentence_id not in writer
+        with CorpusStore(path, "r") as reader:
+            assert [r.id for r in reader.records()] == ["s1"]
+
+
+    def test_id_starting_with_hash_reads_back(self, tmp_path):
+        # "# #s2" names the sentence "#s2": only the marker's '#' is dropped
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("#s2", "piyA::v:i", "hin")
+        with CorpusStore(path, "r") as reader:
+            assert [r.id for r in reader.records()] == ["#s2"]
 
 
 class TestPersistence:
@@ -165,3 +217,55 @@ class TestExport:
             assert fresh.stats() == store.stats()
             for record in store.records():
                 assert fresh.get(record.id).tree == record.tree
+
+
+def _interchange_reference(store):
+    doc = {
+        "format": "anncorra-corpus",
+        "records": [
+            {
+                "id": record.id,
+                "language": record.language,
+                "source": record.source,
+                "raw": record.raw,
+                "tree": to_interchange(record.tree),
+            }
+            for record in store.records()
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+class TestInterchangeBytes:
+    """The directly written export against json.dumps of the same document."""
+
+    def test_empty_store(self, store):
+        assert store.export("interchange") == _interchange_reference(store)
+
+    def test_random_trees_with_and_without_groups(self, tmp_path):
+        rng = random.Random(11)
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            for k in range(60):
+                n = rng.randint(1, 9)
+                tree = random_tree(rng, n=n)
+                if k % 2:
+                    start = rng.randrange(n)
+                    stop = rng.randint(start + 1, n)
+                    tree.groups = [Group(start, stop, "s")]
+                    if stop - start > 1:
+                        tree.groups.append(Group(start + 1, stop, "k1"))
+                writer.add_sentence(f"t{k}", emit_explicit(tree), "hin")
+            assert any(r.tree.groups for r in writer.records())
+            assert any(not r.tree.groups for r in writer.records())
+            assert writer.export("interchange") == _interchange_reference(writer)
+        with CorpusStore(path, "r") as reader:  # source is the data file now
+            assert reader.export("interchange") == _interchange_reference(reader)
+
+    def test_strings_that_need_escaping(self, store):
+        odd = ['"', "\\", "\x00", "\x01", "\x1b", "\x7f", "\U0001f600", "\u00e9", "\ud7ff"]
+        for k, text in enumerate(odd):
+            line = f"a{text}b/k1 {text}::v:i"
+            store.add_sentence(f"s{k}{text}", line, "hin", source=f"src{text}\u2028\n")
+        store.add_sentence("plain", "piyA::v", "hin")  # source=None
+        assert store.export("interchange") == _interchange_reference(store)
