@@ -220,8 +220,7 @@ def _cmd_anncorra_convert(args):
 
 def _cmd_sutra_parse_formula(args):
     formulas, diags = shabdasutra.parse_formula_file(_read_text(args.file))
-    doc = {"formulas": [shabdasutra.formula_to_interchange(f) for f in formulas]}
-    _print(_dump_json(doc))
+    _print(shabdasutra.formulas_to_json(formulas))
     return diags
 
 
@@ -268,12 +267,13 @@ def _cmd_transfer(args):
     gloss_index: dict[str, str] = {}
     if args.lexicon is not None:
         records, diags = translexgram.parse_tlg(_read_text(args.lexicon))
-        # first-sense glosses for --gloss-slots come from the whole lexicon
-        gloss_index = {
-            r.headword.lower(): r.meanings[0].gloss
-            for r in records
-            if r.meanings and r.meanings[0].gloss
-        }
+        if args.gloss_slots:
+            # first-sense glosses for --gloss-slots come from the whole lexicon
+            gloss_index = {
+                r.headword.lower(): r.meanings[0].gloss
+                for r in records
+                if r.meanings and r.meanings[0].gloss
+            }
 
     # candidate frame pairs: (label, meaning number, frame_e, frame_i)
     candidates: list[tuple[str, int, str, str]] = []

@@ -16,7 +16,11 @@ recomputed from current contents on every call.
 ``add_sentence`` appends only records that read back as written: an id
 or line that the data file would give back changed (an id with
 whitespace or an empty id, a line starting with ``#``, with leading or
-trailing whitespace or with a line break) is rejected.
+trailing whitespace or with a line break) is rejected, and so is a
+language that is not a plain file-name stem (empty, ``.``, ``..``, or
+holding a path separator or NUL), whose data file would lie outside the
+store or be read back under another language. A record carries its data
+file as ``source`` whether it was just added or read on open.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class CorpusRecord:
     raw: str
     tree: DepTree
     language: str
-    source: str | None = None
+    source: str  # the data file the record is stored in
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ class CorpusStore:
                 self._records[sentence_id] = record
 
     def _parse_record(
-        self, sentence_id: str, line: str, language: str, source: str | None
+        self, sentence_id: str, line: str, language: str, source: str
     ) -> tuple[CorpusRecord, list[Diagnostic]]:
         """Check one sentence against the store and parse it, not yet indexed.
 
@@ -175,19 +179,20 @@ class CorpusStore:
         sentence_id: str,
         line: str,
         language: str,
-        source: str | None = None,
         diagnostics: list[Diagnostic] | None = None,
     ) -> CorpusRecord:
         """Validate, persist and index one sentence.
 
-        Rejects duplicates, lines that do not parse and resolve cleanly,
-        and any id or line that would not read back unchanged from the
-        data file. Parse warnings are appended to ``diagnostics`` when a
-        list is supplied.
+        Rejects a language that does not name a data file of this store,
+        duplicates, lines that do not parse and resolve cleanly, and any id
+        or line that would not read back unchanged from the data file. The
+        record's source is its data file, as on a reopen. Parse warnings
+        are appended to ``diagnostics`` when a list is supplied.
         """
         if self.mode != "rw":
             raise CorpusError("store opened read-only")
-        record, parse_diags = self._parse_record(sentence_id, line, language, source)
+        data_file = self._data_file(language)
+        record, parse_diags = self._parse_record(sentence_id, line, language, str(data_file))
         text = f"# {sentence_id}\n{line}\n"
         read_back = list(iter_sentences(text))
         if read_back != [(sentence_id, 2, line)]:
@@ -202,11 +207,29 @@ class CorpusStore:
             )
         if diagnostics is not None:
             diagnostics.extend(parse_diags)
-        data_file = self.path / f"{language}.anncorra"
         with data_file.open("a", encoding="utf-8") as fh:
             fh.write(text)
         self._records[sentence_id] = record
         return record
+
+    def _data_file(self, language: str) -> Path:
+        """The data file of ``language``, which a reopen finds again under it.
+
+        The language must be a plain file-name stem: not empty, ``.`` or
+        ``..``, with no path separator and no NUL.
+        """
+        name = f"{language}.anncorra"
+        data_file = self.path / name
+        if (
+            language in (".", "..")
+            or "\0" in language
+            or data_file.name != name
+            or data_file.stem != language
+        ):
+            raise CorpusError(
+                f"language {language!r} rejected: it does not name a data file in the store"
+            )
+        return data_file
 
     def query_by_relation(self, rel_tag: str) -> tuple[list[tuple[str, int]], list[Diagnostic]]:
         """All (record id, node position) pairs bearing the relation tag."""
@@ -298,7 +321,7 @@ def _interchange_record(record: CorpusRecord) -> str:
         f'      "id": {_json_string(record.id)},\n'
         f'      "language": {_json_string(record.language)},\n'
         f'      "raw": {_json_string(record.raw)},\n'
-        f'      "source": {_json_or_null(record.source)},\n'
+        f'      "source": {_json_string(record.source)},\n'
         '      "tree": {\n'
         f'        "groups": {_json_array(groups, "        ")},\n'
         f'        "nodes": {_json_array(nodes, "        ")},\n'

@@ -13,12 +13,17 @@ an optional parenthetical gloss and optional ``eg:`` examples:
 Example lists after ``eg:`` are comma-separated; quotes may wrap each
 example or the whole list, so commas inside one example are read as
 separators. The number of turns is stored, never interpreted.
+
+Cost: a formula line's brackets are paired in one pass, so a derivation
+finds its closing ``]`` by lookup instead of rescanning the rest of the
+line at every nesting level. The parser still recurses once per level.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string
 
 from .diagnostics import Diagnostic, LerilError, error, warning
 
@@ -55,12 +60,31 @@ class SenseThread:
     stages: tuple[ThreadStage, ...]
 
 
+_BRACKET_RE = re.compile(r"[\[\]]")
+
+
 def parse_formula(text: str) -> SutraFormula:
     """Parse ``HEAD[~* < SOURCE]`` with the source recursively a formula."""
-    return _parse_formula(text, 0, len(text))
+    return _parse_formula(text, 0, len(text), _closing_brackets(text))
 
 
-def _parse_formula(s: str, start: int, stop: int) -> SutraFormula:
+def _closing_brackets(text: str) -> dict[int, int]:
+    """Position of each ``[`` that is closed -> position of its ``]``.
+
+    One pass over the brackets, so that no nesting level rescans the rest
+    of the formula for the ``]`` that closes its derivation.
+    """
+    closing: dict[int, int] = {}
+    open_positions: list[int] = []
+    for m in _BRACKET_RE.finditer(text):
+        if m.group() == "[":
+            open_positions.append(m.start())
+        elif open_positions:
+            closing[open_positions.pop()] = m.start()
+    return closing
+
+
+def _parse_formula(s: str, start: int, stop: int, closing: dict[int, int]) -> SutraFormula:
     head_end = None
     i = start
     while i < stop:
@@ -86,17 +110,10 @@ def _parse_formula(s: str, start: int, stop: int) -> SutraFormula:
     if not head:
         raise SutraParseError("empty head", position=start + 1)
 
-    depth = 0
-    j = head_end
-    while j < stop:
-        if s[j] == "[":
-            depth += 1
-        elif s[j] == "]":
-            depth -= 1
-            if depth == 0:
-                break
-        j += 1
-    if depth != 0:
+    # A source lies strictly inside its enclosing brackets, whose content is
+    # balanced, so a bracket closed within [start, stop) is closed there.
+    j = closing.get(head_end)
+    if j is None:
         raise SutraParseError("unbalanced '['", position=head_end + 1)
     if s[j + 1 : stop].strip():
         raise SutraParseError("unexpected text after derivation", position=j + 2)
@@ -118,7 +135,7 @@ def _parse_formula(s: str, start: int, stop: int) -> SutraFormula:
             )
     if k >= j or s[k] != "<":
         raise SutraParseError("expected '<' in derivation", position=k + 1)
-    source = _parse_formula(s, k + 1, j)
+    source = _parse_formula(s, k + 1, j, closing)
     return SutraFormula(head, Derivation(turns, source))
 
 
@@ -325,6 +342,41 @@ def formula_to_interchange(formula: SutraFormula) -> dict:
             "source": formula_to_interchange(formula.derivation.source),
         }
     return doc
+
+
+def formulas_to_json(formulas: list[SutraFormula]) -> str:
+    """The text of ``json.dumps({"formulas": [formula_to_interchange(f), ...]},
+    ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``, written directly.
+
+    With ``indent`` set, json.dumps runs its pure-Python encoder, one
+    nested call per object, which is most of the cost of a file with deeply
+    nested derivations. A derivation chain is written top down in one loop.
+    """
+    if not formulas:
+        return '{\n  "formulas": []\n}\n'
+    items = ",\n".join(f"    {_formula_json(formula, 4)}" for formula in formulas)
+    return f'{{\n  "formulas": [\n{items}\n  ]\n}}\n'
+
+
+def _formula_json(formula: SutraFormula, margin: int) -> str:
+    """One formula object whose closing brace is indented by ``margin``."""
+    opening: list[str] = []
+    closing: list[str] = []
+    while True:
+        pad = " " * (margin + 2)
+        head = f'{pad}"head": {_json_string(formula.head)}\n{" " * margin}}}'
+        derivation = formula.derivation
+        if derivation is None:
+            opening.append(f'{{\n{pad}"derivation": null,\n{head}')
+            break
+        inner = " " * (margin + 4)
+        opening.append(f'{{\n{pad}"derivation": {{\n{inner}"source": ')
+        closing.append(
+            f',\n{inner}"turn_count": {derivation.turn_count}\n{pad}}},\n{head}'
+        )
+        formula = derivation.source
+        margin += 4
+    return "".join(opening) + "".join(reversed(closing))
 
 
 def thread_to_interchange(thread: SenseThread) -> dict:

@@ -23,12 +23,20 @@ sentence, and the binding is read off its true states: O(elements x n)
 for n tokens, with no backtracking. A target slot that the source frame
 does not bind raises ``TransferError``; ``transfer_sentence`` and the CLI
 report it as a warning for that frame pair and go on to the next.
+
+Every frame pair is parsed once per transfer, source frame then target
+frame, before the source is matched: a malformed target frame is reported
+whether or not its source matches, so the warnings of a lexicon do not
+depend on the sentence. Parsing looks each token up in one table of the
+26 slot elements, which every frame shares, and builds elements as named
+tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from string import ascii_uppercase
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 from .diagnostics import Diagnostic, LerilError, warning
 
@@ -44,14 +52,12 @@ class TransferError(LerilError):
     """Rendering failure, e.g. an unbound slot."""
 
 
-@dataclass(frozen=True)
-class FrameElement:
+class FrameElement(NamedTuple):
     kind: str  # "slot" | "literal" | "optional"
     value: str
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     side: str  # "source" | "target"
     elements: tuple[FrameElement, ...]
 
@@ -75,6 +81,12 @@ class TransferResult:
 OPTIONAL_POLICIES = ("include", "drop", "bracket")
 
 
+# One shared element per slot letter: a token is a slot exactly when it is a key.
+_SLOTS = {letter: FrameElement("slot", letter) for letter in ascii_uppercase}
+# Builds a named tuple from its field tuple, skipping the Python-level __new__.
+_tuple_new = tuple.__new__
+
+
 def parse_frame(text: str, side: str = "source") -> Frame:
     """Parse a frame pattern. Slot letters must be unique within a frame."""
     if side not in ("source", "target"):
@@ -85,19 +97,20 @@ def parse_frame(text: str, side: str = "source") -> Frame:
     elements: list[FrameElement] = []
     seen: set[str] = set()
     for token in tokens:
-        if len(token) == 1 and token.isascii() and token.isalpha() and token.isupper():
+        slot = _SLOTS.get(token)
+        if slot is not None:
             if token in seen:
                 raise FrameError(f"duplicate slot letter '{token}'")
             seen.add(token)
-            elements.append(FrameElement("slot", token))
-        elif token.startswith("[") and token.endswith("]"):
+            elements.append(slot)
+        elif token[0] == "[" and token[-1] == "]":
             inner = token[1:-1]
             if not inner:
                 raise FrameError("empty optional literal '[]'")
-            elements.append(FrameElement("optional", inner))
+            elements.append(_tuple_new(FrameElement, ("optional", inner)))
         else:
-            elements.append(FrameElement("literal", token))
-    return Frame(side, tuple(elements))
+            elements.append(_tuple_new(FrameElement, ("literal", token)))
+    return _tuple_new(Frame, (side, tuple(elements)))
 
 
 _FOLD_SUFFIXES = ("es", "ed", "ing", "s")

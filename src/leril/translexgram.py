@@ -24,6 +24,14 @@ the meaning's ``extras`` list.
 A field line that is present but empty parses to ``""``; an absent field
 is ``None``. Emission writes empty fields as bare ``FIELD::`` lines, which
 keeps parse/emit round-trips exact.
+
+Cost: every CLI command on a lexicon parses the whole file once, and
+``parse_tlg`` runs one regex per line. The pattern stops at the field's
+``::``; the value is the rest of the line, stripped of Unicode
+whitespace. A value that holds a line break (possible only in iterable
+input) makes its line a continuation. That is what a pattern with a lazy
+value group ending at the line's end gave, without that pattern's retry
+of the end-of-line test at every character of the value.
 """
 
 from __future__ import annotations
@@ -69,7 +77,10 @@ class ParallelPair:
     sense_number: int
 
 
-_FIELD_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*?)\s*$")
+# A field name, its ``::`` and the rest of the line, whose trailing
+# whitespace the reader strips: a lazy value group followed by ``\s*$``
+# would retry the end-of-line test at every character of the value.
+_FIELD_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*)", re.DOTALL)
 _MEANING_VALUE_RE = re.compile(r"^(\d+)\s*::\s*(.*)$")
 _HEADWORD_VALUE_RE = re.compile(r'^"([^"]*)"\s*,\s*"([^"]*)"$')
 
@@ -104,49 +115,24 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
     record: TlgRecord | None = None
     record_line = 0
     meaning: TlgMeaning | None = None
-    last: tuple | None = None  # continuation target
+    # Continuation target: (meaning, attribute), where the attribute is
+    # "tr_nat" or "extras" for the last entry of that list.
+    last: tuple[TlgMeaning, str] | None = None
     skipping = False
     saw_content = False
-
-    def flush_record() -> None:
-        nonlocal record, meaning
-        if record is None:
-            return
-        numbers = [m.number for m in record.meanings]
-        if not numbers:
-            diagnostics.append(
-                warning(f"record '{record.headword}' has no meanings", line=record_line)
-            )
-        elif numbers != list(range(1, len(numbers) + 1)):
-            diagnostics.append(
-                warning(
-                    f"non-consecutive meaning numbers in record '{record.headword}'",
-                    line=record_line,
-                )
-            )
-        records.append(record)
-        record = None
-        meaning = None
-
-    def extend(text: str) -> None:
-        kind = last[0]
-        target: TlgMeaning = last[1]
-        if kind == "attr":
-            current = getattr(target, last[2])
-            setattr(target, last[2], f"{current} {text}" if current else text)
-        elif kind == "tr_nat":
-            target.tr_nat[-1] = f"{target.tr_nat[-1]} {text}"
-        else:  # extras
-            name, value = target.extras[-1]
-            target.extras[-1] = (name, f"{value} {text}" if value else text)
+    field_match = _FIELD_RE.match
 
     for lineno, raw in enumerate(lines, 1):
-        if not raw.strip():
-            continue
-        saw_content = True
-
-        m = _FIELD_RE.match(raw)
+        m = field_match(raw)
+        if m is not None:
+            name, value = m.groups()
+            value = value.rstrip()
+            if "\n" in value:  # a value never spans lines: the line is a continuation
+                m = None
         if m is None:
+            if not raw.strip():
+                continue
+            saw_content = True
             if skipping:
                 continue
             if last is None:
@@ -154,13 +140,14 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
                     error("continuation line without a preceding field", line=lineno)
                 )
                 continue
-            extend(raw.strip())
+            _extend(last, raw.strip())
             continue
-
-        name, value = m.group(1), m.group(2)
+        saw_content = True
 
         if name == "HEADWORD":
-            flush_record()
+            if record is not None:
+                _close_record(record, record_line, records, diagnostics)
+                record = meaning = None
             hv = _HEADWORD_VALUE_RE.match(value)
             if hv is None or not hv.group(1):
                 diagnostics.append(
@@ -171,7 +158,6 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
                 continue
             record = TlgRecord(hv.group(1), hv.group(2))
             record_line = lineno
-            meaning = None
             last = None
             skipping = False
             continue
@@ -191,7 +177,7 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
                 continue
             meaning = TlgMeaning(number=int(mv.group(1)), gloss=_unquote(mv.group(2)))
             record.meanings.append(meaning)
-            last = ("attr", meaning, "gloss")
+            last = (meaning, "gloss")
             continue
 
         if record is None:
@@ -205,17 +191,17 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
             )
             continue
 
-        canonical = name
         if name in _FIELD_ALIASES:
             canonical = _FIELD_ALIASES[name]
             diagnostics.append(
                 warning(f"field name {name} accepted as {canonical}", line=lineno, field=name)
             )
+            name = canonical
 
-        if canonical == "TR_NAT":
+        if name == "TR_NAT":
             if value:
                 meaning.tr_nat.append(value)
-                last = ("tr_nat", meaning)
+                last = (meaning, "tr_nat")
             else:
                 diagnostics.append(
                     warning("empty TR_NAT value ignored", line=lineno, field="TR_NAT")
@@ -223,28 +209,55 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
                 last = None
             continue
 
-        if canonical in _SINGLE_FIELDS:
-            attr = _SINGLE_FIELDS[canonical]
+        attr = _SINGLE_FIELDS.get(name)
+        if attr is not None:
             if getattr(meaning, attr) is not None:
                 diagnostics.append(
                     warning(
-                        f"duplicate {canonical} in meaning {meaning.number}; later value wins",
+                        f"duplicate {name} in meaning {meaning.number}; later value wins",
                         line=lineno,
-                        field=canonical,
+                        field=name,
                     )
                 )
             setattr(meaning, attr, value)
-            last = ("attr", meaning, attr)
+            last = (meaning, attr)
             continue
 
         diagnostics.append(warning(f"unknown field {name}", line=lineno, field=name))
         meaning.extras.append((name, value))
-        last = ("extras", meaning)
+        last = (meaning, "extras")
 
-    flush_record()
+    if record is not None:
+        _close_record(record, record_line, records, diagnostics)
     if not saw_content:
         diagnostics.append(info("empty input: no records"))
     return records, diagnostics
+
+
+def _close_record(
+    record: TlgRecord, line: int, records: list[TlgRecord], diagnostics: list[Diagnostic]
+) -> None:
+    numbers = [m.number for m in record.meanings]
+    if not numbers:
+        diagnostics.append(warning(f"record '{record.headword}' has no meanings", line=line))
+    elif numbers != list(range(1, len(numbers) + 1)):
+        diagnostics.append(
+            warning(f"non-consecutive meaning numbers in record '{record.headword}'", line=line)
+        )
+    records.append(record)
+
+
+def _extend(last: tuple[TlgMeaning, str], text: str) -> None:
+    """Join a continuation line onto the field value it continues."""
+    target, attr = last
+    if attr == "tr_nat":
+        target.tr_nat[-1] = f"{target.tr_nat[-1]} {text}"
+    elif attr == "extras":
+        name, value = target.extras[-1]
+        target.extras[-1] = (name, f"{value} {text}" if value else text)
+    else:
+        current = getattr(target, attr)
+        setattr(target, attr, f"{current} {text}" if current else text)
 
 
 def validate_tlg(record: TlgRecord, policy: str = "lenient") -> list[Diagnostic]:

@@ -336,6 +336,17 @@ class TestCorpus:
         assert code == 2
         assert "duplicate" in err
 
+    def test_language_outside_the_store_exits_2(self, capsys, tmp_path):
+        store = str(tmp_path / "store")
+        code, out, err = _run(
+            capsys, "corpus", "add", SENTENCES, "--store", store, "--lang", "../outside"
+        )
+        assert code == 2 and out == ""
+        assert "language '../outside' rejected" in err
+        assert not (tmp_path / "outside.anncorra").exists()
+        code, out, _ = _run(capsys, "corpus", "stats", "--store", store)
+        assert json.loads(out)["sentences"] == 0
+
     def test_export_is_byte_stable(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         _run(capsys, "corpus", "add", SENTENCES, "--store", store)

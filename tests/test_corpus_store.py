@@ -86,6 +86,31 @@ class TestAdd:
             assert [r.id for r in reader.records()] == ["s1"]
 
 
+    @pytest.mark.parametrize(
+        "language",
+        ["", ".", "..", "../outside", "sub/hin", "hin/", "./hin", "hi\x00n"],
+        ids=[
+            "empty", "dot", "dot-dot", "parent-dir", "subdir", "trailing-slash", "dot-slash", "nul",
+        ],
+    )
+    def test_language_that_is_not_a_plain_stem_is_rejected(self, tmp_path, language):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "piyA::v:i", "hin")
+            with pytest.raises(CorpusError, match="language .* rejected"):
+                writer.add_sentence("s2", "piyA::v:i", language)
+            assert "s2" not in writer
+        with CorpusStore(path, "r") as reader:
+            assert [(r.id, r.language) for r in reader.records()] == [("s1", "hin")]
+        assert [p.name for p in tmp_path.rglob("*anncorra")] == ["hin.anncorra"]
+
+    def test_language_with_dots_and_spaces_reads_back(self, tmp_path):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "piyA::v:i", "hin.v2 a")
+        with CorpusStore(path, "r") as reader:
+            assert [(r.id, r.language) for r in reader.records()] == [("s1", "hin.v2 a")]
+
     def test_id_starting_with_hash_reads_back(self, tmp_path):
         # "# #s2" names the sentence "#s2": only the marker's '#' is dropped
         path = tmp_path / "store"
@@ -258,14 +283,18 @@ class TestInterchangeBytes:
                 writer.add_sentence(f"t{k}", emit_explicit(tree), "hin")
             assert any(r.tree.groups for r in writer.records())
             assert any(not r.tree.groups for r in writer.records())
-            assert writer.export("interchange") == _interchange_reference(writer)
-        with CorpusStore(path, "r") as reader:  # source is the data file now
-            assert reader.export("interchange") == _interchange_reference(reader)
+            written = writer.export("interchange")
+            assert written == _interchange_reference(writer)
+        with CorpusStore(path, "r") as reader:
+            assert reader.export("interchange") == written
 
-    def test_strings_that_need_escaping(self, store):
+    def test_strings_that_need_escaping(self, tmp_path):
         odd = ['"', "\\", "\x00", "\x01", "\x1b", "\x7f", "\U0001f600", "\u00e9", "\ud7ff"]
-        for k, text in enumerate(odd):
-            line = f"a{text}b/k1 {text}::v:i"
-            store.add_sentence(f"s{k}{text}", line, "hin", source=f"src{text}\u2028\n")
-        store.add_sentence("plain", "piyA::v", "hin")  # source=None
-        assert store.export("interchange") == _interchange_reference(store)
+        # the source is the data file path, so the store directory carries
+        # the characters a source can hold
+        with CorpusStore(tmp_path / 'store"\\\u2028\n', "rw") as store:
+            for k, text in enumerate(odd):
+                line = f"a{text}b/k1 {text}::v:i"
+                store.add_sentence(f"s{k}{text}", line, "hin")
+            store.add_sentence("plain", "piyA::v", "hin")
+            assert store.export("interchange") == _interchange_reference(store)

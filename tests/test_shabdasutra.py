@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leril.diagnostics import Severity
@@ -12,6 +14,8 @@ from leril.shabdasutra import (
     check_consistency,
     emit_formula,
     emit_thread,
+    formula_to_interchange,
+    formulas_to_json,
     load_aliases,
     parse_formula,
     parse_formula_file,
@@ -200,3 +204,98 @@ class TestFiles:
         formulas, diags = parse_formula_file("ok\nbroken[\n")
         assert len(formulas) == 1
         assert diags[0].line == 2
+
+
+def _reference_parse_formula(s: str, start: int, stop: int) -> SutraFormula:
+    """The walk that counts bracket depth from each level's ``[``."""
+    head_end = next((i for i in range(start, stop) if s[i] in "[]<~"), None)
+    if head_end is not None and s[head_end] != "[":
+        message = {"]": "unbalanced ']'", "<": "'<' outside brackets", "~": "'~' outside brackets"}
+        raise SutraParseError(message[s[head_end]], position=head_end + 1)
+    head = s[start : stop if head_end is None else head_end].strip()
+    if not head:
+        raise SutraParseError("empty head", position=start + 1)
+    if head_end is None:
+        return SutraFormula(head)
+    depth, j = 0, head_end
+    while j < stop:
+        depth += {"[": 1, "]": -1}.get(s[j], 0)
+        if depth == 0:
+            break
+        j += 1
+    if depth != 0:
+        raise SutraParseError("unbalanced '['", position=head_end + 1)
+    if s[j + 1 : stop].strip():
+        raise SutraParseError("unexpected text after derivation", position=j + 2)
+    k, turns = head_end + 1, 0
+    while k < j and s[k] != "<":
+        if s[k] == "~":
+            turns += 1
+        elif not s[k].isspace():
+            raise SutraParseError(
+                f"expected '~' or '<' in derivation, found {s[k]!r}", position=k + 1
+            )
+        k += 1
+    if k >= j:
+        raise SutraParseError("expected '<' in derivation", position=k + 1)
+    return SutraFormula(head, Derivation(turns, _reference_parse_formula(s, k + 1, j)))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except SutraParseError as exc:
+        return str(exc), exc.position
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(
+        st.sampled_from(["[", "]", "<", "~", " ", "a", "bc", "[", "]", "< ", "\t"]), max_size=16
+    )
+    | _formulas(4).map(emit_formula).flatmap(
+        lambda text: st.tuples(
+            st.just(text),
+            st.integers(0, len(text)),
+            st.sampled_from(["", "[", "]", "<", "~", "x"]),
+            st.integers(0, 2),
+        ).map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1] + t[3] :])
+    )
+)
+def test_parse_formula_matches_depth_counting_walk(pieces):
+    text = "".join(pieces)
+    assert _parse_outcome(parse_formula, text) == _parse_outcome(
+        lambda t: _reference_parse_formula(t, 0, len(t)), text
+    )
+
+
+def _json_reference(formulas):
+    doc = {"formulas": [formula_to_interchange(f) for f in formulas]}
+    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+_odd_head = st.text(alphabet='aS"\\\x00\x1f\u00e9\u2028\U0001f600', min_size=1, max_size=4)
+
+
+@given(
+    st.lists(
+        st.recursive(
+            st.builds(SutraFormula, _odd_head),
+            lambda inner: st.builds(
+                SutraFormula, _odd_head, st.builds(Derivation, st.integers(0, 12), inner)
+            ),
+            max_leaves=8,
+        ),
+        max_size=4,
+    )
+)
+def test_formulas_json_matches_json_dumps(formulas):
+    assert formulas_to_json(formulas) == _json_reference(formulas)
+
+
+def test_formulas_json_of_a_deep_formula(fixtures_dir):
+    text = "h0"
+    for k in range(1, 300):
+        text = f"h{k}[{'~' * (k % 3)} < {text}]"
+    formulas, _ = parse_formula_file((fixtures_dir / "issue.formula").read_text() + text)
+    assert formulas_to_json(formulas) == _json_reference(formulas)

@@ -56,6 +56,66 @@ class TestParseFrame:
         with pytest.raises(FrameError):
             parse_frame("   ")
 
+    def test_elements_compare_and_hash_by_kind_and_value(self):
+        first = parse_frame("A to [B]").elements
+        second = parse_frame("A to [B]", "target").elements
+        assert first == second and hash(first) == hash(second)
+        assert {first[0], FrameElement("slot", "A")} == {FrameElement("slot", "A")}
+        assert FrameElement("slot", "A") != FrameElement("literal", "A")
+        assert (first[2].kind, first[2].value) == ("optional", "B")
+
+
+def _reference_parse_frame(text: str) -> list[tuple[str, str]]:
+    """The token walk with four str tests per slot, as (kind, value) pairs."""
+    tokens = text.split()
+    if not tokens:
+        raise FrameError("empty frame")
+    elements, seen = [], set()
+    for token in tokens:
+        if len(token) == 1 and token.isascii() and token.isalpha() and token.isupper():
+            if token in seen:
+                raise FrameError(f"duplicate slot letter '{token}'")
+            seen.add(token)
+            elements.append(("slot", token))
+        elif token.startswith("[") and token.endswith("]"):
+            if not token[1:-1]:
+                raise FrameError("empty optional literal '[]'")
+            elements.append(("optional", token[1:-1]))
+        else:
+            elements.append(("literal", token))
+    return elements
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except FrameError as exc:
+        return str(exc)
+
+
+_frame_token = st.sampled_from(
+    ["[", "]", "[]", "[[]]", "[x", "x]", "[ko]", "[A]", "A", "B", "Z", "a", "AB", "goes",
+     "\u00c1", "\u01c5", "\u00df", "\u03a3", "0", "7", "\u2167"]
+)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_frame_token, max_size=7),
+    st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\x1c"]), min_size=8, max_size=8),
+    st.sampled_from(["source", "target"]),
+)
+def test_parse_frame_matches_reference_walk(tokens, spaces, side):
+    text = "".join(token + space for token, space in zip(tokens, spaces))
+    expected = _outcome(_reference_parse_frame, text)
+    frame = _outcome(lambda t: parse_frame(t, side), text)
+    if isinstance(expected, str):
+        assert frame == expected
+    else:
+        assert frame.side == side
+        assert frame.elements == tuple(FrameElement(kind, value) for kind, value in expected)
+        assert frame.slots == [value for kind, value in expected if kind == "slot"]
+
 
 class TestInflectionFold:
     @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
-from hypothesis import given
+import re
+from unittest import mock
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leril import translexgram
 from leril.diagnostics import Severity, has_errors
 from leril.dict_model import parse_dictionary
 from leril.translexgram import (
@@ -252,3 +256,48 @@ def test_interchange_shape(go_tlg_text):
     doc = to_interchange(records)
     assert doc["records"][0]["meanings"][0]["tr_nat"] == ["maiM skUla jAtA hUM."]
     assert doc["records"][0]["meanings"][1]["frame_i"] == "A B meM rakhA_jAtA_hai"
+
+
+# The field pattern before it stopped at ``::``: its lazy value group ends
+# in ``\s*$``. Patched in, it is the reference for the line reader.
+_LAZY_FIELD_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*?)\s*$")
+_LINE_CHARS = 'ABCHIMNTabz019_-:" \t\r\x0b\x1c\u00a0\u2028'
+_space = st.text(alphabet=" \t\r\x0b\x1c\u00a0\u2028", max_size=2)
+_field_name = st.sampled_from(
+    [
+        "HEADWORD", "MEANING", "MEANING_OTH", "ENG_EXP", "TR_NAT", "TR_ENG-INFLNC",
+        "TR_ENG_INFLNCE", "FRAME_E", "FRAME_I", "ERR", "COMNT", "X_FIELD", "a-1", "1A",
+    ]
+)
+_field_value = st.sampled_from(
+    ['"go","V"', '"go" , "V"', '"","V"', 'go,V', '1::"jAnA"', '2 :: x', 'x::"y"', "", "A goes to B"]
+) | st.text(alphabet=_LINE_CHARS, max_size=12)
+_field_line = st.tuples(_space, _field_name, _space, _space, _field_value, _space).map(
+    lambda p: f"{p[0]}{p[1]}{p[2]}::{p[3]}{p[4]}{p[5]}"
+)
+# Lines without a field: blank, continuation, or stray text.
+_other_line = st.text(alphabet=_LINE_CHARS, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_field_line, _field_line, _other_line), max_size=12),
+    st.lists(st.booleans(), max_size=12),
+)
+@example(
+    ['HEADWORD::"go","V"', 'MEANING::1::"x"', "ENG_EXP:: a", "b", "TR_NAT:: c"],
+    [False, False, False, True],
+)
+def test_line_reader_matches_the_lazy_field_pattern(lines, joins):
+    # Iterable input keeps a line's \r, \x0b, \x1c and U+2028 (text input
+    # splits on them), and an element may hold an embedded \n.
+    items: list[str] = []
+    for k, line in enumerate(lines):
+        if items and k < len(joins) and joins[k]:
+            items[-1] += "\n" + line
+        else:
+            items.append(line)
+    for source in ("\n".join(lines), items, [item + "\n" for item in items]):
+        with mock.patch.object(translexgram, "_FIELD_RE", _LAZY_FIELD_RE):
+            expected = parse_tlg(source)
+        assert parse_tlg(source) == expected
