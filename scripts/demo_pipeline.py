@@ -46,10 +46,11 @@ def main():
         print(f"  {pair.english}  =>  {pair.translation}")
 
     section("frame transfer")
+    pairs, _ = transfer.lexicon_pairs(records)
     for sentence in ("I go to school.", "These clothes go into that suitcase."):
-        results, _ = transfer.transfer_sentence(records[0], sentence)
-        for result in results:
-            print(f"  {sentence}  ->  {result.output}  (meaning {result.meaning_number})")
+        matches, _ = transfer.transfer_pairs(pairs, sentence)
+        for match in matches:
+            print(f"  {sentence}  ->  {match.output}  ({match.label})")
 
     section("dependency notation")
     registry = anncorra.default_registry()

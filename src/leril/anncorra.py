@@ -86,22 +86,6 @@ class TagRegistry:
             else:
                 raise ValueError(f"unknown tag category: {tag.category!r}")
 
-    @property
-    def relation_tags(self) -> dict[str, str]:
-        return {t.code: t.description for t in self._relations.values()}
-
-    @property
-    def node_tags(self) -> dict[str, str]:
-        return {t.code: t.description for t in self._nodes.values()}
-
-    @property
-    def verbal_relation_tags(self) -> set[str]:
-        return {t.code for t in self._relations.values() if t.verbal}
-
-    @property
-    def verbal_node_tags(self) -> set[str]:
-        return {t.code for t in self._nodes.values() if t.verbal}
-
     def canonical_relation(self, code: str) -> str | None:
         tag = self._relations.get(code.lower())
         return tag.code if tag else None

@@ -22,7 +22,6 @@ from .diagnostics import (
     Severity,
     error,
     info,
-    warning,
     worst_severity,
 )
 
@@ -84,7 +83,7 @@ def _cmd_dict_emit(args):
 def _cmd_dict_lookup(args):
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     entries = dict_model.lookup(dictionary, args.headword, args.pos)
-    result = dict_model.Dictionary.from_entries(entries)
+    result = dict_model.Dictionary(tuple(entries))
     if args.format == "interchange":
         _print(_dump_json(dict_model.to_interchange(result)))
     else:
@@ -264,92 +263,27 @@ def _cmd_transfer(args):
 
     diags: list[Diagnostic] = []
     records: list[translexgram.TlgRecord] = []
-    gloss_index: dict[str, str] = {}
     if args.lexicon is not None:
         records, diags = translexgram.parse_tlg(_read_text(args.lexicon))
-        if args.gloss_slots:
-            # first-sense glosses for --gloss-slots come from the whole lexicon
-            gloss_index = {
-                r.headword.lower(): r.meanings[0].gloss
-                for r in records
-                if r.meanings and r.meanings[0].gloss
-            }
-
-    # candidate frame pairs: (label, meaning number, frame_e, frame_i)
-    candidates: list[tuple[str, int, str, str]] = []
     if literal_frames:
-        candidates.append(("literal frames", 0, args.frame_e, args.frame_i))
+        pairs = [("literal frames", args.frame_e, args.frame_i)]
     else:
-        if args.headword is not None:
-            records = [r for r in records if r.headword == args.headword]
-            if not records:
-                diags.append(error(f"headword {args.headword!r} not found in lexicon"))
-                return diags
-        for record in records:
-            meanings = record.meanings
-            if args.sense is not None:
-                meanings = [m for m in meanings if m.number == args.sense]
-                if not meanings:
-                    diags.append(error(f"'{record.headword}' has no meaning {args.sense}"))
-                    continue
-            for meaning in sorted(meanings, key=lambda m: m.number):
-                frame_e = meaning.frame_e or ""
-                frame_i = meaning.frame_i or ""
-                if not frame_e and not frame_i:
-                    continue
-                if not frame_e or not frame_i:
-                    diags.append(
-                        warning(
-                            f"meaning {meaning.number}: incomplete frame pair; skipped"
-                        )
-                    )
-                    continue
-                candidates.append(
-                    (f"meaning {meaning.number} of '{record.headword}'", meaning.number, frame_e, frame_i)
-                )
-
-    def annotate(binding: transfer.SlotBinding) -> transfer.SlotBinding:
-        return transfer.SlotBinding(
-            {
-                letter: tuple(
-                    f"{tok}{{={gloss_index[tok.lower()]}}}"
-                    if tok.lower() in gloss_index
-                    else tok
-                    for tok in span
-                )
-                for letter, span in binding.bindings.items()
-            }
-        )
-
-    tokens = transfer.tokenize_sentence(args.sentence)
-    folded = [transfer.inflection_fold(token) for token in tokens]
+        pairs, pair_diags = transfer.lexicon_pairs(records, args.headword, args.sense)
+        diags.extend(pair_diags)
+        if pairs is None:
+            return diags
+    # glosses come from the whole lexicon, also for literal frames
+    glosses = transfer.gloss_index(records) if args.gloss_slots else None
+    matches, match_diags = transfer.transfer_pairs(
+        pairs, args.sentence, args.optional, glosses
+    )
+    diags.extend(match_diags)
     blocks = []
-    for label, _number, frame_e, frame_i in candidates:
-        try:
-            source = transfer.parse_frame(frame_e, "source")
-            target = transfer.parse_frame(frame_i, "target")
-        except transfer.FrameError as exc:
-            diags.append(warning(f"{label}: {exc}"))
-            continue
-        binding = transfer.match_frame(source, tokens, folded)
-        if binding is None:
-            continue
-        render_binding = annotate(binding) if args.gloss_slots else binding
-        try:
-            output = transfer.render_target(target, render_binding, args.optional)
-        except transfer.TransferError as exc:
-            diags.append(warning(f"{label}: {exc}"))
-            continue
-        table = [
-            f"{letter}\t{' '.join(span)}"
-            for letter, span in sorted(binding.bindings.items())
-        ]
-        blocks.append("\n".join([output] + table))
-        diags.append(info(f"matched {label}"))
-    if blocks:
-        _print("\n\n".join(blocks))
-    else:
-        diags.append(info("no frame matched the sentence"))
+    for match in matches:
+        bindings = sorted(match.binding.bindings.items())
+        table = [f"{letter}\t{' '.join(span)}" for letter, span in bindings]
+        blocks.append("\n".join([match.output] + table))
+    _print("\n\n".join(blocks))
     return diags
 
 

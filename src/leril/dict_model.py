@@ -24,7 +24,7 @@ lines will be misread; hand-authored data does not normally contain them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .diagnostics import Diagnostic, LerilError, error, info, warning
@@ -69,20 +69,9 @@ class DictEntry:
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Parsed dictionary; immutable and safe for concurrent readers.
-
-    ``index`` maps ``(headword, pos)`` to the entry position; when that
-    pair occurs more than once the later entry wins.
-    """
+    """Parsed dictionary; immutable and safe for concurrent readers."""
 
     entries: tuple[DictEntry, ...] = ()
-    index: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @classmethod
-    def from_entries(cls, entries: Iterable[DictEntry]) -> "Dictionary":
-        entries = tuple(entries)
-        index = {(e.headword, e.pos): i for i, e in enumerate(entries)}
-        return cls(entries, index)
 
 
 _HEADWORD_RE = re.compile(r'^\s*"([^"]+)"\s*,\s*"([^"]*)"\s*,?\s*$')
@@ -287,18 +276,18 @@ def parse_dictionary(source: str | Iterable[str]) -> tuple[Dictionary, list[Diag
     if not saw_content:
         diagnostics.append(info("empty input: no dictionary entries"))
 
-    index: dict[tuple[str, str], int] = {}
+    seen: set[tuple[str, str]] = set()
     for i, entry in enumerate(entries):
         key = (entry.headword, entry.pos)
-        if key in index:
+        if key in seen:
             diagnostics.append(
                 warning(
                     f"duplicate entry for {entry.headword!r} ({entry.pos}); later entry wins",
                     line=entry_lines[i],
                 )
             )
-        index[key] = i
-    return Dictionary(tuple(entries), index), diagnostics
+        seen.add(key)
+    return Dictionary(tuple(entries)), diagnostics
 
 
 def lookup(dictionary: Dictionary, headword: str, pos: str | None = None) -> list[DictEntry]:
@@ -312,7 +301,7 @@ def lookup(dictionary: Dictionary, headword: str, pos: str | None = None) -> lis
 
 def frequency_filter(dictionary: Dictionary, wordlist: set[str]) -> Dictionary:
     """Keep only entries whose headword is in ``wordlist``, order preserved."""
-    return Dictionary.from_entries(e for e in dictionary.entries if e.headword in wordlist)
+    return Dictionary(tuple(e for e in dictionary.entries if e.headword in wordlist))
 
 
 def emit_dictionary(dictionary: Dictionary) -> str:

@@ -21,8 +21,12 @@ the sentence's folds is rejected before any search. Otherwise one table of
 holding whether the rest of the frame can consume the rest of the
 sentence, and the binding is read off its true states: O(elements x n)
 for n tokens, with no backtracking. A target slot that the source frame
-does not bind raises ``TransferError``; ``transfer_sentence`` and the CLI
-report it as a warning for that frame pair and go on to the next.
+does not bind raises ``TransferError``; ``transfer_pairs`` reports it as a
+warning for that frame pair and goes on to the next.
+
+The ``transfer`` command is two calls: ``lexicon_pairs`` selects the
+labelled frame pairs of a lexicon (or the command passes its literal
+frames as one pair), and ``transfer_pairs`` tries them on the sentence.
 
 Every frame pair is parsed once per transfer, source frame then target
 frame, before the source is matched: a malformed target frame is reported
@@ -36,9 +40,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from string import ascii_uppercase
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, LerilError, warning
+from .diagnostics import Diagnostic, LerilError, error, info, warning
 
 if TYPE_CHECKING:  # pragma: no cover
     from .translexgram import TlgRecord
@@ -69,13 +73,6 @@ class Frame(NamedTuple):
 @dataclass(frozen=True)
 class SlotBinding:
     bindings: Mapping[str, tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class TransferResult:
-    output: str
-    binding: SlotBinding
-    meaning_number: int
 
 
 OPTIONAL_POLICIES = ("include", "drop", "bracket")
@@ -227,57 +224,103 @@ def render_target(
     return " ".join(out)
 
 
-def transfer_meaning(
-    meaning,
-    tokens: list[str],
-    optional_policy: str = "include",
-    folded: list[str] | None = None,
-) -> TransferResult | None:
-    """Apply one meaning's frame pair to pre-tokenized sentence text.
+def lexicon_pairs(
+    records: Sequence[TlgRecord], headword: str | None = None, sense: int | None = None
+) -> tuple[list[tuple[str, str, str]] | None, list[Diagnostic]]:
+    """Select the frame pairs of a lexicon as ``(label, frame_e, frame_i)``.
 
-    Returns None when the source frame does not match. ``folded`` is passed
-    on to ``match_frame``.
+    Records keep their file order and meanings go in numeric order.
+    ``headword`` keeps the records of that headword and ``sense`` their
+    meaning of that number; a record without it is an error. Meanings with
+    only half a frame pair are skipped with a warning, meanings with no
+    frames at all silently. Returns None for an unknown headword.
     """
-    source = parse_frame(meaning.frame_e or "", "source")
-    target = parse_frame(meaning.frame_i or "", "target")
-    binding = match_frame(source, tokens, folded)
-    if binding is None:
-        return None
-    output = render_target(target, binding, optional_policy)
-    return TransferResult(output, binding, meaning.number)
+    if headword is not None:
+        records = [r for r in records if r.headword == headword]
+        if not records:
+            return None, [error(f"headword {headword!r} not found in lexicon")]
+    pairs: list[tuple[str, str, str]] = []
+    diagnostics: list[Diagnostic] = []
+    for record in records:
+        meanings = record.meanings
+        if sense is not None:
+            meanings = [m for m in meanings if m.number == sense]
+            if not meanings:
+                diagnostics.append(error(f"'{record.headword}' has no meaning {sense}"))
+                continue
+        for meaning in sorted(meanings, key=lambda m: m.number):
+            label = f"meaning {meaning.number} of '{record.headword}'"
+            frame_e = meaning.frame_e or ""
+            frame_i = meaning.frame_i or ""
+            if frame_e and frame_i:
+                pairs.append((label, frame_e, frame_i))
+            elif frame_e or frame_i:
+                diagnostics.append(warning(f"{label}: incomplete frame pair; skipped"))
+    return pairs, diagnostics
 
 
-def transfer_sentence(
-    record: "TlgRecord", sentence: str, optional_policy: str = "include"
-) -> tuple[list[TransferResult], list[Diagnostic]]:
-    """Try every meaning's frame pair against a sentence, in numeric order.
+def gloss_index(records: Sequence[TlgRecord]) -> dict[str, str]:
+    """Lowercased headword to its first meaning's gloss; later records win."""
+    return {
+        r.headword.lower(): r.meanings[0].gloss
+        for r in records
+        if r.meanings and r.meanings[0].gloss
+    }
 
-    Returns one result per matching meaning. Meanings with only half a
-    frame pair are skipped with a warning; meanings with no frames at all
-    are skipped silently.
+
+class TransferMatch(NamedTuple):
+    label: str
+    output: str
+    binding: SlotBinding
+
+
+def transfer_pairs(
+    pairs: Iterable[tuple[str, str, str]],
+    sentence: str,
+    optional_policy: str = "include",
+    glosses: Mapping[str, str] | None = None,
+) -> tuple[list[TransferMatch], list[Diagnostic]]:
+    """Try each labelled frame pair on a sentence, in the order given.
+
+    Each pair is parsed, source frame then target frame, and a malformed
+    one is skipped with a warning; so is a match whose target frame has a
+    slot the source did not bind. ``glosses`` (see ``gloss_index``)
+    annotates the rendered slot tokens it knows, e.g. ``school{=pAThaSAlA}``;
+    the match's binding keeps the bare tokens. Every match adds a
+    ``matched`` info in pair order, and no match adds one info saying so.
     """
     tokens = tokenize_sentence(sentence)
     folded = [inflection_fold(token) for token in tokens]
-    results: list[TransferResult] = []
+    matches: list[TransferMatch] = []
     diagnostics: list[Diagnostic] = []
-    for meaning in sorted(record.meanings, key=lambda m: m.number):
-        frame_e = meaning.frame_e or ""
-        frame_i = meaning.frame_i or ""
-        if not frame_e and not frame_i:
-            continue
-        if not frame_e or not frame_i:
-            diagnostics.append(
-                warning(
-                    f"meaning {meaning.number}: incomplete frame pair; skipped",
-                    field="FRAME_E" if not frame_e else "FRAME_I",
-                )
-            )
-            continue
+    for label, frame_e, frame_i in pairs:
         try:
-            result = transfer_meaning(meaning, tokens, optional_policy, folded)
-        except (FrameError, TransferError) as exc:
-            diagnostics.append(warning(f"meaning {meaning.number}: {exc}"))
+            source = parse_frame(frame_e, "source")
+            target = parse_frame(frame_i, "target")
+        except FrameError as exc:
+            diagnostics.append(warning(f"{label}: {exc}"))
             continue
-        if result is not None:
-            results.append(result)
-    return results, diagnostics
+        binding = match_frame(source, tokens, folded)
+        if binding is None:
+            continue
+        shown = binding
+        if glosses is not None:
+            shown = SlotBinding(
+                {
+                    letter: tuple(
+                        f"{tok}{{={glosses[tok.lower()]}}}" if tok.lower() in glosses else tok
+                        for tok in span
+                    )
+                    for letter, span in binding.bindings.items()
+                }
+            )
+        try:
+            output = render_target(target, shown, optional_policy)
+        except TransferError as exc:
+            diagnostics.append(warning(f"{label}: {exc}"))
+            continue
+        matches.append(TransferMatch(label, output, binding))
+        diagnostics.append(info(f"matched {label}"))
+    if not matches:
+        diagnostics.append(info("no frame matched the sentence"))
+    return matches, diagnostics

@@ -18,7 +18,7 @@ from leril.corpus_store import CorpusStore
 from leril.diagnostics import Severity, has_errors
 from leril.dict_model import emit_dictionary, parse_dictionary
 from leril.shabdasutra import check_consistency, load_aliases, parse_formula, parse_thread
-from leril.transfer import match_frame, parse_frame, transfer_sentence
+from leril.transfer import lexicon_pairs, match_frame, parse_frame, transfer_pairs
 from leril.translexgram import extract_parallel_corpus, parse_tlg, validate_tlg
 
 EXPLICIT = "rAma_ne/k1->i phala/k2->j kATakara/kr:j->i pAnI/k2->i piyA::v:i"
@@ -129,14 +129,14 @@ def test_criterion_5_tlg_fixture(go_tlg_text):
 def test_criterion_6_transfer_outputs(go_tlg_text):
     check = _timed(1.0)
     records, _ = parse_tlg(go_tlg_text)
-    record = records[0]
-    results, _ = transfer_sentence(record, "I go to school.", "include")
-    assert [(r.meaning_number, r.output) for r in results] == [
-        (1, "I school ko jAtA hai")
+    pairs, _ = lexicon_pairs(records)
+    matches, _ = transfer_pairs(pairs, "I go to school.", "include")
+    assert [(m.label, m.output) for m in matches] == [
+        ("meaning 1 of 'go'", "I school ko jAtA hai")
     ]
-    results, _ = transfer_sentence(record, "These clothes go into that suitcase.")
-    assert [(r.meaning_number, r.output) for r in results] == [
-        (2, "These clothes that suitcase meM rakhA_jAtA_hai")
+    matches, _ = transfer_pairs(pairs, "These clothes go into that suitcase.")
+    assert [(m.label, m.output) for m in matches] == [
+        ("meaning 2 of 'go'", "These clothes that suitcase meM rakhA_jAtA_hai")
     ]
     check("criterion 6")
     print("criterion 6 (transfer outputs): PASS")

@@ -10,6 +10,7 @@ from treegen import enumerate_trees, make_tree, random_tree
 
 from leril import anncorra
 from leril.anncorra import (
+    DEFAULT_TAGS,
     AnnCorraParseError,
     AnnToken,
     DepNode,
@@ -40,17 +41,28 @@ def _shape(tree):
 
 
 class TestRegistry:
+    @staticmethod
+    def _view(registry, tag):
+        """What a registry answers about one tag, through its lookups."""
+        if tag.category == "relation":
+            return registry.canonical_relation(tag.code), registry.is_verbal(tag.code, None)
+        return registry.canonical_node(tag.code), registry.is_verbal(None, tag.code)
+
     def test_default_contents(self, registry):
-        assert {"k1", "k2", "k3", "s", "kr"} <= set(registry.relation_tags)
-        assert {"v", "Kr", "vH", "yo"} <= set(registry.node_tags)
-        assert "kr" in registry.verbal_relation_tags
-        assert {"v", "Kr", "vH"} <= registry.verbal_node_tags
-        assert "yo" not in registry.verbal_node_tags
+        relations = {t.code for t in DEFAULT_TAGS if t.category == "relation"}
+        nodes = {t.code for t in DEFAULT_TAGS if t.category == "node"}
+        assert {"k1", "k2", "k3", "s", "kr"} <= relations
+        assert {"v", "Kr", "vH", "yo"} <= nodes
+        verbal = {t.code for t in DEFAULT_TAGS if t.verbal}
+        assert {"kr", "v", "Kr", "vH"} <= verbal
+        assert "yo" not in verbal
+        for tag in DEFAULT_TAGS:
+            assert self._view(registry, tag) == (tag.code, tag.verbal)
 
     def test_empty_config_gives_default(self, registry):
         loaded = load_tagset("")
-        assert loaded.relation_tags == registry.relation_tags
-        assert loaded.node_tags == registry.node_tags
+        for tag in DEFAULT_TAGS:
+            assert self._view(loaded, tag) == self._view(registry, tag)
 
     def test_case_insensitive_lookup_keeps_casing(self, registry):
         assert registry.canonical_relation("KR") == "kr"

@@ -305,6 +305,133 @@ class TestTransfer:
             ]
 
 
+class TestTransferDiagnostics:
+    """The exact stderr lines and exit code of ``transfer`` runs."""
+
+    @staticmethod
+    def _lexicon(tmp_path, *records):
+        lexicon = tmp_path / "lex.tlg"
+        blocks = []
+        for headword, meanings in records:
+            lines = [f'HEADWORD::"{headword}","V"']
+            for number, frame_e, frame_i in meanings:
+                lines.append(f'MEANING::{number}::"x"')
+                if frame_e is not None:
+                    lines.append(f"FRAME_E:: {frame_e}")
+                if frame_i is not None:
+                    lines.append(f"FRAME_I:: {frame_i}")
+            blocks.append("\n".join(lines))
+        lexicon.write_text("\n\n".join(blocks) + "\n")
+        return str(lexicon)
+
+    def test_half_pair(self, capsys, tmp_path):
+        lexicon = self._lexicon(tmp_path, ("go", [(1, "A goes to B", None)]))
+        for flags, expected_code in (([], 0), (["--strict"], 1)):
+            code, out, err = _run(
+                capsys, "transfer", *flags, "--lexicon", lexicon, "I go to school."
+            )
+            assert code == expected_code
+            assert out == ""
+            assert err.splitlines() == [
+                "warning: meaning 1 of 'go': incomplete frame pair; skipped",
+                "info: no frame matched the sentence",
+            ]
+
+    def test_malformed_source_and_target_frames(self, capsys, tmp_path):
+        lexicon = self._lexicon(
+            tmp_path,
+            ("go", [(1, "A goes to A", "A jAtA hai"), (2, "A goes to B", "A B [] hai")]),
+        )
+        code, out, err = _run(capsys, "transfer", "--lexicon", lexicon, "I go to school.")
+        assert code == 0
+        assert out == ""
+        assert err.splitlines() == [
+            "warning: meaning 1 of 'go': duplicate slot letter 'A'",
+            "warning: meaning 2 of 'go': empty optional literal '[]'",
+            "info: no frame matched the sentence",
+        ]
+
+    def test_unknown_headword(self, capsys, tmp_path):
+        lexicon = self._lexicon(tmp_path, ("go", [(1, "A goes to B", "A B jAtA hai")]))
+        code, out, err = _run(
+            capsys, "transfer", "--lexicon", lexicon, "--headword", "nope", "I go to school."
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: headword 'nope' not found in lexicon"]
+
+    def test_sense_missing_from_one_record(self, capsys, tmp_path):
+        lexicon = self._lexicon(
+            tmp_path,
+            ("go", [(1, "A goes to B", "A B jAtA hai")]),
+            ("go", [(1, "A goes into B", "A B meM hai"), (9, "A goes to B", "A B ko hai")]),
+        )
+        code, out, err = _run(
+            capsys,
+            "transfer",
+            "--lexicon",
+            lexicon,
+            "--headword",
+            "go",
+            "--sense",
+            "9",
+            "I go to school.",
+        )
+        assert code == 2
+        assert out.splitlines() == ["I school ko hai", "A\tI", "B\tschool"]
+        assert err.splitlines() == [
+            "warning: non-consecutive meaning numbers in record 'go' (line 6)",
+            "error: 'go' has no meaning 9",
+            "info: matched meaning 9 of 'go'",
+        ]
+
+    def test_literal_frames_gloss_from_lexicon(self, capsys, tmp_path):
+        lexicon = tmp_path / "lex.tlg"
+        lexicon.write_text(
+            'HEADWORD::"school","N"\n'
+            'MEANING::1::"pAThaSAlA"\n'
+            "FRAME_E:: A goes to B\n"
+            "\n"
+            'HEADWORD::"I","P"\n'
+            'MEANING::1::"maiM"\n'
+        )
+        code, out, err = _run(
+            capsys,
+            "transfer",
+            "--lexicon",
+            str(lexicon),
+            "--frame-e",
+            "A goes to B",
+            "--frame-i",
+            "A B [ko] jAtA hai",
+            "--gloss-slots",
+            "I go to school.",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "I{=maiM} school{=pAThaSAlA} ko jAtA hai",
+            "A\tI",
+            "B\tschool",
+        ]
+        # the lexicon's own half pair is not tried: only the literal frames are
+        assert err.splitlines() == ["info: matched literal frames"]
+
+    def test_warning_after_match(self, capsys, tmp_path):
+        lexicon = self._lexicon(
+            tmp_path,
+            ("go", [(1, "A goes to B", "A B jAtA hai"), (2, "A goes to B", "A B C")]),
+            ("walk", [(1, "A walks", "[]")]),
+        )
+        code, out, err = _run(capsys, "transfer", "--lexicon", lexicon, "I go to school.")
+        assert code == 0
+        assert out.splitlines() == ["I school jAtA hai", "A\tI", "B\tschool"]
+        assert err.splitlines() == [
+            "info: matched meaning 1 of 'go'",
+            "warning: meaning 2 of 'go': slot C is unbound",
+            "warning: meaning 1 of 'walk': empty optional literal '[]'",
+        ]
+
+
 class TestCorpus:
     def test_add_query_stats_export(self, capsys, tmp_path):
         store = str(tmp_path / "store")

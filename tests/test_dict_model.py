@@ -138,8 +138,10 @@ class TestParseDictionary:
         text = '"go", "V",\n--"1.jAnA"\nI go.\n\n"go", "V",\n--"1.calanA"\nGo on.\n'
         dictionary, diags = parse_dictionary(text)
         assert len(dictionary.entries) == 2
-        assert dictionary.index[("go", "V")] == 1
-        assert any("duplicate entry" in d.message for d in diags)
+        assert [e.senses[0].examples for e in dictionary.entries] == [("I go.",), ("Go on.",)]
+        assert [(d.message, d.line) for d in diags if "duplicate" in d.message] == [
+            ("duplicate entry for 'go' (V); later entry wins", 5)
+        ]
 
     def test_sense_without_example_warns(self):
         text = '"go", "V",\n--"1.jAnA"\n'
@@ -190,7 +192,7 @@ class TestEmit:
         first, _ = parse_dictionary(go_dict_text)
         emitted = emit_dictionary(first)
         second, diags = parse_dictionary(emitted)
-        assert second == Dictionary(first.entries, first.index)
+        assert second == Dictionary(first.entries)
         assert not [d for d in diags if d.severity >= Severity.WARNING]
 
     def test_byte_stable_second_emit(self, go_dict_text):

@@ -4,19 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leril.diagnostics import Severity
 from leril.transfer import (
     Frame,
     FrameElement,
     FrameError,
     SlotBinding,
     TransferError,
+    gloss_index,
     inflection_fold,
+    lexicon_pairs,
     match_frame,
     parse_frame,
     render_target,
     tokenize_sentence,
-    transfer_sentence,
+    transfer_pairs,
 )
 from leril.translexgram import parse_tlg
 
@@ -286,35 +287,56 @@ class TestRenderTarget:
 
 class TestTransferSentence:
     @pytest.fixture()
-    def go_record(self, go_tlg_text):
+    def go_records(self, go_tlg_text):
         records, _ = parse_tlg(go_tlg_text)
-        return records[0]
+        return records
 
-    def test_school_sentence_matches_meaning_1(self, go_record):
-        results, diags = transfer_sentence(go_record, "I go to school.")
-        assert diags == []
-        assert len(results) == 1
-        assert results[0].meaning_number == 1
-        assert results[0].output == "I school ko jAtA hai"
+    @staticmethod
+    def _transfer(records, sentence, **kw):
+        pairs, pair_diags = lexicon_pairs(records)
+        matches, diags = transfer_pairs(pairs, sentence, **kw)
+        return matches, [d.render() for d in pair_diags + diags]
 
-    def test_suitcase_sentence_matches_meaning_2(self, go_record):
-        results, _ = transfer_sentence(go_record, "These clothes go into that suitcase.")
-        assert len(results) == 1
-        assert results[0].meaning_number == 2
-        assert results[0].output == "These clothes that suitcase meM rakhA_jAtA_hai"
+    def test_school_sentence_matches_meaning_1(self, go_records):
+        matches, diags = self._transfer(go_records, "I go to school.")
+        assert diags == ["info: matched meaning 1 of 'go'"]
+        assert [(m.label, m.output) for m in matches] == [
+            ("meaning 1 of 'go'", "I school ko jAtA hai")
+        ]
+        assert matches[0].binding == SlotBinding({"A": ("I",), "B": ("school",)})
 
-    def test_no_anchor_no_results(self, go_record):
-        results, _ = transfer_sentence(go_record, "The sky is blue.")
-        assert results == []
+    def test_suitcase_sentence_matches_meaning_2(self, go_records):
+        matches, _ = self._transfer(go_records, "These clothes go into that suitcase.")
+        assert [(m.label, m.output) for m in matches] == [
+            ("meaning 2 of 'go'", "These clothes that suitcase meM rakhA_jAtA_hai")
+        ]
 
-    def test_half_frame_pair_warns(self, go_record):
-        go_record.meanings[0].frame_i = ""
-        results, diags = transfer_sentence(go_record, "I go to school.")
-        assert results == []
-        assert any(
-            d.severity == Severity.WARNING and "incomplete frame pair" in d.message
-            for d in diags
-        )
+    def test_no_anchor_no_results(self, go_records):
+        matches, diags = self._transfer(go_records, "The sky is blue.")
+        assert matches == []
+        assert diags == ["info: no frame matched the sentence"]
+
+    def test_half_frame_pair_warns(self, go_records):
+        go_records[0].meanings[0].frame_i = ""
+        matches, diags = self._transfer(go_records, "I go to school.")
+        assert matches == []
+        assert diags == [
+            "warning: meaning 1 of 'go': incomplete frame pair; skipped",
+            "info: no frame matched the sentence",
+        ]
+
+    def test_unknown_headword_selects_nothing(self, go_records):
+        pairs, diags = lexicon_pairs(go_records, "come")
+        assert pairs is None
+        assert [d.render() for d in diags] == ["error: headword 'come' not found in lexicon"]
+
+    def test_glosses_annotate_output_not_binding(self, go_records):
+        glosses = gloss_index(go_records)
+        assert glosses == {"go": "jAnA"}
+        pairs = [("literal frames", "A likes B", "A B [ko] pasanda karatA hai")]
+        matches, _ = transfer_pairs(pairs, "Go likes go.", "drop", glosses)
+        assert matches[0].output == "Go{=jAnA} go{=jAnA} pasanda karatA hai"
+        assert matches[0].binding == SlotBinding({"A": ("Go",), "B": ("go",)})
 
 
 def _render_source(frame: Frame, binding: dict[str, tuple[str, ...]]) -> list[str]:
