@@ -86,6 +86,13 @@ class TagRegistry:
             else:
                 raise ValueError(f"unknown tag category: {tag.category!r}")
 
+    def signature(self) -> str:
+        """Every tag as parsing sees it (code, category, verbality), in one
+        canonical text: two registries read every line alike when their
+        signatures are equal."""
+        tags = [*self._relations.values(), *self._nodes.values()]
+        return "\n".join(sorted(f"{t.category}\t{t.code}\t{t.verbal:d}" for t in tags))
+
     def canonical_relation(self, code: str) -> str | None:
         tag = self._relations.get(code.lower())
         return tag.code if tag else None

@@ -4,7 +4,7 @@ Machine output (parsed documents, exports, converted notation) goes to
 stdout; diagnostics and progress go to stderr so pipelines stay clean.
 Exit codes: 0 clean, 1 warnings under --strict, 2 errors, 3 usage or I/O
 failure. The LERIL_TAGSET environment variable names a default tagset
-file; --tagset overrides it.
+file; --tagset overrides it. A store's own tagset.cfg comes after both.
 """
 
 from __future__ import annotations
@@ -50,11 +50,10 @@ def _dump_json(doc) -> str:
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def _load_registry(args) -> anncorra.TagRegistry:
+def _load_registry(args) -> anncorra.TagRegistry | None:
+    """The registry of --tagset, else of $LERIL_TAGSET; None when neither is set."""
     path = getattr(args, "tagset", None) or os.environ.get("LERIL_TAGSET")
-    if path:
-        return anncorra.load_tagset(_read_text(path))
-    return anncorra.default_registry()
+    return anncorra.load_tagset(_read_text(path)) if path else None
 
 
 def _print(text: str) -> None:
@@ -168,7 +167,7 @@ def _with_line(diags, lineno):
 
 
 def _cmd_anncorra_parse(args):
-    registry = _load_registry(args)
+    registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     sentences = []
     for sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
@@ -183,7 +182,7 @@ def _cmd_anncorra_parse(args):
 
 
 def _cmd_anncorra_check(args):
-    registry = _load_registry(args)
+    registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     for _sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
         tree, tree_diags = anncorra.parse_sentence(line, registry)
@@ -194,7 +193,7 @@ def _cmd_anncorra_check(args):
 
 
 def _cmd_anncorra_convert(args):
-    registry = _load_registry(args)
+    registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     out_lines = []
     for lineno, raw in enumerate(_read_text(args.file).splitlines(), 1):
@@ -260,6 +259,8 @@ def _cmd_transfer(args):
         raise LerilError("--frame-e and --frame-i must be given together")
     if not literal_frames and args.lexicon is None:
         raise LerilError("--lexicon is required unless --frame-e/--frame-i are given")
+    if literal_frames and (args.headword is not None or args.sense is not None):
+        return [error("--headword and --sense select lexicon frames, not --frame-e/--frame-i")]
 
     diags: list[Diagnostic] = []
     records: list[translexgram.TlgRecord] = []
@@ -291,10 +292,9 @@ def _cmd_transfer(args):
 
 
 def _cmd_corpus_add(args):
-    registry = _load_registry(args)
-    diags: list[Diagnostic] = []
     added = []
-    with corpus_store.CorpusStore(args.store, "rw", registry) as store:
+    with corpus_store.CorpusStore(args.store, "rw", _load_registry(args)) as store:
+        diags = store.diagnostics
         text = _read_text(args.file)
         auto = len(store)
         for sentence_id, lineno, line in anncorra.iter_sentences(text):
@@ -315,16 +315,14 @@ def _cmd_corpus_add(args):
 
 
 def _cmd_corpus_query(args):
-    registry = _load_registry(args)
-    with corpus_store.CorpusStore(args.store, "r", registry) as store:
+    with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         hits, diags = store.query_by_relation(args.tag)
     _print("\n".join(f"{record_id}\t{position}" for record_id, position in hits))
-    return diags
+    return store.diagnostics + diags
 
 
 def _cmd_corpus_stats(args):
-    registry = _load_registry(args)
-    with corpus_store.CorpusStore(args.store, "r", registry) as store:
+    with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         stats = store.stats()
     doc = {
         "sentences": stats.sentences,
@@ -333,14 +331,13 @@ def _cmd_corpus_stats(args):
         "average_depth": stats.average_depth,
     }
     _print(_dump_json(doc))
-    return []
+    return store.diagnostics
 
 
 def _cmd_corpus_export(args):
-    registry = _load_registry(args)
-    with corpus_store.CorpusStore(args.store, "r", registry) as store:
+    with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         _print(store.export(args.format))
-    return []
+    return store.diagnostics
 
 
 # ---------------------------------------------------------------- parser

@@ -64,6 +64,15 @@ class TestRegistry:
         for tag in DEFAULT_TAGS:
             assert self._view(loaded, tag) == self._view(registry, tag)
 
+    def test_signature_keys_on_what_parsing_sees(self, registry):
+        assert load_tagset("").signature() == registry.signature()
+        # descriptions do not change how a line parses; casing and verbality do
+        assert load_tagset("k1\trelation\tnonverbal\tagent\n").signature() == registry.signature()
+        for config in (
+            "K1\trelation\tnonverbal\n", "k1\trelation\tverbal\n", "k4\trelation\tnonverbal\n"
+        ):
+            assert load_tagset(config).signature() != registry.signature()
+
     def test_case_insensitive_lookup_keeps_casing(self, registry):
         assert registry.canonical_relation("KR") == "kr"
         assert registry.canonical_node("kr") == "Kr"

@@ -431,8 +431,53 @@ class TestTransferDiagnostics:
             "warning: meaning 1 of 'walk': empty optional literal '[]'",
         ]
 
+    def test_literal_frames_reject_headword_and_sense(self, capsys):
+        frames = ["--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai", "I go to school."]
+        for flags in (["--headword", "nope", "--sense", "9"], ["--headword", "go"]):
+            code, out, err = _run(capsys, "transfer", "--lexicon", GO_TLG, *flags, *frames)
+            assert (code, out) == (2, "")
+            assert err == (
+                "error: --headword and --sense select lexicon frames, "
+                "not --frame-e/--frame-i\n"
+            )
+
 
 class TestCorpus:
+    @staticmethod
+    def _k4_store(tmp_path, casing="k4"):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "tagset.cfg").write_text(f"{casing}\trelation\tnonverbal\trecipient\n")
+        sentence = tmp_path / "k4.anncorra"
+        sentence.write_text("raama/k4 gayA::v\n")
+        return str(store), str(sentence)
+
+    def test_store_tagset_is_used_by_add_and_query(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("LERIL_TAGSET", raising=False)
+        store, sentence = self._k4_store(tmp_path)
+        code, out, err = _run(capsys, "corpus", "add", sentence, "--store", store)
+        assert (code, out, err) == (0, "und-1\n", "")
+        assert _run(capsys, "corpus", "query", "k4", "--store", store) == (0, "und-1\t0\n", "")
+
+    def test_tagset_flag_then_environment_then_store(self, capsys, tmp_path, monkeypatch):
+        store, sentence = self._k4_store(tmp_path, casing="K4")
+        override = tmp_path / "other.cfg"
+        override.write_text("k5\trelation\tnonverbal\n")
+        monkeypatch.delenv("LERIL_TAGSET", raising=False)
+        assert _run(capsys, "corpus", "add", sentence, "--store", store)[0] == 0
+        stats = ["corpus", "stats", "--store", store]
+        assert '"K4": 1' in _run(capsys, *stats)[1]
+        # the environment replaces the store's tagset, and the flag the environment
+        monkeypatch.setenv("LERIL_TAGSET", str(override))
+        assert '"k4": 1' in _run(capsys, *stats)[1]
+        monkeypatch.setenv("LERIL_TAGSET", str(tmp_path / "store" / "tagset.cfg"))
+        assert '"K4": 1' in _run(capsys, *stats)[1]
+        assert '"k4": 1' in _run(capsys, *stats, "--tagset", str(override))[1]
+        code, out, err = _run(
+            capsys, "corpus", "query", "k4", "--store", store, "--tagset", str(override)
+        )
+        assert (code, out) == (0, "") and "unknown relation tag 'k4'" in err
+
     def test_add_query_stats_export(self, capsys, tmp_path):
         store = str(tmp_path / "store")
         code, out, err = _run(

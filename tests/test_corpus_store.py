@@ -1,10 +1,24 @@
+import contextlib
+import importlib.util
 import json
+import os
 import random
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from treegen import random_tree
 
+import leril.corpus_store as corpus_store_module
 from leril.anncorra import Group, emit_explicit, to_interchange
+from leril.cli import run
 from leril.corpus_store import CorpusError, CorpusStore, StoreLockedError
 from leril.diagnostics import Severity
 
@@ -156,6 +170,15 @@ class TestPersistence:
         with CorpusStore(path, "rw"):
             pass
 
+    def test_lock_file_where_flock_is_missing(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(sys.modules, "fcntl", None)  # import fcntl now fails
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw"):
+            assert (path / ".lock").read_text() == str(os.getpid())
+            with pytest.raises(StoreLockedError, match="exists"):
+                CorpusStore(path, "rw")
+        assert not (path / ".lock").exists()
+
     def test_readers_ignore_lock(self, tmp_path, explicit_line):
         path = tmp_path / "store"
         with CorpusStore(path, "rw") as writer:
@@ -200,6 +223,21 @@ class TestStats:
         assert stats.relation_counts == {}
         assert stats.node_counts == {}
         assert stats.average_depth == 0.0
+
+    def test_depth_is_the_longest_walk_to_the_root(self, store):
+        rng = random.Random(5)
+        expected = []
+        for k in range(60):
+            tree = random_tree(rng, n=rng.randint(1, 12))
+            store.add_sentence(f"t{k}", emit_explicit(tree), "hin")
+            walks = []
+            for node in tree.nodes:
+                steps = 0
+                while node.parent is not None:
+                    node, steps = tree.nodes[node.parent], steps + 1
+                walks.append(steps)
+            expected.append(max(walks))
+        assert store.stats().average_depth == sum(expected) / len(expected)
 
     def test_two_copies_double_the_counts(self, store, explicit_line):
         store.add_sentence("s1", explicit_line, "hin")
@@ -298,3 +336,483 @@ class TestInterchangeBytes:
                 store.add_sentence(f"s{k}{text}", line, "hin")
             store.add_sentence("plain", "piyA::v", "hin")
             assert store.export("interchange") == _interchange_reference(store)
+
+
+# ---------------------------------------------------------------- sidecar
+
+
+POOL = [
+    "raama/k1 gayA::v",
+    "rAma_ne/k1 phala/k2 piyA::v",
+    "siitaa/k2 dekhA::v",
+    "rAma_ne/k1->i phala/k2->j kATakara/kr:j->i pAnI/k2->i piyA::v:i",
+    "a/k1 b/k3 c/k4 d::vH",
+    "[x/k1 y::v]<s> z/k2",
+]
+READS = [
+    ["corpus", "query", "k2"],
+    ["corpus", "query", "k1"],
+    ["corpus", "query", "zz"],
+    ["corpus", "stats"],
+    ["corpus", "export", "--format", "linear"],
+    ["corpus", "export", "--format", "interchange"],
+]
+
+
+def _sidecars(path):
+    return {p.name: p.read_bytes() for p in sorted(Path(path).glob("*.idx"))}
+
+
+def _cli_reads(capsys, path, *flags):
+    """Every read command's (exit code, stdout, stderr) on the store."""
+    outputs = []
+    for argv in READS:
+        code = run([*argv, "--store", str(path), *flags])
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    return outputs
+
+
+def _cli_add(capsys, path, text, *flags):
+    source = Path(path).parent / "add.anncorra"
+    source.write_text(text, encoding="utf-8")
+    code = run(["corpus", "add", str(source), "--store", str(path), "--lang", "hin", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _count_parses(monkeypatch):
+    calls = []
+    original = corpus_store_module.parse_sentence
+
+    def counting(line, registry):
+        calls.append(line)
+        return original(line, registry)
+
+    monkeypatch.setattr(corpus_store_module, "parse_sentence", counting)
+    return calls
+
+
+def _rewrite_sidecar(path, edit):
+    """Apply ``edit(header, rows)`` to a sidecar and store it with fresh
+    row checksum, so that only the edit can make it unusable."""
+    head, *lines = path.read_text(encoding="utf-8").splitlines()
+    header, rows = json.loads(head), [json.loads(line) for line in lines]
+    edit(header, rows)
+    body = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
+    header["rows_crc"] = zlib.crc32(body)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def _wrong_shape(header, rows):
+    rows[1][1].append("k1")  # one more relation than nodes
+
+
+def _row_not_a_list(header, rows):
+    rows[0] = {"id": rows[0][0]}
+
+
+def _tag_not_a_string(header, rows):
+    rows[2][2][0] = 7
+
+
+def _other_version(header, rows):
+    header["version"] += 1
+
+
+def _missing_key(header, rows):
+    del header["auto"]
+
+
+def _row_count(header, rows):
+    del rows[-1]
+
+
+def _duplicate_row(header, rows):
+    rows[1][0] = rows[0][0]
+
+
+class TestSidecar:
+    """CLI reads give the same bytes whatever state the sidecar is in."""
+
+    @pytest.fixture()
+    def store_dir(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        text = "".join(f"# s{k}\n{line}\n" for k, line in enumerate(POOL * 2))
+        assert _cli_add(capsys, path, text)[0] == 0
+        assert list(_sidecars(path)) == ["hin.anncorra.idx"]
+        return path
+
+    def _same_as_without_sidecar(self, capsys, path, *flags):
+        sidecar = path / "hin.anncorra.idx"
+        kept = sidecar.read_bytes()
+        sidecar.unlink()
+        expected = _cli_reads(capsys, path, *flags)
+        assert _sidecars(path) == {}  # readers never create one
+        sidecar.write_bytes(kept)
+        assert _cli_reads(capsys, path, *flags) == expected
+        assert _sidecars(path) == {"hin.anncorra.idx": kept}  # nor change one
+        return expected
+
+    def test_fresh_sidecar_spares_every_parse_but_exports(self, capsys, store_dir, monkeypatch):
+        calls = _count_parses(monkeypatch)
+        self._same_as_without_sidecar(capsys, store_dir)
+        # without the sidecar: 6 reads parse all 12; with it, only the two exports do
+        assert len(calls) == 6 * 12 + 2 * 12
+
+    def test_hand_appended_records(self, capsys, store_dir, monkeypatch):
+        with (store_dir / "hin.anncorra").open("a", encoding="utf-8") as fh:
+            fh.write("raama/k1 gayA::v\n\n# t1 note\nsiitaa/k2 dekhA::v\n# dangling\n")
+        calls = _count_parses(monkeypatch)
+        expected = self._same_as_without_sidecar(capsys, store_dir)
+        assert "hin-1\t0" in expected[1][1] and "t1\t0" in expected[0][1]
+        assert len(calls) == 6 * 14 + 6 * 2 + 2 * 12  # the tail is parsed on every open
+
+    def test_restored_shorter(self, capsys, store_dir):
+        data = store_dir / "hin.anncorra"
+        kept = data.read_bytes()
+        assert _cli_add(capsys, store_dir, "# late\nraama/k1 gayA::v\n")[0] == 0
+        data.write_bytes(kept)
+        self._same_as_without_sidecar(capsys, store_dir)
+
+    def test_same_length_edit_in_the_middle(self, capsys, store_dir):
+        data = store_dir / "hin.anncorra"
+        text = data.read_text(encoding="utf-8")
+        at = text.index("siitaa/k2")
+        data.write_text(text[:at] + "siitaa/k1" + text[at + 9 :], encoding="utf-8")
+        expected = self._same_as_without_sidecar(capsys, store_dir)
+        assert "s2\t0" in expected[1][1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: p.write_bytes(p.read_bytes()[: len(p.read_bytes()) // 2]),
+            lambda p: p.write_bytes(p.read_bytes()[:-1]),
+            lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
+            lambda p: p.write_bytes(b'["a header", 1]\n' + p.read_bytes().partition(b"\n")[2]),
+            lambda p: p.write_bytes(p.read_bytes().replace(b'"k2"', b'"k3"', 1)),
+            lambda p: p.write_bytes(p.read_bytes().replace(b'"version": 1', b'"version": "1"')),
+            lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()),
+            lambda p: p.write_bytes(b""),
+            lambda p: _rewrite_sidecar(p, _wrong_shape),
+            lambda p: _rewrite_sidecar(p, _row_not_a_list),
+            lambda p: _rewrite_sidecar(p, _tag_not_a_string),
+            lambda p: _rewrite_sidecar(p, _other_version),
+            lambda p: _rewrite_sidecar(p, _missing_key),
+            lambda p: _rewrite_sidecar(p, _row_count),
+            lambda p: _rewrite_sidecar(p, _duplicate_row),
+        ],
+        ids=[
+            "half", "last-byte", "bad-json", "header-not-object", "flipped-tag", "string-version",
+            "not-utf8", "empty", "wrong-shape", "row-not-list", "tag-not-string", "other-version",
+            "missing-key", "row-count", "duplicate-row",
+        ],
+    )
+    def test_damaged_sidecar_is_ignored(self, capsys, store_dir, damage, monkeypatch):
+        damage(store_dir / "hin.anncorra.idx")
+        calls = _count_parses(monkeypatch)
+        self._same_as_without_sidecar(capsys, store_dir)
+        assert len(calls) == 2 * 6 * 12  # every read parsed everything
+
+    def test_damaged_sidecar_is_replaced_by_the_next_writer(self, capsys, store_dir, monkeypatch):
+        (store_dir / "hin.anncorra.idx").write_bytes(b"garbage")
+        assert _cli_add(capsys, store_dir, "# late\nraama/k1 gayA::v\n")[0] == 0
+        calls = _count_parses(monkeypatch)
+        _cli_reads(capsys, store_dir)
+        assert len(calls) == 2 * 13  # only the exports parse
+
+    def test_sidecar_naming_other_ids_fails_the_export_cleanly(self, capsys, store_dir):
+        def rename(header, rows):
+            rows[0][0] = "renamed"
+
+        _rewrite_sidecar(store_dir / "hin.anncorra.idx", rename)
+        code, out, err = _cli_reads(capsys, store_dir)[4]
+        assert (code, out) == (3, "")
+        sidecar, data = store_dir / "hin.anncorra.idx", store_dir / "hin.anncorra"
+        assert err == f"error: {sidecar} does not describe {data}\n"
+
+    def test_id_held_by_another_data_file(self, capsys, store_dir, tmp_path):
+        other = tmp_path / "other"
+        with CorpusStore(other, "rw") as writer:
+            writer.add_sentence("s3", "raama/k1 gayA::v", "tel")
+        for name in ("tel.anncorra", "tel.anncorra.idx"):
+            shutil.copyfile(other / name, store_dir / name)
+        sidecar = store_dir / "tel.anncorra.idx"
+        kept = sidecar.read_bytes()
+        sidecar.unlink()
+        expected = _cli_reads(capsys, store_dir)
+        code, _, err = expected[3]
+        assert code == 3 and "tel.anncorra:2: duplicate sentence id 's3'" in err
+        sidecar.write_bytes(kept)
+        assert _cli_reads(capsys, store_dir) == expected
+
+    def test_prefix_ending_in_a_carriage_return(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        data = path / "hin.anncorra"
+        data.write_bytes(b"# s1\rraama/k1 gayA::v\r")
+        assert _cli_add(capsys, path, "")[0] == 0
+        assert list(_sidecars(path)) == ["hin.anncorra.idx"]
+        with data.open("ab") as fh:  # "\r" and "\n" now make one line break
+            fh.write(b"\nsiitaa/k2 dekhA::v\nsiitaa/k1 ga")
+        expected = self._same_as_without_sidecar(capsys, path)
+        assert f"{data}:4: torn last record skipped" in expected[3][2]
+
+    def test_sidecar_of_another_tagset(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        tagset = tmp_path / "k4.cfg"
+        tagset.write_text("K4\trelation\tnonverbal\trecipient\n")
+        text = "".join(f"# s{k}\n{line}\n" for k, line in enumerate(POOL))
+        assert _cli_add(capsys, path, text, "--tagset", str(tagset))[0] == 0
+        with_k4 = self._same_as_without_sidecar(capsys, path, "--tagset", str(tagset))
+        without = self._same_as_without_sidecar(capsys, path)
+        assert '"K4": 1' in with_k4[3][1] and '"K4"' not in without[3][1]
+        # a store's own tagset.cfg is the same registry as --tagset
+        shutil.copyfile(tagset, path / "tagset.cfg")
+        assert self._same_as_without_sidecar(capsys, path) == with_k4
+
+    def test_append_to_a_large_store_parses_only_the_new_sentences(self, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        path.mkdir()
+        lines = [f"w{k}/k1 x/k2 y::v" for k in range(20_000)]
+        (path / "hin.anncorra").write_text(
+            "".join(f"# s{k}\n{line}\n" for k, line in enumerate(lines)), encoding="utf-8"
+        )
+        with CorpusStore(path, "rw"):  # the first writer parses everything once
+            pass
+        calls = _count_parses(monkeypatch)
+        with CorpusStore(path, "rw") as writer:
+            for k in range(20):
+                writer.add_sentence(f"new{k}", f"n{k}/k2 z::v", "hin")
+        assert len(calls) == 20
+        with CorpusStore(path) as reader:
+            assert reader.stats().sentences == 20_020
+            assert len(reader.query_by_relation("k2")[0]) == 20_020
+        assert len(calls) == 20
+
+    def test_rows_are_those_of_the_parsed_trees(self, tmp_path):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            for k, line in enumerate(POOL):
+                writer.add_sentence(f"s{k}", line, "hin")
+            expected = writer.stats(), writer.query_by_relation("k2")
+        with CorpusStore(path) as reader:
+            assert (reader.stats(), reader.query_by_relation("k2")) == expected
+            # trees come back on demand, in store order
+            assert [r.raw for r in reader.records()] == POOL
+            assert reader.get("s5").tree.groups
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("add"), st.lists(st.sampled_from(POOL), max_size=4)),
+    st.tuples(
+        st.just("hand"),
+        st.lists(st.tuples(st.booleans(), st.sampled_from(POOL + ["# c", "", "  "])), max_size=4),
+    ),
+    st.tuples(st.just("torn"), st.sampled_from(["siitaa/k1 ga", "raama/k1 gayA::v", "# c"])),
+    st.tuples(st.just("drop-sidecar")),
+    st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+)
+
+
+def _observe(path: Path):
+    """What a reader of the store sees, with the store's path taken out."""
+    try:
+        with CorpusStore(path) as reader:
+            seen = (
+                [d.render() for d in reader.diagnostics],
+                reader.query_by_relation("k1"),
+                reader.query_by_relation("k2"),
+                reader.stats(),
+                reader.export("linear"),
+                reader.export("interchange"),
+                [(r.id, r.language) for r in reader.records()],
+            )
+    except CorpusError as exc:
+        seen = ("error", str(exc))
+    return repr(seen).replace(str(path), "STORE")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_OPS, min_size=1, max_size=10))
+# auto ids go on counting after the covered prefix
+@example([("hand", [(False, POOL[0])]), ("add", []), ("hand", [(False, POOL[1])])])
+# a "# id" line after the last record names the next hand-appended sentence
+@example([("add", [POOL[0]]), ("hand", [(True, POOL[1]), (False, "# c")]), ("add", []),
+          ("hand", [(False, POOL[2])])])
+# line numbers go on counting after the covered prefix, and after lines
+# between records that a writer appended below
+@example([("hand", [(False, POOL[0]), (False, "")]), ("add", []), ("torn", "siitaa/k1 ga")])
+@example(
+    [("hand", [(False, POOL[0])]), ("add", []), ("torn", "x/k1 y"), ("hand", [(True, POOL[1])])]
+)
+@example([("add", [POOL[0]]), ("hand", [(False, "# c")]), ("add", [POOL[1]]), ("torn", "x/k1 y")])
+def test_sidecar_never_changes_what_readers_see(ops):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, plain = Path(tmp) / "store", Path(tmp) / "plain"
+        path.mkdir()
+        serial = 0
+        for op in ops:
+            data = path / "hin.anncorra"
+            if op[0] == "add":
+                try:
+                    with CorpusStore(path, "rw") as writer:
+                        for line in op[1]:
+                            serial += 1
+                            writer.add_sentence(f"a{serial}", line, "hin")
+                except CorpusError:
+                    pass  # a hand-made fault the writer cannot repair
+            elif op[0] in ("hand", "torn"):
+                parts = [op[1]]  # a torn record: a line without its newline
+                if op[0] == "hand":
+                    parts = []
+                    for with_id, line in op[1]:
+                        serial += 1
+                        parts.append(f"# h{serial}\n{line}\n" if with_id else f"{line}\n")
+                with data.open("a", encoding="utf-8") as fh:
+                    fh.write("".join(parts))
+            elif op[0] == "drop-sidecar":
+                (path / "hin.anncorra.idx").unlink(missing_ok=True)
+            elif data.exists():
+                raw = data.read_bytes()
+                data.write_bytes(raw[: int(len(raw) * op[1])])
+            before = _sidecars(path)
+            seen = _observe(path)
+            assert _sidecars(path) == before
+            shutil.rmtree(plain, ignore_errors=True)
+            plain.mkdir()
+            if data.exists():
+                shutil.copyfile(data, plain / "hin.anncorra")
+            assert _observe(plain).replace("plain", "store") == seen.replace(
+                "plain", "store"
+            )
+
+
+# ---------------------------------------------------------------- torn tail
+
+
+NEWLINE = b"\n"
+
+
+class TestTornTail:
+    def test_failed_append_leaves_no_torn_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        real_write = os.write
+
+        def short_write(fd, payload):
+            if payload.startswith(b"# s2\n"):
+                return real_write(fd, payload[:7])
+            return real_write(fd, payload)
+
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "raama/k1 gayA::v", "hin")
+            monkeypatch.setattr(corpus_store_module.os, "write", short_write)
+            with pytest.raises(OSError, match="short write"):
+                writer.add_sentence("s2", "siitaa/k1 gayA::v", "hin")
+            monkeypatch.undo()
+            assert "s2" not in writer
+            writer.add_sentence("s3", "siitaa/k2 dekhA::v", "hin")
+        assert (path / "hin.anncorra").read_text() == (
+            "# s1\nraama/k1 gayA::v\n# s3\nsiitaa/k2 dekhA::v\n"
+        )
+        with CorpusStore(path) as reader:
+            assert [r.id for r in reader.records()] == ["s1", "s3"]
+
+    def _store(self, tmp_path, text: bytes):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "hin.anncorra").write_bytes(text)
+        return path
+
+    def test_unterminated_record_gets_its_newline_from_the_writer(self, capsys, tmp_path):
+        path = self._store(tmp_path, b"# s1\nrAma_ne/k1 piyA::v\n# s2\nraama/k1 gayA::v")
+        assert _cli_reads(capsys, path)[1][:2] == (0, "s1\t0\ns2\t0\n")
+        assert _cli_add(capsys, path, "# s3\nsiitaa/k1 gayA::v\n") == (0, "s3\n", "")
+        assert (path / "hin.anncorra").read_bytes().endswith(
+            b"raama/k1 gayA::v\n# s3\nsiitaa/k1 gayA::v\n"
+        )
+        code, out, err = _cli_reads(capsys, path)[1]
+        assert (code, out, err) == (0, "s1\t0\ns2\t0\ns3\t0\n", "")
+
+    def test_unterminated_comment_gets_its_newline_too(self, capsys, tmp_path):
+        path = self._store(tmp_path, b"# s1\nraama/k1 gayA::v\n# s2")
+        assert _cli_add(capsys, path, "# s3\nsiitaa/k1 gayA::v\n")[0] == 0
+        assert _cli_reads(capsys, path)[1][1] == "s1\t0\ns3\t0\n"
+
+    @pytest.mark.parametrize(
+        "torn",
+        [b"# s2\nsiitaa/k1 ga", b"siitaa/k1 g\xc3", b"# s1\nraama/k1 gayA::v"],
+        ids=["unparsable", "cut-utf8", "duplicate-id"],
+    )
+    def test_torn_last_record(self, capsys, tmp_path, torn):
+        good = b"# s1\nraama/k1 gayA::v\n"
+        path = self._store(tmp_path, good + torn)
+        data = f"{path / 'hin.anncorra'}:{3 + torn.count(NEWLINE)}"
+        code, out, err = _cli_reads(capsys, path)[3]
+        assert code == 0 and json.loads(out)["sentences"] == 1
+        assert err.startswith(f"warning: {data}: torn last record skipped: ")
+        assert err.count("\n") == 1
+        assert run(["corpus", "stats", "--store", str(path), "--strict"]) == 1
+        capsys.readouterr()
+        assert (path / "hin.anncorra").read_bytes() == good + torn  # readers leave it
+
+        code, out, err = _cli_add(capsys, path, "# s3\nsiitaa/k1 gayA::v\n")
+        assert (code, out) == (0, "s3\n")
+        assert err.startswith(f"warning: {data}: torn last record removed: ")
+        remains = good + torn[: torn.rfind(b"\n") + 1]
+        assert (path / "hin.anncorra").read_bytes() == remains + b"# s3\nsiitaa/k1 gayA::v\n"
+        assert _cli_reads(capsys, path)[1] == (0, "s1\t0\ns3\t0\n", "")
+
+    def test_bad_complete_line_still_fails_the_open(self, capsys, tmp_path):
+        path = self._store(tmp_path, b"# s1\nsiitaa/k1 ga\n# s2\nraama/k1 gayA::v\n")
+        code, _, err = _cli_reads(capsys, path)[3]
+        assert code == 3 and f"{path / 'hin.anncorra'}:2: sentence 's1' rejected" in err
+
+    def test_invalid_utf8_inside_the_file_is_an_error_not_a_traceback(self, capsys, tmp_path):
+        path = self._store(tmp_path, b"# s1\nraama/k1 g\xffyA::v\n# s2\nraama/k1 gayA::v\n")
+        code, _, err = _cli_reads(capsys, path)[3]
+        assert code == 3 and "not UTF-8 text at byte 15" in err
+
+
+# ---------------------------------------------------------------- lock
+
+_HOLDER = """
+import sys, time
+from leril.corpus_store import CorpusStore
+store = CorpusStore(sys.argv[1], "rw")
+print("locked", flush=True)
+time.sleep(60)
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("fcntl") is None, reason="needs flock")
+class TestLock:
+    @contextlib.contextmanager
+    def _holder(self, path):
+        """A writer in a child process, holding the store's lock."""
+        src = Path(corpus_store_module.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        with subprocess.Popen(
+            [sys.executable, "-c", _HOLDER, str(path)], stdout=subprocess.PIPE, env=env, text=True
+        ) as child:
+            try:
+                assert child.stdout.readline() == "locked\n"
+                yield child
+            finally:
+                child.kill()
+                child.wait(timeout=30)
+
+    def test_live_holder_blocks_the_next_writer(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        with self._holder(path) as child:
+            code, out, err = _cli_add(capsys, path, "raama/k1 gayA::v\n")
+            assert (code, out) == (3, "")
+            assert f"locked by another writer (pid {child.pid}," in err
+
+    def test_writer_killed_while_holding_the_lock_blocks_nobody(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        with self._holder(path) as child:
+            os.kill(child.pid, signal.SIGKILL)
+            assert child.wait(timeout=30) == -signal.SIGKILL
+        assert (path / ".lock").read_text() == str(child.pid)
+        assert _cli_add(capsys, path, "raama/k1 gayA::v\n") == (0, "hin-1\n", "")
