@@ -10,9 +10,10 @@ file; --tagset overrides it. A store's own tagset.cfg comes after both.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from itertools import repeat
+from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
 from . import anncorra, corpus_store, dict_model, shabdasutra, transfer, translexgram
@@ -46,8 +47,55 @@ def _read_text(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
+_JSON_SCALARS = {
+    str: _json_string,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda _value: "null",
+    dict: lambda _value: "{}",
+    list: lambda _value: "[]",
+}
+
+
 def _dump_json(doc) -> str:
-    return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``.
+
+    ``doc`` holds dicts with str keys, lists, str, int, finite float, bool
+    and None, matched by exact type. With ``indent`` set, json.dumps runs
+    its pure-Python encoder, which recurses once per nesting level; this
+    loop keeps the open containers on a stack instead, so no document is
+    too deep to print.
+    """
+    out: list[str] = []
+    stack: list = []  # open containers, innermost last: (members left, their indent, closing text)
+    value, indent = doc, "\n"
+    while True:
+        kind = type(value)
+        if kind is dict and value:
+            out.append("{")
+            members = ((_json_string(key) + ": ", item) for key, item in sorted(value.items()))
+            stack.append((members, indent + "  ", indent + "}"))
+            sep = ""
+        elif kind is list and value:
+            out.append("[")
+            stack.append((zip(repeat(""), value), indent + "  ", indent + "]"))
+            sep = ""
+        else:
+            out.append(_JSON_SCALARS[kind](value))
+            sep = ","
+        while stack:
+            members, indent, closing = stack[-1]
+            member = next(members, None)
+            if member is not None:
+                key, value = member
+                out.append(sep + indent + key)
+                break
+            stack.pop()
+            out.append(closing)
+            sep = ","
+        else:
+            return "".join(out) + "\n"
 
 
 def _load_registry(args) -> anncorra.TagRegistry | None:
@@ -218,7 +266,7 @@ def _cmd_anncorra_convert(args):
 
 def _cmd_sutra_parse_formula(args):
     formulas, diags = shabdasutra.parse_formula_file(_read_text(args.file))
-    _print(shabdasutra.formulas_to_json(formulas))
+    _print(_dump_json({"formulas": [shabdasutra.formula_to_interchange(f) for f in formulas]}))
     return diags
 
 
@@ -260,7 +308,7 @@ def _cmd_transfer(args):
     if not literal_frames and args.lexicon is None:
         raise LerilError("--lexicon is required unless --frame-e/--frame-i are given")
     if literal_frames and (args.headword is not None or args.sense is not None):
-        return [error("--headword and --sense select lexicon frames, not --frame-e/--frame-i")]
+        raise LerilError("--headword and --sense select lexicon frames, not --frame-e/--frame-i")
 
     diags: list[Diagnostic] = []
     records: list[translexgram.TlgRecord] = []

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 from .diagnostics import Diagnostic, LerilError, error, info, warning
 
@@ -206,17 +205,12 @@ class _EntryBuilder:
         return DictEntry(self.headword, self.pos, tuple(self.senses))
 
 
-def parse_dictionary(source: str | Iterable[str]) -> tuple[Dictionary, list[Diagnostic]]:
+def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
     """Parse dictionary text into a :class:`Dictionary` plus diagnostics.
 
-    Accepts a string or an iterable of lines. Malformed constructs are
-    skipped, one diagnostic each; the parse itself never fails.
+    Malformed constructs are skipped, one diagnostic each; the parse itself
+    never fails.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-
     diagnostics: list[Diagnostic] = []
     entries: list[DictEntry] = []
     entry_lines: list[int] = []
@@ -230,7 +224,7 @@ def parse_dictionary(source: str | Iterable[str]) -> tuple[Dictionary, list[Diag
             entry_lines.append(current.line)
             current = None
 
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
@@ -282,7 +276,7 @@ def parse_dictionary(source: str | Iterable[str]) -> tuple[Dictionary, list[Diag
         if key in seen:
             diagnostics.append(
                 warning(
-                    f"duplicate entry for {entry.headword!r} ({entry.pos}); later entry wins",
+                    f"duplicate entry for {entry.headword!r} ({entry.pos}); both entries kept",
                     line=entry_lines[i],
                 )
             )

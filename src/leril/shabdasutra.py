@@ -16,14 +16,15 @@ separators. The number of turns is stored, never interpreted.
 
 Cost: a formula line's brackets are paired in one pass, so a derivation
 finds its closing ``]`` by lookup instead of rescanning the rest of the
-line at every nesting level. The parser still recurses once per level.
+line at every nesting level. Parsing, emitting and the interchange export
+walk a derivation chain in loops, so no nesting depth is too deep for
+them; the generated ``==`` and ``repr`` of nested formulas still recurse.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from json.encoder import encode_basestring as _json_string
 
 from .diagnostics import Diagnostic, LerilError, error, warning
 
@@ -61,11 +62,56 @@ class SenseThread:
 
 
 _BRACKET_RE = re.compile(r"[\[\]]")
+_HEAD_END_RE = re.compile(r"[\[\]<~]")
+_TURNS_RE = re.compile(r"[~\s]*")
+_OUTSIDE_BRACKETS = {
+    "]": "unbalanced ']'",
+    "<": "'<' outside brackets",
+    "~": "'~' outside brackets",
+}
 
 
 def parse_formula(text: str) -> SutraFormula:
-    """Parse ``HEAD[~* < SOURCE]`` with the source recursively a formula."""
-    return _parse_formula(text, 0, len(text), _closing_brackets(text))
+    """Parse ``HEAD[~* < SOURCE]`` with the source recursively a formula.
+
+    One level at a time, outermost first, so the first error in reading
+    order is the one raised; the formula is then built from its innermost
+    source outward.
+    """
+    closing = _closing_brackets(text)
+    levels: list[tuple[str, int]] = []  # (head, turns) of each derived level
+    start, stop = 0, len(text)
+    while True:
+        m = _HEAD_END_RE.search(text, start, stop)
+        if m is not None and m.group() != "[":
+            raise SutraParseError(_OUTSIDE_BRACKETS[m.group()], position=m.start() + 1)
+        head = text[start : stop if m is None else m.start()].strip()
+        if not head:
+            raise SutraParseError("empty head", position=start + 1)
+        if m is None:
+            break
+        opening = m.start()
+        # A source lies strictly inside its enclosing brackets, whose content
+        # is balanced, so a bracket closed within [start, stop) is closed there.
+        j = closing.get(opening)
+        if j is None:
+            raise SutraParseError("unbalanced '['", position=opening + 1)
+        if text[j + 1 : stop].strip():
+            raise SutraParseError("unexpected text after derivation", position=j + 2)
+        turns = _TURNS_RE.match(text, opening + 1, j)
+        k = turns.end()
+        if k == j:
+            raise SutraParseError("expected '<' in derivation", position=k + 1)
+        if text[k] != "<":
+            raise SutraParseError(
+                f"expected '~' or '<' in derivation, found {text[k]!r}", position=k + 1
+            )
+        levels.append((head, turns.group().count("~")))
+        start, stop = k + 1, j
+    formula = SutraFormula(head)
+    for head, turn_count in reversed(levels):
+        formula = SutraFormula(head, Derivation(turn_count, formula))
+    return formula
 
 
 def _closing_brackets(text: str) -> dict[int, int]:
@@ -84,69 +130,15 @@ def _closing_brackets(text: str) -> dict[int, int]:
     return closing
 
 
-def _parse_formula(s: str, start: int, stop: int, closing: dict[int, int]) -> SutraFormula:
-    head_end = None
-    i = start
-    while i < stop:
-        ch = s[i]
-        if ch == "[":
-            head_end = i
-            break
-        if ch == "]":
-            raise SutraParseError("unbalanced ']'", position=i + 1)
-        if ch == "<":
-            raise SutraParseError("'<' outside brackets", position=i + 1)
-        if ch == "~":
-            raise SutraParseError("'~' outside brackets", position=i + 1)
-        i += 1
-
-    if head_end is None:
-        head = s[start:stop].strip()
-        if not head:
-            raise SutraParseError("empty head", position=start + 1)
-        return SutraFormula(head)
-
-    head = s[start:head_end].strip()
-    if not head:
-        raise SutraParseError("empty head", position=start + 1)
-
-    # A source lies strictly inside its enclosing brackets, whose content is
-    # balanced, so a bracket closed within [start, stop) is closed there.
-    j = closing.get(head_end)
-    if j is None:
-        raise SutraParseError("unbalanced '['", position=head_end + 1)
-    if s[j + 1 : stop].strip():
-        raise SutraParseError("unexpected text after derivation", position=j + 2)
-
-    k = head_end + 1
-    turns = 0
-    while k < j:
-        ch = s[k]
-        if ch.isspace():
-            k += 1
-        elif ch == "~":
-            turns += 1
-            k += 1
-        elif ch == "<":
-            break
-        else:
-            raise SutraParseError(
-                f"expected '~' or '<' in derivation, found {ch!r}", position=k + 1
-            )
-    if k >= j or s[k] != "<":
-        raise SutraParseError("expected '<' in derivation", position=k + 1)
-    source = _parse_formula(s, k + 1, j, closing)
-    return SutraFormula(head, Derivation(turns, source))
-
-
 def emit_formula(formula: SutraFormula) -> str:
     """Canonical text; ``parse_formula(emit_formula(f)) == f``."""
-    if formula.derivation is None:
-        return formula.head
-    d = formula.derivation
-    tildes = "~" * d.turn_count
-    spacer = " " if d.turn_count else ""
-    return f"{formula.head}[{tildes}{spacer}< {emit_formula(d.source)}]"
+    opening: list[str] = []
+    while formula.derivation is not None:
+        d = formula.derivation
+        spacer = " " if d.turn_count else ""
+        opening.append(f"{formula.head}[{'~' * d.turn_count}{spacer}< ")
+        formula = d.source
+    return "".join(opening) + formula.head + "]" * len(opening)
 
 
 def innermost_source(formula: SutraFormula) -> str:
@@ -333,50 +325,18 @@ def parse_thread_file(text: str) -> tuple[list[SenseThread], list[Diagnostic]]:
 
 
 def formula_to_interchange(formula: SutraFormula) -> dict:
-    doc: dict = {"head": formula.head}
-    if formula.derivation is None:
-        doc["derivation"] = None
-    else:
-        doc["derivation"] = {
-            "turn_count": formula.derivation.turn_count,
-            "source": formula_to_interchange(formula.derivation.source),
+    """JSON-shaped export of a formula, built from its innermost source out."""
+    levels: list[SutraFormula] = []
+    while formula.derivation is not None:
+        levels.append(formula)
+        formula = formula.derivation.source
+    doc: dict = {"head": formula.head, "derivation": None}
+    for level in reversed(levels):
+        doc = {
+            "head": level.head,
+            "derivation": {"turn_count": level.derivation.turn_count, "source": doc},
         }
     return doc
-
-
-def formulas_to_json(formulas: list[SutraFormula]) -> str:
-    """The text of ``json.dumps({"formulas": [formula_to_interchange(f), ...]},
-    ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``, written directly.
-
-    With ``indent`` set, json.dumps runs its pure-Python encoder, one
-    nested call per object, which is most of the cost of a file with deeply
-    nested derivations. A derivation chain is written top down in one loop.
-    """
-    if not formulas:
-        return '{\n  "formulas": []\n}\n'
-    items = ",\n".join(f"    {_formula_json(formula, 4)}" for formula in formulas)
-    return f'{{\n  "formulas": [\n{items}\n  ]\n}}\n'
-
-
-def _formula_json(formula: SutraFormula, margin: int) -> str:
-    """One formula object whose closing brace is indented by ``margin``."""
-    opening: list[str] = []
-    closing: list[str] = []
-    while True:
-        pad = " " * (margin + 2)
-        head = f'{pad}"head": {_json_string(formula.head)}\n{" " * margin}}}'
-        derivation = formula.derivation
-        if derivation is None:
-            opening.append(f'{{\n{pad}"derivation": null,\n{head}')
-            break
-        inner = " " * (margin + 4)
-        opening.append(f'{{\n{pad}"derivation": {{\n{inner}"source": ')
-        closing.append(
-            f',\n{inner}"turn_count": {derivation.turn_count}\n{pad}}},\n{head}'
-        )
-        formula = derivation.source
-        margin += 4
-    return "".join(opening) + "".join(reversed(closing))
 
 
 def thread_to_interchange(thread: SenseThread) -> dict:

@@ -28,17 +28,13 @@ keeps parse/emit round-trips exact.
 Cost: every CLI command on a lexicon parses the whole file once, and
 ``parse_tlg`` runs one regex per line. The pattern stops at the field's
 ``::``; the value is the rest of the line, stripped of Unicode
-whitespace. A value that holds a line break (possible only in iterable
-input) makes its line a continuation. That is what a pattern with a lazy
-value group ending at the line's end gave, without that pattern's retry
-of the end-of-line test at every character of the value.
+whitespace.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .dict_model import DictEntry, emit_gloss
 from .diagnostics import Diagnostic, error, info, warning
@@ -80,7 +76,7 @@ class ParallelPair:
 # A field name, its ``::`` and the rest of the line, whose trailing
 # whitespace the reader strips: a lazy value group followed by ``\s*$``
 # would retry the end-of-line test at every character of the value.
-_FIELD_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*)", re.DOTALL)
+_FIELD_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*)")
 _MEANING_VALUE_RE = re.compile(r"^(\d+)\s*::\s*(.*)$")
 _HEADWORD_VALUE_RE = re.compile(r'^"([^"]*)"\s*,\s*"([^"]*)"$')
 
@@ -103,13 +99,8 @@ def _unquote(value: str) -> str:
     return value
 
 
-def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagnostic]]:
+def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
     """Parse TLG text into records plus diagnostics; never raises."""
-    if isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-
     records: list[TlgRecord] = []
     diagnostics: list[Diagnostic] = []
     record: TlgRecord | None = None
@@ -122,13 +113,8 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
     saw_content = False
     field_match = _FIELD_RE.match
 
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         m = field_match(raw)
-        if m is not None:
-            name, value = m.groups()
-            value = value.rstrip()
-            if "\n" in value:  # a value never spans lines: the line is a continuation
-                m = None
         if m is None:
             if not raw.strip():
                 continue
@@ -143,6 +129,8 @@ def parse_tlg(source: str | Iterable[str]) -> tuple[list[TlgRecord], list[Diagno
             _extend(last, raw.strip())
             continue
         saw_content = True
+        name, value = m.groups()
+        value = value.rstrip()
 
         if name == "HEADWORD":
             if record is not None:

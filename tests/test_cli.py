@@ -1,7 +1,9 @@
 import json
 
+from hypothesis import given
+from hypothesis import strategies as st
 
-from leril.cli import run
+from leril.cli import _dump_json, run
 
 GO_DICT = "tests/fixtures/go.dict"
 GO_TLG = "tests/fixtures/go.tlg"
@@ -31,6 +33,14 @@ class TestDict:
         code, out, _ = _run(capsys, "dict", "lookup", GO_DICT, "go", "--pos", "V")
         assert code == 0
         assert out.startswith('"go", "V",')
+
+    def test_lookup_prints_both_duplicate_entries(self, capsys, tmp_path):
+        path = tmp_path / "dup.dict"
+        path.write_text('"go", "V",\n--"1.jAnA"\nI go.\n\n"go", "V",\n--"1.calanA"\nGo on.\n')
+        code, out, err = _run(capsys, "dict", "lookup", str(path), "go")
+        assert code == 0
+        assert out == '"go", "V",\n--"1.jAnA"\nI go.\n\n"go", "V",\n--"1.calanA"\nGo on.\n'
+        assert err == "warning: duplicate entry for 'go' (V); both entries kept (line 5)\n"
 
     def test_filter_with_wordlist(self, capsys):
         code, out, _ = _run(
@@ -435,7 +445,7 @@ class TestTransferDiagnostics:
         frames = ["--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai", "I go to school."]
         for flags in (["--headword", "nope", "--sense", "9"], ["--headword", "go"]):
             code, out, err = _run(capsys, "transfer", "--lexicon", GO_TLG, *flags, *frames)
-            assert (code, out) == (2, "")
+            assert (code, out) == (3, "")
             assert err == (
                 "error: --headword and --sense select lexicon frames, "
                 "not --frame-e/--frame-i\n"
@@ -553,3 +563,33 @@ class TestExitCodes:
 
     def test_clean_exit_0(self, capsys):
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
+
+
+_odd_text = st.text(alphabet='aZ"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600')
+_json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _odd_text,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_odd_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_docs)
+def test_dump_json_matches_json_dumps(doc):
+    assert _dump_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+
+
+def test_dump_json_of_2000_nested_containers():
+    doc = "leaf"
+    for k in range(1000):
+        doc = {"k": [doc, k]}
+    opening, closing = [], []
+    for k in reversed(range(1000)):
+        pad = "\n" + "    " * (999 - k)
+        opening.append(f'{{{pad}  "k": [{pad}    ')
+        closing.append(f",{pad}    {k}{pad}  ]{pad}}}")
+    expected = "".join(opening) + '"leaf"' + "".join(reversed(closing)) + "\n"
+    assert _dump_json(doc) == expected

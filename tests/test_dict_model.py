@@ -134,13 +134,13 @@ class TestParseDictionary:
         assert len(errors) == 1
         assert errors[0].line == 4
 
-    def test_duplicate_entries_flagged_later_wins(self):
+    def test_duplicate_entries_flagged_and_both_kept(self):
         text = '"go", "V",\n--"1.jAnA"\nI go.\n\n"go", "V",\n--"1.calanA"\nGo on.\n'
         dictionary, diags = parse_dictionary(text)
         assert len(dictionary.entries) == 2
         assert [e.senses[0].examples for e in dictionary.entries] == [("I go.",), ("Go on.",)]
         assert [(d.message, d.line) for d in diags if "duplicate" in d.message] == [
-            ("duplicate entry for 'go' (V); later entry wins", 5)
+            ("duplicate entry for 'go' (V); both entries kept", 5)
         ]
 
     def test_sense_without_example_warns(self):

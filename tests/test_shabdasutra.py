@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leril.cli import _dump_json, run
 from leril.diagnostics import Severity
 from leril.shabdasutra import (
     Derivation,
@@ -15,7 +16,6 @@ from leril.shabdasutra import (
     emit_formula,
     emit_thread,
     formula_to_interchange,
-    formulas_to_json,
     load_aliases,
     parse_formula,
     parse_formula_file,
@@ -269,8 +269,21 @@ def test_parse_formula_matches_depth_counting_walk(pieces):
     )
 
 
+def _reference_interchange(formula: SutraFormula) -> dict:
+    """The export written as a recursion over the derivation chain."""
+    doc: dict = {"head": formula.head}
+    if formula.derivation is None:
+        doc["derivation"] = None
+    else:
+        doc["derivation"] = {
+            "turn_count": formula.derivation.turn_count,
+            "source": _reference_interchange(formula.derivation.source),
+        }
+    return doc
+
+
 def _json_reference(formulas):
-    doc = {"formulas": [formula_to_interchange(f) for f in formulas]}
+    doc = {"formulas": [_reference_interchange(f) for f in formulas]}
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
@@ -290,12 +303,70 @@ _odd_head = st.text(alphabet='aS"\\\x00\x1f\u00e9\u2028\U0001f600', min_size=1, 
     )
 )
 def test_formulas_json_matches_json_dumps(formulas):
-    assert formulas_to_json(formulas) == _json_reference(formulas)
+    doc = {"formulas": [formula_to_interchange(f) for f in formulas]}
+    assert _dump_json(doc) == _json_reference(formulas)
 
 
-def test_formulas_json_of_a_deep_formula(fixtures_dir):
+def test_formulas_json_of_a_deep_formula(capsys, fixtures_dir, tmp_path):
     text = "h0"
     for k in range(1, 300):
         text = f"h{k}[{'~' * (k % 3)} < {text}]"
-    formulas, _ = parse_formula_file((fixtures_dir / "issue.formula").read_text() + text)
-    assert formulas_to_json(formulas) == _json_reference(formulas)
+    path = tmp_path / "deep.formula"
+    path.write_text((fixtures_dir / "issue.formula").read_text() + text + "\n")
+    formulas, _ = parse_formula_file(path.read_text())
+    assert run(["sutra", "parse-formula", str(path)]) == 0
+    assert capsys.readouterr() == (_json_reference(formulas), "")
+
+
+def _chain(depth: int) -> SutraFormula:
+    formula = SutraFormula("h0")
+    for k in range(1, depth):
+        formula = SutraFormula(f"h{k}", Derivation(k % 3, formula))
+    return formula
+
+
+def _levels(formula: SutraFormula) -> list[tuple[str, int | None]]:
+    """(head, turns) of every level; compared instead of the formulas, whose
+    generated ``==`` recurses once per level."""
+    levels = []
+    while formula.derivation is not None:
+        levels.append((formula.head, formula.derivation.turn_count))
+        formula = formula.derivation.source
+    return levels + [(formula.head, None)]
+
+
+def test_formula_100000_levels_deep_round_trips():
+    formula = _chain(100_000)
+    text = emit_formula(formula)
+    assert text.startswith("h99999[< h99998[~~ < h99997[~ < ")
+    assert text.endswith("h1[~ < h0" + "]" * 99_999)
+    parsed = parse_formula(text)
+    assert _levels(parsed) == _levels(formula)
+    assert emit_formula(parsed) == text
+    doc, depth = formula_to_interchange(parsed), 0
+    while doc["derivation"] is not None:
+        doc, depth = doc["derivation"]["source"], depth + 1
+    assert (doc["head"], depth) == ("h0", 99_999)
+
+
+def _deep_json(depth: int) -> str:
+    """``sutra parse-formula`` output for ``emit_formula(_chain(depth))``."""
+    opening, closing = [], []
+    pad = "    "
+    for k in reversed(range(1, depth)):
+        opening.append(f'{{\n{pad}  "derivation": {{\n{pad}    "source": ')
+        closing.append(
+            f',\n{pad}    "turn_count": {k % 3}\n{pad}  }},\n{pad}  "head": "h{k}"\n{pad}}}'
+        )
+        pad += "    "
+    innermost = f'{{\n{pad}  "derivation": null,\n{pad}  "head": "h0"\n{pad}}}'
+    body = "".join(opening) + innermost + "".join(reversed(closing))
+    return f'{{\n  "formulas": [\n    {body}\n  ]\n}}\n'
+
+
+def test_parse_formula_prints_a_formula_1500_levels_deep(capsys, tmp_path):
+    assert _deep_json(40) == _json_reference([_chain(40)])
+    path = tmp_path / "deep.formula"
+    path.write_text(emit_formula(_chain(1500)) + "\n")
+    assert run(["sutra", "parse-formula", str(path)]) == 0
+    assert capsys.readouterr() == (_deep_json(1500), "")
