@@ -16,26 +16,26 @@ writer turned away, and stays in place, empty, when released. Where
 ignore the lock.
 
 Summary sidecar. Beside each data file a writer keeps
-``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it), JSON
-lines: a header with the format version, the byte length of the data
-file it covers, the ``zlib.crc32`` of those bytes, a digest of the
-effective tag registry, the auto-id and line counters at that length, the
-row count and the crc32 of the rows; then one row per record, ``[id,
-relation tags by position, node tags by position, depth]``. Open loads the
-rows of the prefix the sidecar covers and parses only the bytes after it.
-A sidecar that is missing, covers more than the file holds, does not match
-the covered bytes (an edit, even one of the same length), cannot be read,
-is of another version or was written under another registry covers
-nothing: every record is then parsed, so deleting a sidecar is always
-safe. ``query_by_relation`` and ``stats`` read the rows alone; the trees
-are parsed once per open, on the first ``get``, ``records`` or ``export``.
-Only read-write opens write a sidecar, under the lock, when they close,
-through a temporary file and ``os.replace``; readers never create or
-change one. The checksum is crc32 rather than a cryptographic hash: it
-is there to notice edits and damage, not forgery, and ``hashlib`` would
-map OpenSSL into every corpus command (3.6 MB of resident memory).
-``SIDECAR_VERSION`` must change with any change to what a line parses
-to, since rows are trusted without parsing their lines.
+``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a JSON
+header (format version; byte length, ``zlib.crc32``, line and auto-id
+counts of the data file prefix it covers; tag registry digest; count and
+crc32 of the rows; byte length and crc32 of the tree block), one row line
+per record, ``[id, relation tags, node tags, depth]``, then the tree
+block, one line per record, ``[surfaces, parents, groups as [start, stop,
+tag]]``. Every open checks both crc32s and decodes the rows alone, which
+``query_by_relation`` and ``stats`` read; ``export`` reads the prefix's
+lines unparsed, and ``get``, ``records`` and the interchange export also
+decode the tree block. Lines without the rows' ids, or a block without
+one rooted tree per row, fail them with "does not describe". A sidecar
+that is missing, covers more than the file holds, does not match the
+covered bytes (even after a same-length edit), cannot be read, or is of
+another version or registry covers nothing, and every record is parsed:
+deleting one is always safe. Only writers write one, at close, under the
+lock, via ``os.replace``, reusing the bytes and crc32s they loaded. The
+crc32 notices damage, not forgery (``hashlib`` would map OpenSSL into
+every corpus command, 3.6 MB resident). ``SIDECAR_VERSION`` must change
+with any change to what a line parses to: rows and trees (surfaces,
+parents, groups) are trusted without parsing their lines.
 
 Torn tail. A writer that dies mid-append can leave the last line of a
 data file unterminated. Such a line is read like any other when it
@@ -44,15 +44,6 @@ warning naming its file and line, and a read-write open cuts it off the
 file, also with a warning. A read-write open ends an unterminated last
 line that parses (or is a comment) with the missing newline, so the next
 record does not run into it. Every record is appended with one ``write``.
-
-``add_sentence`` appends only records that read back as written: an id
-or line that the data file would give back changed (an id with
-whitespace or an empty id, a line starting with ``#``, with leading or
-trailing whitespace or with a line break) is rejected, and so is a
-language that is not a plain file-name stem (empty, ``.``, ``..``, or
-holding a path separator or NUL), whose data file would lie outside the
-store or be read back under another language. A record carries its data
-file as ``source`` whether it was just added or read on open.
 """
 
 from __future__ import annotations
@@ -65,18 +56,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
-from .anncorra import (
-    DepTree,
-    TagRegistry,
-    default_registry,
-    iter_sentences,
-    load_tagset,
-    parse_sentence,
-)
+from .anncorra import DepNode, DepTree, Group, TagRegistry, default_registry, iter_sentences
+from .anncorra import load_tagset, parse_sentence
 from .diagnostics import Diagnostic, LerilError, has_errors, warning
 
-SIDECAR_VERSION = 1
-_HEADER_KEYS = ("version", "covered", "crc", "tagset", "auto", "lines", "rows", "rows_crc")
+SIDECAR_VERSION = 2
+_HEADER_KEYS = tuple("version covered crc tagset auto lines rows rows_crc trees trees_crc".split())
 _TAG_TYPES = {str, type(None)}
 # where str.splitlines ends a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -113,23 +98,21 @@ class CorpusStats:
 
 
 class _DataFile:
-    """One data file: its summary rows and what its next sidecar covers.
+    """One data file: its records' columns and what its next sidecar covers.
 
     A plain class, not a dataclass: every corpus command imports this
     module, and a dataclass of this size costs 1.5 ms to create.
     """
 
-    prefix = b""  # the bytes the sidecar covered at open, until parsed
-    unparsed = 0  # leading rows whose trees are not built yet
-    body = b""  # the encoding of the leading ``encoded`` rows
-    encoded = 0
+    prefix = memoryview(b"")  # the bytes the sidecar covered at open, not copied
+    unread = 0  # records of the prefix, whose lines and trees stay on disk
+    # the sidecar's rows and tree block for them, with their crc32s
+    body = trees_body = b""
+    body_crc = trees_crc = 0
     # The file up to the end of its last record: length, crc32, line count
     # and auto-id count. A sidecar covers no more, so that a ``# id`` line
     # after the last record still names the sentence appended below it.
-    end = 0
-    crc = 0
-    lines = 0
-    auto = 0
+    end = crc = lines = auto = 0
     trailer = b""  # blank and comment lines after the last record
     trailer_lines = 0
     stale = True  # the sidecar on disk does not describe ``end``
@@ -139,6 +122,9 @@ class _DataFile:
         self.path = path
         self.language = language
         self.rows: list[list] = []  # [id, rels, nodes, depth], in file order
+        # the lines and [surfaces, parents, groups] of the records parsed
+        self.raws: list[str] = []
+        self.trees: list[list] = []
 
     def append(self, payload: bytes, size: int) -> None:
         """Append ``payload`` with one ``write`` to the file, now ``size``
@@ -172,21 +158,16 @@ class CorpusStore:
         elif not self.path.is_dir():
             raise CorpusError(f"no store directory at {self.path}")
 
-        if registry is not None:
-            self.registry = registry
-        else:
-            tagset_path = self.path / "tagset.cfg"
-            if tagset_path.is_file():
-                self.registry = load_tagset(tagset_path.read_text(encoding="utf-8"))
-            else:
-                self.registry = default_registry()
+        tagset_path = self.path / "tagset.cfg"
+        if registry is None and tagset_path.is_file():
+            registry = load_tagset(tagset_path.read_text(encoding="utf-8"))
+        self.registry = registry if registry is not None else default_registry()
 
         if mode == "rw":
             self._acquire_lock()
         self.diagnostics: list[Diagnostic] = []
         self._files: dict[str, _DataFile] = {}  # by language, in file name order
         self._rows: dict[str, list] = {}  # id to summary row, in store order
-        self._records: dict[str, CorpusRecord] = {}  # records whose tree is built
         try:
             self._tagset = _crc32(self.registry.signature().encode("utf-8"))
             for data_file in sorted(self.path.glob("*.anncorra")):
@@ -255,12 +236,11 @@ class CorpusStore:
         sidecar = _read_sidecar(path, data, self._tagset)
         # with an id another data file holds, the full parse names the duplicate
         if sidecar is not None and self._rows.keys().isdisjoint(row[0] for row in sidecar[1]):
-            header, rows, body = sidecar
-            covered, f.crc, f.lines, f.auto = (
-                header["covered"], header["crc"], header["lines"], header["auto"]
+            header, rows, f.body, f.trees_body = sidecar
+            covered, f.crc, f.lines, f.auto, f.body_crc, f.trees_crc = (
+                header[key] for key in ("covered", "crc", "lines", "auto", "rows_crc", "trees_crc")
             )
-            f.prefix, f.rows, f.unparsed = data[:covered], rows, len(rows)
-            f.body, f.encoded, f.stale = body, len(rows), False
+            f.prefix, f.rows, f.unread, f.stale = memoryview(data)[:covered], rows, len(rows), False
             for row in rows:
                 self._rows[row[0]] = row
 
@@ -280,7 +260,6 @@ class CorpusStore:
             tail_lines = text.splitlines()
             last_raw, last_line = tail_lines[-1], len(tail_lines)
 
-        source = str(path)
         last_record = 0  # its line number in the tail
         for sentence_id, lineno, line in iter_sentences(text):
             auto_id = sentence_id is None
@@ -289,7 +268,7 @@ class CorpusStore:
             try:
                 if sentence_id in self._rows:
                     raise CorpusError(f"duplicate sentence id '{sentence_id}'")
-                record, _ = self._parse_record(sentence_id, line, f.language, source)
+                tree, _ = self._parse(sentence_id, line)
             except CorpusError as exc:
                 if lineno != last_line:
                     raise CorpusError(
@@ -300,7 +279,7 @@ class CorpusStore:
                 break
             f.auto += auto_id
             last_record = lineno
-            self._index(f, record)
+            self._index(f, sentence_id, line, tree)
         if torn is not None:
             line_no, offset, reason = torn
             action = "removed" if self.mode == "rw" else "skipped"
@@ -322,26 +301,18 @@ class CorpusStore:
         f.lines += last_record
         f.stale = f.stale or last_record > 0
 
-    def _index(self, f: _DataFile, record: CorpusRecord) -> None:
-        nodes = record.tree.nodes
-        row = [
-            record.id,
-            [node.rel_tag for node in nodes],
-            [node.node_tag for node in nodes],
-            _tree_depth(record.tree),
-        ]
+    def _index(self, f: _DataFile, sentence_id: str, line: str, tree: DepTree) -> None:
+        nodes = tree.nodes
+        rels, tags = [node.rel_tag for node in nodes], [node.node_tag for node in nodes]
+        row = self._rows[sentence_id] = [sentence_id, rels, tags, _tree_depth(tree)]
         f.rows.append(row)
-        self._rows[record.id] = row
-        self._records[record.id] = record
+        f.raws.append(line)
+        groups = [[group.start, group.stop, group.tag] for group in tree.groups]
+        f.trees.append([[node.surface for node in nodes], [node.parent for node in nodes], groups])
 
-    def _parse_record(
-        self, sentence_id: str, line: str, language: str, source: str
-    ) -> tuple[CorpusRecord, list[Diagnostic]]:
-        """Parse one sentence line into a record, not yet indexed.
-
-        Rejects a line that does not parse and resolve cleanly; returns the
-        record with the parse's warnings.
-        """
+    def _parse(self, sentence_id: str, line: str) -> tuple[DepTree, list[Diagnostic]]:
+        """The tree of one sentence line and the parse's warnings; rejects a
+        line that does not parse and resolve cleanly."""
         tree, diagnostics = parse_sentence(line, self.registry)
         if tree is None or has_errors(diagnostics):
             raise CorpusError(
@@ -349,27 +320,7 @@ class CorpusStore:
                 + "; ".join(d.render() for d in diagnostics),
                 diagnostics,
             )
-        return CorpusRecord(sentence_id, line, tree, language, source), diagnostics
-
-    def _built(self) -> dict[str, CorpusRecord]:
-        """Every record with its tree: the prefixes a sidecar covered are
-        parsed here, once per open."""
-        for f in self._files.values():
-            if not f.unparsed:
-                continue
-            ids = []
-            auto = 0
-            for sentence_id, _lineno, line in iter_sentences(f.prefix.decode("utf-8")):
-                if sentence_id is None:
-                    auto += 1
-                    sentence_id = f"{f.language}-{auto}"
-                record, _ = self._parse_record(sentence_id, line, f.language, str(f.path))
-                self._records[sentence_id] = record
-                ids.append(sentence_id)
-            if ids != [row[0] for row in f.rows[: f.unparsed]]:
-                raise CorpusError(f"{_sidecar_path(f.path)} does not describe {f.path}")
-            f.prefix, f.unparsed = b"", 0
-        return self._records
+        return tree, diagnostics
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -378,11 +329,13 @@ class CorpusStore:
         return sentence_id in self._rows
 
     def get(self, sentence_id: str) -> CorpusRecord | None:
-        return self._built().get(sentence_id) if sentence_id in self._rows else None
+        records = self.records() if sentence_id in self._rows else ()
+        return next((r for r in records if r.id == sentence_id), None)
 
     def records(self) -> list[CorpusRecord]:
-        built = self._built()
-        return [built[sentence_id] for sentence_id in self._rows]
+        """Every record, by data file, with its tree built from the columns."""
+        files = self._files.values()
+        return [_record(f, *record) for f in files for record in zip(f.rows, _lines(f), _trees(f))]
 
     def add_sentence(
         self,
@@ -395,16 +348,18 @@ class CorpusStore:
 
         Rejects a language that does not name a data file of this store,
         duplicates, lines that do not parse and resolve cleanly, and any id
-        or line that would not read back unchanged from the data file. The
-        record's source is its data file, as on a reopen. Parse warnings
-        are appended to ``diagnostics`` when a list is supplied.
+        or line that would not read back unchanged from the data file (an
+        empty id or one with whitespace; a line starting with ``#``, with
+        leading or trailing whitespace or with a line break). The record's
+        source is its data file, as on a reopen. Parse warnings are appended
+        to ``diagnostics`` when a list is supplied.
         """
         if self.mode != "rw":
             raise CorpusError("store opened read-only")
         data_file = self._data_file(language)
         if sentence_id in self._rows:
             raise CorpusError(f"duplicate sentence id '{sentence_id}'")
-        record, parse_diags = self._parse_record(sentence_id, line, language, str(data_file))
+        tree, parse_diags = self._parse(sentence_id, line)
         text = f"# {sentence_id}\n{line}\n"
         read_back = list(iter_sentences(text))
         if read_back != [(sentence_id, 2, line)]:
@@ -428,8 +383,8 @@ class CorpusStore:
         f.end += len(f.trailer) + len(payload)
         f.lines += f.trailer_lines + 2
         f.trailer, f.trailer_lines, f.stale = b"", 0, True
-        self._index(f, record)
-        return record
+        self._index(f, sentence_id, line, tree)
+        return CorpusRecord(sentence_id, line, tree, language, str(data_file))
 
     def _data_file(self, language: str) -> Path:
         """The data file of ``language``, which a reopen finds again under it.
@@ -485,13 +440,13 @@ class CorpusStore:
     def export(self, format: str = "linear") -> str:
         """Dump the store as text, either linear notation or interchange JSON."""
         if format == "linear":
-            lines = []
-            for record in self.records():
-                lines.append(f"# {record.id}")
-                lines.append(record.raw)
-            return "\n".join(lines) + "\n" if lines else ""
+            return "".join(
+                f"# {row[0]}\n{raw}\n"
+                for f in self._files.values()
+                for row, raw in zip(f.rows, _lines(f))
+            )
         if format == "interchange":
-            records = _json_array([_interchange_record(r) for r in self.records()], "  ")
+            records = _json_array([r for f in self._files.values() for r in _interchange(f)], "  ")
             return f'{{\n  "format": "anncorra-corpus",\n  "records": {records}\n}}\n'
         raise ValueError(f"unknown export format: {format!r}")
 
@@ -508,13 +463,16 @@ def _sidecar_path(data_file: Path) -> Path:
 
 def _read_sidecar(
     data_file: Path, data: bytes, tagset: int
-) -> tuple[dict, list[list], bytes] | None:
-    """Header, rows and row bytes of the sidecar of ``data_file`` when it
-    describes a prefix of ``data`` read under registry digest ``tagset``;
-    None otherwise."""
+) -> tuple[dict, list[list], bytes, memoryview] | None:
+    """Header, rows, row bytes and tree block of the sidecar of
+    ``data_file`` when it describes a prefix of ``data`` read under registry
+    digest ``tagset``; None otherwise. The tree block is checked against its
+    crc32, not decoded, and stays a view of the file's bytes: a copy of it
+    would cost every open more than its crc32 does."""
     try:
-        head, _, body = _sidecar_path(data_file).read_bytes().partition(b"\n")
-        header = json.loads(head)
+        raw = _sidecar_path(data_file).read_bytes()
+        start = raw.find(b"\n") + 1 or len(raw)
+        header = json.loads(raw[:start])
     except (OSError, ValueError):
         return None
     if (
@@ -523,8 +481,12 @@ def _read_sidecar(
         or any(type(value) is not int for value in header.values())
         or header["version"] != SIDECAR_VERSION
         or header["tagset"] != tagset
-        or header["rows_crc"] != _crc32(body)
+        or not 0 <= header["trees"] <= len(raw) - start
     ):
+        return None
+    end = len(raw) - header["trees"]
+    body, trees = raw[start:end], memoryview(raw)[end:]
+    if header["rows_crc"] != _crc32(body) or header["trees_crc"] != _crc32(trees):
         return None
     covered = header["covered"]
     if not 0 <= covered <= len(data) or header["crc"] != _crc32(memoryview(data)[:covered]):
@@ -533,12 +495,12 @@ def _read_sidecar(
     if covered and (data[covered - 1] not in b"\n\r" or data[covered - 1 : covered + 1] == b"\r\n"):
         return None
     try:
-        rows = json.loads(b"[" + b",".join(body.splitlines()) + b"]")
+        rows = json.loads("[" + body.decode().replace("\n", ",")[:-1] + "]")
     except ValueError:
         return None
     # every row is [id, rels, nodes, depth], ids unique, rels and nodes of
     # one length; checked column by column, which keeps the loops in C
-    if len(rows) != header["rows"] or not all(type(row) is list and len(row) == 4 for row in rows):
+    if len(rows) != header["rows"] or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
         return None
     ids, rels, nodes, depths = zip(*rows) if rows else ((), (), (), ())
     if not (
@@ -550,44 +512,99 @@ def _read_sidecar(
         and set(map(type, chain.from_iterable(rels + nodes))) <= _TAG_TYPES
     ):
         return None
-    return header, rows, body
+    return header, rows, body, trees
 
 
 def _write_sidecar(f: _DataFile, tagset: int) -> None:
     """Write the sidecar of ``f`` atomically; a failed write leaves none,
-    which only costs the next open a full parse."""
-    encode = _ROW_ENCODER.encode
-    body = f.body + "".join(encode(row) + "\n" for row in f.rows[f.encoded:]).encode("utf-8")
-    header = dict(
-        zip(
-            _HEADER_KEYS,
-            (SIDECAR_VERSION, f.end, f.crc, tagset, f.auto, f.lines, len(f.rows), _crc32(body)),
-        )
+    which only costs the next open a full parse. Only the records parsed in
+    this session are encoded and checksummed."""
+    rows, trees = (
+        "".join(_ROW_ENCODER.encode(item) + "\n" for item in items).encode("utf-8")
+        for items in (f.rows[f.unread :], f.trees)
     )
+    values = (
+        SIDECAR_VERSION, f.end, f.crc, tagset, f.auto, f.lines, len(f.rows),
+        _crc32(rows, f.body_crc), len(f.trees_body) + len(trees), _crc32(trees, f.trees_crc),
+    )
+    header = json.dumps(dict(zip(_HEADER_KEYS, values))).encode("ascii") + b"\n"
     path = _sidecar_path(f.path)
     temp = path.with_name(path.name + ".tmp")
     try:
-        temp.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with temp.open("wb") as fh:
+            fh.writelines((header, f.body, rows, f.trees_body, trees))
         os.replace(temp, path)
     except OSError:
         temp.unlink(missing_ok=True)
         path.unlink(missing_ok=True)
-        return
-    f.body, f.encoded, f.stale = body, len(f.rows), False
 
 
-# The interchange export is the text of
-#   json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-# for doc = {"format": "anncorra-corpus", "records": [{"id", "language",
-# "source", "raw", "tree": anncorra.to_interchange(tree)}, ...]}, written
-# directly from the records. The CLI's generic writer (cli._dump_json) gives
-# the same text but took 5.8x as long on a 600-sentence store, counting the
-# dicts it needs built, and this export sets the tail of a treebank workload.
-# Strings go through the escaping function json.dumps uses for them.
+def _not_described(f: _DataFile) -> CorpusError:
+    return CorpusError(f"{_sidecar_path(f.path)} does not describe {f.path}")
 
 
-def _json_or_null(text: str | None) -> str:
-    return "null" if text is None else _json_string(text)
+def _lines(f: _DataFile) -> list[str]:
+    """The sentence lines of the records of ``f``; those of the covered
+    prefix are read unparsed and must carry the ids of the sidecar's rows."""
+    if not f.unread:
+        return f.raws
+    ids, raws, auto = [], [], 0
+    for sentence_id, _lineno, line in iter_sentences(str(f.prefix, "utf-8")):
+        if sentence_id is None:
+            auto += 1
+            sentence_id = f"{f.language}-{auto}"
+        ids.append(sentence_id)
+        raws.append(line)
+    if ids != [row[0] for row in f.rows[: f.unread]]:
+        raise _not_described(f)
+    return raws + f.raws
+
+
+def _trees(f: _DataFile) -> list[list]:
+    """The trees of the records of ``f``; those of the covered prefix are
+    decoded from the tree block and must each have a node per tag of its
+    row, one root, parents and groups inside the sentence and typed fields."""
+    if not f.unread:
+        return f.trees
+    try:
+        trees = json.loads("[" + str(f.trees_body, "utf-8").replace("\n", ",")[:-1] + "]")
+    except ValueError:
+        trees = None
+    if trees is None or len(trees) != f.unread or not all(map(_is_tree, f.rows, trees)):
+        raise _not_described(f)
+    return trees + f.trees
+
+
+def _is_tree(row: list, tree) -> bool:
+    if type(tree) is not list or len(tree) != 3 or set(map(type, tree)) != {list}:
+        return False
+    (surfaces, parents, groups), n = tree, len(row[1])
+    return (
+        len(surfaces) == len(parents) == n
+        and set(map(type, surfaces)) <= {str}
+        and parents.count(None) == 1
+        and all(parent is None or type(parent) is int and 0 <= parent < n for parent in parents)
+        and all(type(group) is list and len(group) == 3 for group in groups)
+        and all(
+            type(start) is type(stop) is int and type(tag) is str and 0 <= start < stop <= n
+            for start, stop, tag in groups
+        )
+    )
+
+
+def _record(f: _DataFile, row: list, raw: str, tree: list) -> CorpusRecord:
+    """A record of ``f`` with its tree built from the columns; index labels,
+    which tree equality ignores, are not kept."""
+    (sentence_id, rels, tags, _depth), (surfaces, parents, groups) = row, tree
+    nodes = [
+        DepNode(position, surface, rel, tag, parent=parent)
+        for position, (surface, rel, tag, parent) in enumerate(zip(surfaces, rels, tags, parents))
+    ]
+    for node in nodes:
+        if node.parent is not None:
+            nodes[node.parent].children.append(node.position)
+    dep_tree = DepTree(nodes, parents.index(None), [Group(*group) for group in groups])
+    return CorpusRecord(sentence_id, raw, dep_tree, f.language, str(f.path))
 
 
 def _json_array(items: list[str], margin: str) -> str:
@@ -595,39 +612,54 @@ def _json_array(items: list[str], margin: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{margin}]" if items else "[]"
 
 
-def _interchange_record(record: CorpusRecord) -> str:
-    tree = record.tree
-    nodes = [
-        "          {\n"
-        f'            "node": {_json_or_null(node.node_tag)},\n'
-        f'            "parent": {"null" if node.parent is None else node.parent},\n'
-        f'            "position": {node.position},\n'
-        f'            "rel": {_json_or_null(node.rel_tag)},\n'
-        f'            "surface": {_json_string(node.surface)}\n'
-        "          }"
-        for node in tree.nodes
-    ]
-    groups = [
-        "          {\n"
-        f'            "start": {group.start},\n'
-        f'            "stop": {group.stop},\n'
-        f'            "tag": {_json_string(group.tag)}\n'
-        "          }"
-        for group in tree.groups
-    ]
-    return (
-        "    {\n"
-        f'      "id": {_json_string(record.id)},\n'
-        f'      "language": {_json_string(record.language)},\n'
-        f'      "raw": {_json_string(record.raw)},\n'
-        f'      "source": {_json_string(record.source)},\n'
-        '      "tree": {\n'
-        f'        "groups": {_json_array(groups, "        ")},\n'
-        f'        "nodes": {_json_array(nodes, "        ")},\n'
-        f'        "root": {tree.root}\n'
-        "      }\n"
-        "    }"
-    )
+def _interchange(f: _DataFile) -> list[str]:
+    """The interchange records of ``f``.
+
+    The export is the text of json.dumps(doc, ensure_ascii=False, indent=2,
+    sort_keys=True) + "\n" for doc = {"format": "anncorra-corpus",
+    "records": [{"id", "language", "source", "raw", "tree":
+    anncorra.to_interchange(tree)}, ...]}, written from the columns with no
+    tree built: cli._dump_json took 5.8x as long on 600 sentences, counting
+    the dicts it needs, and this export sets the tail of a treebank workload.
+    """
+    language, source = _json_string(f.language), _json_string(str(f.path))
+    records = []
+    for row, raw, (surfaces, parents, groups) in zip(f.rows, _lines(f), _trees(f)):
+        sentence_id, rels, tags, _depth = row
+        nodes = [
+            "          {\n"
+            f'            "node": {"null" if tag is None else _json_string(tag)},\n'
+            f'            "parent": {"null" if parent is None else parent},\n'
+            f'            "position": {position},\n'
+            f'            "rel": {"null" if rel is None else _json_string(rel)},\n'
+            f'            "surface": {_json_string(surface)}\n'
+            "          }"
+            for position, (surface, rel, tag, parent) in enumerate(
+                zip(surfaces, rels, tags, parents)
+            )
+        ]
+        spans = [
+            "          {\n"
+            f'            "start": {start},\n'
+            f'            "stop": {stop},\n'
+            f'            "tag": {_json_string(tag)}\n'
+            "          }"
+            for start, stop, tag in groups
+        ]
+        records.append(
+            "    {\n"
+            f'      "id": {_json_string(sentence_id)},\n'
+            f'      "language": {language},\n'
+            f'      "raw": {_json_string(raw)},\n'
+            f'      "source": {source},\n'
+            '      "tree": {\n'
+            f'        "groups": {_json_array(spans, "        ")},\n'
+            f'        "nodes": {_json_array(nodes, "        ")},\n'
+            f'        "root": {parents.index(None)}\n'
+            "      }\n"
+            "    }"
+        )
+    return records
 
 
 def _tree_depth(tree: DepTree) -> int:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from treegen import random_tree
 
 import leril.corpus_store as corpus_store_module
-from leril.anncorra import Group, emit_explicit, to_interchange
+from leril.anncorra import Group, emit_explicit, parse_sentence, to_interchange
 from leril.cli import run
 from leril.corpus_store import CorpusError, CorpusStore, StoreLockedError
 from leril.diagnostics import Severity
@@ -393,43 +393,123 @@ def _count_parses(monkeypatch):
     return calls
 
 
-def _rewrite_sidecar(path, edit):
-    """Apply ``edit(header, rows)`` to a sidecar and store it with fresh
-    row checksum, so that only the edit can make it unusable."""
-    head, *lines = path.read_text(encoding="utf-8").splitlines()
-    header, rows = json.loads(head), [json.loads(line) for line in lines]
-    edit(header, rows)
-    body = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode()
-    header["rows_crc"] = zlib.crc32(body)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+def _json_lines(items):
+    """JSON lines as the store writes them."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    return "".join(encode(item) + "\n" for item in items).encode()
 
 
-def _wrong_shape(header, rows):
+def _rewrite_sidecar(path, edit=None, block=None, fresh_crc=True):
+    """Apply ``edit(header, rows, trees)``, then ``block`` to the bytes of
+    the tree block, to a sidecar and store it with fresh row checksum and
+    tree block length and, with ``fresh_crc``, tree block checksum, so that
+    only the edit (or the stale tree block checksum) can make it unusable."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    cut = len(body) - header["trees"]
+    rows = [json.loads(line) for line in body[:cut].splitlines()]
+    trees = [json.loads(line) for line in body[cut:].splitlines()]
+    if edit is not None:
+        edit(header, rows, trees)
+    rows, trees = _json_lines(rows), _json_lines(trees)
+    assert edit is not None or rows + trees == body  # the store's own encoding
+    if block is not None:
+        trees = block(trees)
+    header["rows_crc"], header["trees"] = zlib.crc32(rows), len(trees)
+    if fresh_crc:
+        header["trees_crc"] = zlib.crc32(trees)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rows + trees)
+
+
+def _wrong_shape(header, rows, trees):
     rows[1][1].append("k1")  # one more relation than nodes
 
 
-def _row_not_a_list(header, rows):
+def _row_not_a_list(header, rows, trees):
     rows[0] = {"id": rows[0][0]}
 
 
-def _tag_not_a_string(header, rows):
+def _row_too_long(header, rows, trees):
+    rows[0].append(0)
+
+
+def _row_a_number(header, rows, trees):
+    rows[0] = 7
+
+
+def _tag_not_a_string(header, rows, trees):
     rows[2][2][0] = 7
 
 
-def _other_version(header, rows):
+def _other_version(header, rows, trees):
     header["version"] += 1
 
 
-def _missing_key(header, rows):
+def _missing_key(header, rows, trees):
     del header["auto"]
 
 
-def _row_count(header, rows):
+def _row_count(header, rows, trees):
     del rows[-1]
 
 
-def _duplicate_row(header, rows):
+def _duplicate_row(header, rows, trees):
     rows[1][0] = rows[0][0]
+
+
+def _version_1(path):
+    """Rewrite a sidecar in the layout of version 1: no tree block."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    rows = body[: len(body) - header.pop("trees")]
+    del header["trees_crc"]
+    header["version"] = 1
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rows)
+
+
+# Damage to the tree block that its checksum would catch, as the edit or
+# the block function of _rewrite_sidecar. POOL[1] is
+# "rAma_ne/k1 phala/k2 piyA::v", rooted at "piyA"; POOL[5] has one group.
+def _parents_too_long(header, rows, trees):
+    trees[1][1].append(2)
+
+
+def _no_root(header, rows, trees):
+    trees[1][1][2] = 0
+
+
+def _two_roots(header, rows, trees):
+    trees[1][1][0] = None
+
+
+def _parent_out_of_range(header, rows, trees):
+    trees[1][1][0] = 3
+
+
+def _parent_not_an_int(header, rows, trees):
+    trees[1][1][0] = "2"
+
+
+def _group_past_the_end(header, rows, trees):
+    trees[5][2][0][1] = 4
+
+
+def _surface_not_a_string(header, rows, trees):
+    trees[1][0][0] = 7
+
+
+TREE_DAMAGE = {
+    "cut-block": (None, lambda block: block[: len(block) // 2]),
+    "block-cut-after-a-line": (None, lambda block: block[: block.index(b"\n") + 1]),
+    "flipped-byte": (None, lambda block: block.replace(b"[[", b"{[", 1)),
+    "parents-too-long": (_parents_too_long, None),
+    "no-root": (_no_root, None),
+    "two-roots": (_two_roots, None),
+    "parent-out-of-range": (_parent_out_of_range, None),
+    "parent-not-an-int": (_parent_not_an_int, None),
+    "group-past-the-end": (_group_past_the_end, None),
+    "surface-not-a-string": (_surface_not_a_string, None),
+}
 
 
 class TestSidecar:
@@ -454,11 +534,11 @@ class TestSidecar:
         assert _sidecars(path) == {"hin.anncorra.idx": kept}  # nor change one
         return expected
 
-    def test_fresh_sidecar_spares_every_parse_but_exports(self, capsys, store_dir, monkeypatch):
+    def test_fresh_sidecar_spares_every_parse(self, capsys, store_dir, monkeypatch):
         calls = _count_parses(monkeypatch)
         self._same_as_without_sidecar(capsys, store_dir)
-        # without the sidecar: 6 reads parse all 12; with it, only the two exports do
-        assert len(calls) == 6 * 12 + 2 * 12
+        # without the sidecar: 6 reads parse all 12; with it, none parses
+        assert len(calls) == 6 * 12
 
     def test_hand_appended_records(self, capsys, store_dir, monkeypatch):
         with (store_dir / "hin.anncorra").open("a", encoding="utf-8") as fh:
@@ -466,7 +546,7 @@ class TestSidecar:
         calls = _count_parses(monkeypatch)
         expected = self._same_as_without_sidecar(capsys, store_dir)
         assert "hin-1\t0" in expected[1][1] and "t1\t0" in expected[0][1]
-        assert len(calls) == 6 * 14 + 6 * 2 + 2 * 12  # the tail is parsed on every open
+        assert len(calls) == 6 * 14 + 6 * 2  # the tail is parsed on every open
 
     def test_restored_shorter(self, capsys, store_dir):
         data = store_dir / "hin.anncorra"
@@ -491,11 +571,13 @@ class TestSidecar:
             lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
             lambda p: p.write_bytes(b'["a header", 1]\n' + p.read_bytes().partition(b"\n")[2]),
             lambda p: p.write_bytes(p.read_bytes().replace(b'"k2"', b'"k3"', 1)),
-            lambda p: p.write_bytes(p.read_bytes().replace(b'"version": 1', b'"version": "1"')),
+            lambda p: p.write_bytes(p.read_bytes().replace(b'"version": 2', b'"version": "2"', 1)),
             lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()),
             lambda p: p.write_bytes(b""),
             lambda p: _rewrite_sidecar(p, _wrong_shape),
             lambda p: _rewrite_sidecar(p, _row_not_a_list),
+            lambda p: _rewrite_sidecar(p, _row_too_long),
+            lambda p: _rewrite_sidecar(p, _row_a_number),
             lambda p: _rewrite_sidecar(p, _tag_not_a_string),
             lambda p: _rewrite_sidecar(p, _other_version),
             lambda p: _rewrite_sidecar(p, _missing_key),
@@ -504,7 +586,8 @@ class TestSidecar:
         ],
         ids=[
             "half", "last-byte", "bad-json", "header-not-object", "flipped-tag", "string-version",
-            "not-utf8", "empty", "wrong-shape", "row-not-list", "tag-not-string", "other-version",
+            "not-utf8", "empty", "wrong-shape", "row-not-list", "row-too-long", "row-a-number",
+            "tag-not-string", "other-version",
             "missing-key", "row-count", "duplicate-row",
         ],
     )
@@ -514,15 +597,54 @@ class TestSidecar:
         self._same_as_without_sidecar(capsys, store_dir)
         assert len(calls) == 2 * 6 * 12  # every read parsed everything
 
+    @pytest.mark.parametrize("damage", TREE_DAMAGE.values(), ids=list(TREE_DAMAGE))
+    def test_damaged_tree_block_is_ignored(self, capsys, store_dir, damage, monkeypatch):
+        _rewrite_sidecar(store_dir / "hin.anncorra.idx", *damage, fresh_crc=False)
+        calls = _count_parses(monkeypatch)
+        self._same_as_without_sidecar(capsys, store_dir)
+        assert len(calls) == 2 * 6 * 12  # every read parsed everything
+
+    @pytest.mark.parametrize("damage", TREE_DAMAGE.values(), ids=list(TREE_DAMAGE))
+    def test_tree_block_of_the_wrong_shape_fails_the_export_cleanly(
+        self, capsys, store_dir, damage, monkeypatch
+    ):
+        sidecar, data = store_dir / "hin.anncorra.idx", store_dir / "hin.anncorra"
+        kept = sidecar.read_bytes()
+        sidecar.unlink()
+        expected = _cli_reads(capsys, store_dir)
+        sidecar.write_bytes(kept)
+        _rewrite_sidecar(sidecar, *damage)
+        calls = _count_parses(monkeypatch)
+        seen = _cli_reads(capsys, store_dir)
+        assert calls == []  # the checksums hold, so every read used the sidecar
+        # query, stats and the linear export never decode the tree block
+        assert seen[:5] == expected[:5]
+        assert seen[5] == (3, "", f"error: {sidecar} does not describe {data}\n")
+        with CorpusStore(store_dir) as reader:
+            with pytest.raises(CorpusError, match="does not describe"):
+                reader.records()
+
+    def test_version_1_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
+        sidecar = store_dir / "hin.anncorra.idx"
+        _version_1(sidecar)
+        calls = _count_parses(monkeypatch)
+        self._same_as_without_sidecar(capsys, store_dir)
+        assert len(calls) == 2 * 6 * 12  # every read parsed everything
+        assert _cli_add(capsys, store_dir, "")[0] == 0
+        assert json.loads(sidecar.read_bytes().partition(b"\n")[0])["version"] == 2
+        calls.clear()
+        self._same_as_without_sidecar(capsys, store_dir)
+        assert len(calls) == 6 * 12  # only the reads without the sidecar parse
+
     def test_damaged_sidecar_is_replaced_by_the_next_writer(self, capsys, store_dir, monkeypatch):
         (store_dir / "hin.anncorra.idx").write_bytes(b"garbage")
         assert _cli_add(capsys, store_dir, "# late\nraama/k1 gayA::v\n")[0] == 0
         calls = _count_parses(monkeypatch)
         _cli_reads(capsys, store_dir)
-        assert len(calls) == 2 * 13  # only the exports parse
+        assert calls == []  # no read parses, the exports included
 
     def test_sidecar_naming_other_ids_fails_the_export_cleanly(self, capsys, store_dir):
-        def rename(header, rows):
+        def rename(header, rows, trees):
             rows[0][0] = "renamed"
 
         _rewrite_sidecar(store_dir / "hin.anncorra.idx", rename)
@@ -588,7 +710,9 @@ class TestSidecar:
         with CorpusStore(path) as reader:
             assert reader.stats().sentences == 20_020
             assert len(reader.query_by_relation("k2")[0]) == 20_020
-        assert len(calls) == 20
+            assert reader.export("linear").count("\n") == 2 * 20_020
+            assert reader.export("interchange").count('"raw": ') == 20_020
+        assert len(calls) == 20  # neither the reads nor the exports parsed
 
     def test_rows_are_those_of_the_parsed_trees(self, tmp_path):
         path = tmp_path / "store"
@@ -598,8 +722,11 @@ class TestSidecar:
             expected = writer.stats(), writer.query_by_relation("k2")
         with CorpusStore(path) as reader:
             assert (reader.stats(), reader.query_by_relation("k2")) == expected
-            # trees come back on demand, in store order
+            # trees come back on demand, in store order, equal to parsed ones
             assert [r.raw for r in reader.records()] == POOL
+            assert [r.tree for r in reader.records()] == [
+                parse_sentence(line, reader.registry)[0] for line in POOL
+            ]
             assert reader.get("s5").tree.groups
 
 
@@ -624,9 +751,10 @@ def _observe(path: Path):
                 reader.query_by_relation("k1"),
                 reader.query_by_relation("k2"),
                 reader.stats(),
+                # both exports, byte for byte
                 reader.export("linear"),
                 reader.export("interchange"),
-                [(r.id, r.language) for r in reader.records()],
+                [(r.id, r.language, r.raw, r.tree) for r in reader.records()],
             )
     except CorpusError as exc:
         seen = ("error", str(exc))
