@@ -5,6 +5,14 @@ stdout; diagnostics and progress go to stderr so pipelines stay clean.
 Exit codes: 0 clean, 1 warnings under --strict, 2 errors, 3 usage or I/O
 failure. The LERIL_TAGSET environment variable names a default tagset
 file; --tagset overrides it. A store's own tagset.cfg comes after both.
+
+Start-up cost: each run imports only the layer modules its command calls.
+Every ``_cmd_*`` function imports its layers in its own body and calls them
+through the module (``translexgram.parse_tlg``), and ``build_parser(command)``
+fills in only the invoked command's subcommands and arguments. Outside this
+module, ``leril.<layer>`` resolves through ``leril.__getattr__``. New
+commands follow the same rule; tests/test_cli.py pins each command's set of
+imported ``leril`` modules.
 """
 
 from __future__ import annotations
@@ -15,8 +23,8 @@ import sys
 from itertools import repeat
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import anncorra, corpus_store, dict_model, shabdasutra, transfer, translexgram
 from .diagnostics import (
     Diagnostic,
     LerilError,
@@ -25,6 +33,13 @@ from .diagnostics import (
     info,
     worst_severity,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .anncorra import TagRegistry
+    from .translexgram import TlgRecord
+
+# The help text of `leril -h`: the docstring up to its start-up paragraph.
+_DESCRIPTION = __doc__.partition("\n\nStart-up cost")[0]
 
 EXIT_OK = 0
 EXIT_WARNINGS = 1
@@ -98,8 +113,10 @@ def _dump_json(doc) -> str:
             return "".join(out) + "\n"
 
 
-def _load_registry(args) -> anncorra.TagRegistry | None:
+def _load_registry(args) -> TagRegistry | None:
     """The registry of --tagset, else of $LERIL_TAGSET; None when neither is set."""
+    from . import anncorra
+
     path = getattr(args, "tagset", None) or os.environ.get("LERIL_TAGSET")
     return anncorra.load_tagset(_read_text(path)) if path else None
 
@@ -113,6 +130,8 @@ def _print(text: str) -> None:
 
 
 def _cmd_dict_parse(args):
+    from . import dict_model
+
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     if args.format == "interchange":
         _print(_dump_json(dict_model.to_interchange(dictionary)))
@@ -122,12 +141,16 @@ def _cmd_dict_parse(args):
 
 
 def _cmd_dict_emit(args):
+    from . import dict_model
+
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     _print(dict_model.emit_dictionary(dictionary))
     return diags
 
 
 def _cmd_dict_lookup(args):
+    from . import dict_model
+
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     entries = dict_model.lookup(dictionary, args.headword, args.pos)
     result = dict_model.Dictionary(tuple(entries))
@@ -141,6 +164,8 @@ def _cmd_dict_lookup(args):
 
 
 def _cmd_dict_filter(args):
+    from . import dict_model
+
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     words = {
         line.strip()
@@ -155,6 +180,8 @@ def _cmd_dict_filter(args):
 
 
 def _cmd_tlg_parse(args):
+    from . import translexgram
+
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     if args.format == "interchange":
         _print(_dump_json(translexgram.to_interchange(records)))
@@ -164,6 +191,8 @@ def _cmd_tlg_parse(args):
 
 
 def _cmd_tlg_validate(args):
+    from . import translexgram
+
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     policy = "strict" if args.strict else "lenient"
     for record in records:
@@ -172,6 +201,8 @@ def _cmd_tlg_validate(args):
 
 
 def _cmd_tlg_seed(args):
+    from . import dict_model, translexgram
+
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.dict))
     if args.headword is not None:
         entries = dict_model.lookup(dictionary, args.headword)
@@ -190,12 +221,16 @@ def _cmd_tlg_seed(args):
 
 
 def _cmd_tlg_emit(args):
+    from . import translexgram
+
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     _print(translexgram.emit_tlg(records))
     return diags
 
 
 def _cmd_tlg_corpus(args):
+    from . import translexgram
+
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     pairs = translexgram.extract_parallel_corpus(records)
     _print(translexgram.pairs_to_tsv(pairs))
@@ -215,6 +250,8 @@ def _with_line(diags, lineno):
 
 
 def _cmd_anncorra_parse(args):
+    from . import anncorra
+
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     sentences = []
@@ -230,6 +267,8 @@ def _cmd_anncorra_parse(args):
 
 
 def _cmd_anncorra_check(args):
+    from . import anncorra
+
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     for _sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
@@ -241,6 +280,8 @@ def _cmd_anncorra_check(args):
 
 
 def _cmd_anncorra_convert(args):
+    from . import anncorra
+
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     out_lines = []
@@ -265,12 +306,16 @@ def _cmd_anncorra_convert(args):
 
 
 def _cmd_sutra_parse_formula(args):
+    from . import shabdasutra
+
     formulas, diags = shabdasutra.parse_formula_file(_read_text(args.file))
     _print(_dump_json({"formulas": [shabdasutra.formula_to_interchange(f) for f in formulas]}))
     return diags
 
 
 def _cmd_sutra_parse_thread(args):
+    from . import shabdasutra
+
     threads, diags = shabdasutra.parse_thread_file(_read_text(args.file))
     doc = {"threads": [shabdasutra.thread_to_interchange(t) for t in threads]}
     _print(_dump_json(doc))
@@ -278,6 +323,8 @@ def _cmd_sutra_parse_thread(args):
 
 
 def _cmd_sutra_check(args):
+    from . import shabdasutra
+
     formulas, diags = shabdasutra.parse_formula_file(_read_text(args.formulas))
     threads, thread_diags = shabdasutra.parse_thread_file(_read_text(args.threads))
     diags.extend(thread_diags)
@@ -310,9 +357,13 @@ def _cmd_transfer(args):
     if literal_frames and (args.headword is not None or args.sense is not None):
         raise LerilError("--headword and --sense select lexicon frames, not --frame-e/--frame-i")
 
+    from . import transfer
+
     diags: list[Diagnostic] = []
-    records: list[translexgram.TlgRecord] = []
+    records: list[TlgRecord] = []
     if args.lexicon is not None:
+        from . import translexgram
+
         records, diags = translexgram.parse_tlg(_read_text(args.lexicon))
     if literal_frames:
         pairs = [("literal frames", args.frame_e, args.frame_i)]
@@ -340,6 +391,8 @@ def _cmd_transfer(args):
 
 
 def _cmd_corpus_add(args):
+    from . import anncorra, corpus_store
+
     added = []
     with corpus_store.CorpusStore(args.store, "rw", _load_registry(args)) as store:
         diags = store.diagnostics
@@ -363,6 +416,8 @@ def _cmd_corpus_add(args):
 
 
 def _cmd_corpus_query(args):
+    from . import corpus_store
+
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         hits, diags = store.query_by_relation(args.tag)
     _print("\n".join(f"{record_id}\t{position}" for record_id, position in hits))
@@ -370,6 +425,8 @@ def _cmd_corpus_query(args):
 
 
 def _cmd_corpus_stats(args):
+    from . import corpus_store
+
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         stats = store.stats()
     doc = {
@@ -383,6 +440,8 @@ def _cmd_corpus_stats(args):
 
 
 def _cmd_corpus_export(args):
+    from . import corpus_store
+
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         _print(store.export(args.format))
     return store.diagnostics
@@ -391,89 +450,77 @@ def _cmd_corpus_export(args):
 # ---------------------------------------------------------------- parser
 
 
-def build_parser() -> _ArgumentParser:
-    parser = _ArgumentParser(prog="leril", description=__doc__)
-    strict = argparse.ArgumentParser(add_help=False)
-    strict.add_argument(
-        "--strict", action="store_true", help="exit 1 when warnings remain"
-    )
-    tagset = argparse.ArgumentParser(add_help=False)
-    tagset.add_argument("--tagset", help="tagset config file (default: $LERIL_TAGSET)")
+def _command(parser: argparse.ArgumentParser, func, tagset: bool = False):
+    """Give ``parser`` the --strict option (and --tagset) and ``func`` to run."""
+    parser.add_argument("--strict", action="store_true", help="exit 1 when warnings remain")
+    if tagset:
+        parser.add_argument("--tagset", help="tagset config file (default: $LERIL_TAGSET)")
+    parser.set_defaults(func=func)
+    return parser
 
-    top = parser.add_subparsers(dest="command")
 
-    p_dict = top.add_parser("dict", help="Shabdaanjali dictionaries")
+def _fill_dict(p_dict: argparse.ArgumentParser) -> None:
     dict_sub = p_dict.add_subparsers(dest="subcommand")
-    p = dict_sub.add_parser("parse", parents=[strict])
+    p = _command(dict_sub.add_parser("parse"), _cmd_dict_parse)
     p.add_argument("file")
     p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p.set_defaults(func=_cmd_dict_parse)
-    p = dict_sub.add_parser("emit", parents=[strict])
+    p = _command(dict_sub.add_parser("emit"), _cmd_dict_emit)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_dict_emit)
-    p = dict_sub.add_parser("lookup", parents=[strict])
+    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_lookup)
     p.add_argument("file")
     p.add_argument("headword")
     p.add_argument("--pos")
     p.add_argument("--format", choices=["interchange", "text"], default="text")
-    p.set_defaults(func=_cmd_dict_lookup)
-    p = dict_sub.add_parser("filter", parents=[strict])
+    p = _command(dict_sub.add_parser("filter"), _cmd_dict_filter)
     p.add_argument("file")
     p.add_argument("--wordlist", required=True)
-    p.set_defaults(func=_cmd_dict_filter)
 
-    p_tlg = top.add_parser("tlg", help="TransLexGram records")
+
+def _fill_tlg(p_tlg: argparse.ArgumentParser) -> None:
     tlg_sub = p_tlg.add_subparsers(dest="subcommand")
-    p = tlg_sub.add_parser("parse", parents=[strict])
+    p = _command(tlg_sub.add_parser("parse"), _cmd_tlg_parse)
     p.add_argument("file")
     p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p.set_defaults(func=_cmd_tlg_parse)
-    p = tlg_sub.add_parser("validate", parents=[strict])
+    p = _command(tlg_sub.add_parser("validate"), _cmd_tlg_validate)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_tlg_validate)
-    p = tlg_sub.add_parser("seed", parents=[strict])
+    p = _command(tlg_sub.add_parser("seed"), _cmd_tlg_seed)
     p.add_argument("--dict", required=True)
     p.add_argument("--headword")
-    p.set_defaults(func=_cmd_tlg_seed)
-    p = tlg_sub.add_parser("emit", parents=[strict])
+    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_emit)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_tlg_emit)
-    p = tlg_sub.add_parser("corpus", parents=[strict])
+    p = _command(tlg_sub.add_parser("corpus"), _cmd_tlg_corpus)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_tlg_corpus)
 
-    p_ann = top.add_parser("anncorra", help="linear dependency notation")
+
+def _fill_anncorra(p_ann: argparse.ArgumentParser) -> None:
     ann_sub = p_ann.add_subparsers(dest="subcommand")
-    p = ann_sub.add_parser("parse", parents=[strict, tagset])
+    p = _command(ann_sub.add_parser("parse"), _cmd_anncorra_parse, tagset=True)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_anncorra_parse)
-    p = ann_sub.add_parser("check", parents=[strict, tagset])
+    p = _command(ann_sub.add_parser("check"), _cmd_anncorra_check, tagset=True)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_anncorra_check)
-    p = ann_sub.add_parser("convert", parents=[strict, tagset])
+    p = _command(ann_sub.add_parser("convert"), _cmd_anncorra_convert, tagset=True)
     p.add_argument("file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--explicit", action="store_true", help="write all references (default)")
     mode.add_argument("--minimize", action="store_true", help="drop recoverable references")
-    p.set_defaults(func=_cmd_anncorra_convert)
 
-    p_sutra = top.add_parser("sutra", help="Shabda-Sutra formulas and threads")
+
+def _fill_sutra(p_sutra: argparse.ArgumentParser) -> None:
     sutra_sub = p_sutra.add_subparsers(dest="subcommand")
-    p = sutra_sub.add_parser("parse-formula", parents=[strict])
+    p = _command(sutra_sub.add_parser("parse-formula"), _cmd_sutra_parse_formula)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_sutra_parse_formula)
-    p = sutra_sub.add_parser("parse-thread", parents=[strict])
+    p = _command(sutra_sub.add_parser("parse-thread"), _cmd_sutra_parse_thread)
     p.add_argument("file")
-    p.set_defaults(func=_cmd_sutra_parse_thread)
-    p = sutra_sub.add_parser("check", parents=[strict])
+    p = _command(sutra_sub.add_parser("check"), _cmd_sutra_check)
     p.add_argument("formulas")
     p.add_argument("threads")
     p.add_argument("--alias", help="alias table (label TAB alias)")
-    p.set_defaults(func=_cmd_sutra_check)
 
-    p_tr = top.add_parser(
-        "transfer", parents=[strict], help="frame-based structural transfer"
-    )
+
+def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
+    from . import transfer
+
+    _command(p_tr, _cmd_transfer)
     p_tr.add_argument("sentence")
     p_tr.add_argument("--lexicon")
     p_tr.add_argument("--headword")
@@ -488,32 +535,54 @@ def build_parser() -> _ArgumentParser:
         action="store_true",
         help="annotate slot tokens with first-sense lexicon glosses",
     )
-    p_tr.set_defaults(func=_cmd_transfer)
 
-    p_corpus = top.add_parser("corpus", help="treebank store")
+
+def _fill_corpus(p_corpus: argparse.ArgumentParser) -> None:
     corpus_sub = p_corpus.add_subparsers(dest="subcommand")
-    p = corpus_sub.add_parser("add", parents=[strict, tagset])
+    p = _command(corpus_sub.add_parser("add"), _cmd_corpus_add, tagset=True)
     p.add_argument("file")
     p.add_argument("--store", required=True)
     p.add_argument("--lang", default="und")
-    p.set_defaults(func=_cmd_corpus_add)
-    p = corpus_sub.add_parser("query", parents=[strict, tagset])
+    p = _command(corpus_sub.add_parser("query"), _cmd_corpus_query, tagset=True)
     p.add_argument("tag")
     p.add_argument("--store", required=True)
-    p.set_defaults(func=_cmd_corpus_query)
-    p = corpus_sub.add_parser("stats", parents=[strict, tagset])
+    p = _command(corpus_sub.add_parser("stats"), _cmd_corpus_stats, tagset=True)
     p.add_argument("--store", required=True)
-    p.set_defaults(func=_cmd_corpus_stats)
-    p = corpus_sub.add_parser("export", parents=[strict, tagset])
+    p = _command(corpus_sub.add_parser("export"), _cmd_corpus_export, tagset=True)
     p.add_argument("--store", required=True)
     p.add_argument("--format", choices=["linear", "interchange"], default="linear")
-    p.set_defaults(func=_cmd_corpus_export)
 
+
+# command name: (its line in `leril -h`, the function that adds its subcommands and arguments)
+_COMMANDS = {
+    "dict": ("Shabdaanjali dictionaries", _fill_dict),
+    "tlg": ("TransLexGram records", _fill_tlg),
+    "anncorra": ("linear dependency notation", _fill_anncorra),
+    "sutra": ("Shabda-Sutra formulas and threads", _fill_sutra),
+    "transfer": ("frame-based structural transfer", _fill_transfer),
+    "corpus": ("treebank store", _fill_corpus),
+}
+
+
+def build_parser(command: str | None = None) -> _ArgumentParser:
+    """The ``leril`` parser, listing every command.
+
+    Only ``command``'s subcommands and arguments are filled in, or every
+    command's when it is None. A command line that starts with ``command``
+    parses the same either way: the top level holds only the command list,
+    and each command's arguments belong to its own subparser.
+    """
+    parser = _ArgumentParser(prog="leril", description=_DESCRIPTION)
+    top = parser.add_subparsers(dest="command")
+    for name, (help_text, fill) in _COMMANDS.items():
+        p = top.add_parser(name, help=help_text)
+        if command is None or command == name:
+            fill(p)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -35,10 +35,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .dict_model import DictEntry, emit_gloss
 from .diagnostics import Diagnostic, error, info, warning
 from .transfer import FrameError, parse_frame
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .dict_model import DictEntry
 
 
 @dataclass
@@ -312,6 +315,8 @@ def seed_from_dictionary(entry: DictEntry) -> tuple[TlgRecord, list[Diagnostic]]
     One meaning per sense; the gloss is copied, ENG_EXP is the sense's
     first example, and all translation and frame fields are left empty.
     """
+    from .dict_model import emit_gloss  # only seeding reads the dictionary layer
+
     diagnostics: list[Diagnostic] = []
     meanings = []
     for sense in entry.senses:

@@ -1,13 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import leril
+from leril import cli
 from leril.cli import _dump_json, run
 
 GO_DICT = "tests/fixtures/go.dict"
 GO_TLG = "tests/fixtures/go.tlg"
 SENTENCES = "tests/fixtures/sentences.anncorra"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -563,6 +571,118 @@ class TestExitCodes:
 
     def test_clean_exit_0(self, capsys):
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
+
+
+SUBCOMMANDS = {
+    "dict": ["parse", "emit", "lookup", "filter"],
+    "tlg": ["parse", "validate", "seed", "emit", "corpus"],
+    "anncorra": ["parse", "check", "convert"],
+    "sutra": ["parse-formula", "parse-thread", "check"],
+    "corpus": ["add", "query", "stats", "export"],
+}
+USAGE_CASES = [
+    [],
+    ["-h"],
+    ["--"],
+    ["bogus"],
+    ["transfer", "-h"],
+    ["transfer"],
+    ["transfer", "bogus", "--optional", "bogus"],
+    ["transfer", "bogus", "--format", "bogus"],
+]
+for _command, _subs in SUBCOMMANDS.items():
+    USAGE_CASES += [[_command], [_command, "-h"], [_command, "bogus"]]
+    for _sub in _subs:
+        USAGE_CASES += [
+            [_command, _sub, "-h"],
+            [_command, _sub],
+            [_command, _sub, "bogus", "--format", "bogus"],
+        ]
+
+
+def _outcome(capsys, argv):
+    code = exit_code = None
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    return code, exit_code, captured.out, captured.err
+
+
+class TestParserBuild:
+    @pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "-")
+    def test_one_command_parses_like_the_whole_parser(self, capsys, monkeypatch, argv):
+        one_command = _outcome(capsys, argv)
+        whole = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+        assert _outcome(capsys, argv) == one_command
+        assert one_command[:2] in ((3, None), (None, 0))
+
+
+# Runs `leril` in-process with argv from the command line, then prints the exit
+# code and the leril submodules that the run imported.
+_IMPORTS_AFTER_RUN = """
+import io, sys
+from leril.cli import run
+stdout, sys.stdout = sys.stdout, io.StringIO()
+code = run(sys.argv[1:])
+sys.stdout = stdout
+print(code, *sorted(name for name in sys.modules if name.startswith("leril.")))
+"""
+
+
+def _fresh_python(code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(leril.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImports:
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory):
+        store = str(tmp_path_factory.mktemp("imports") / "store")
+        assert run(["corpus", "add", SENTENCES, "--store", store]) == 0
+        return store
+
+    @pytest.mark.parametrize(
+        "argv, layers",
+        [
+            (["transfer", "--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai",
+              "I go to school."], "transfer"),
+            (["transfer", "I go to school.", "--lexicon", GO_TLG], "transfer translexgram"),
+            (["tlg", "seed", "--dict", GO_DICT], "dict_model transfer translexgram"),
+            (["dict", "lookup", GO_DICT, "go"], "dict_model"),
+            (["sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"],
+             "shabdasutra"),
+            (["anncorra", "convert", "--minimize", SENTENCES], "anncorra"),
+            (["corpus", "stats", "--store", "{store}"], "anncorra corpus_store"),
+        ],
+        ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None,
+    )
+    def test_command_imports_only_its_layers(self, store, argv, layers):
+        out = _fresh_python(_IMPORTS_AFTER_RUN, *(arg.format(store=store) for arg in argv))
+        modules = sorted(f"leril.{name}" for name in ["cli", "diagnostics", *layers.split()])
+        assert out.split() == ["0", *modules]
+
+    def test_import_leril_loads_a_layer_on_first_access(self):
+        out = _fresh_python(
+            "import sys, leril\n"
+            "loaded = sorted(name for name in sys.modules if name.startswith('leril.'))\n"
+            "print(*loaded, leril.corpus_store.CorpusStore.__module__)\n"
+            "try:\n"
+            "    leril.nope\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        assert out.splitlines() == [
+            "leril.diagnostics leril.corpus_store",
+            "module 'leril' has no attribute 'nope'",
+        ]
 
 
 _odd_text = st.text(alphabet='aZ"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600')
