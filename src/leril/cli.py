@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 from itertools import repeat
-from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,8 +30,14 @@ from .diagnostics import (
     Severity,
     error,
     info,
+    utf8_text,
     worst_severity,
 )
+
+try:  # the C function of json.encoder, without loading the json package
+    from _json import encode_basestring as _json_string
+except ImportError:  # pragma: no cover - an interpreter without the accelerator
+    from json.encoder import encode_basestring as _json_string
 
 if TYPE_CHECKING:  # pragma: no cover
     from .anncorra import TagRegistry
@@ -57,9 +62,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    """The UTF-8 text of ``path``, or of stdin for ``-``."""
+    return utf8_text(sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes(), path)
 
 
 _JSON_SCALARS = {

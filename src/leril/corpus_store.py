@@ -19,17 +19,24 @@ Summary sidecar. Beside each data file a writer keeps
 ``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a JSON
 header (format version; byte length, ``zlib.crc32``, line and auto-id
 counts of the data file prefix it covers; tag registry digest; count and
-crc32 of the rows; byte length and crc32 of the tree block), one row line
-per record, ``[id, relation tags, node tags, depth]``, then the tree
-block, one line per record, ``[surfaces, parents, groups as [start, stop,
-tag]]``. Every open checks both crc32s and decodes the rows alone, which
-``query_by_relation`` and ``stats`` read; ``export`` reads the prefix's
-lines unparsed, and ``get``, ``records`` and the interchange export also
-decode the tree block. Lines without the rows' ids, or a block without
-one rooted tree per row, fail them with "does not describe". A sidecar
-that is missing, covers more than the file holds, does not match the
-covered bytes (even after a same-length edit), cannot be read, or is of
-another version or registry covers nothing, and every record is parsed:
+crc32 of the rows; byte length and crc32 of the tree block and of the
+checkpoint block), one row line per record, ``[id, relation tags, node
+tags, depth]``, then the tree block, one line per record, ``[surfaces,
+parents, groups as [start, stop, tag]]``, then the checkpoint block, one
+line per record, ``[end, crc32, lines, auto ids]`` of the file up to the
+end of that record. Every open checks the crc32s of the rows and the tree
+block and decodes the rows alone, which ``query_by_relation`` and
+``stats`` read; ``export`` reads the prefix's lines unparsed, and ``get``,
+``records`` and the interchange export also decode the tree block. Lines
+without the rows' ids, or a block without one rooted tree per row, fail
+them with "does not describe". When the data file no longer holds the
+covered prefix (it was cut back, as by a restore from an earlier copy, or
+edited), the open checks and decodes the checkpoint block and keeps the
+records up to the last checkpoint whose prefix still matches its crc32;
+it parses only what follows, and a writer rewrites the sidecar with the
+kept rows, trees and checkpoints. A sidecar that is missing, cannot be
+read, is of another version (version 2 had no checkpoints) or registry,
+or has no matching checkpoint covers nothing, and every record is parsed:
 deleting one is always safe. Only writers write one, at close, under the
 lock, via ``os.replace``, reusing the bytes and crc32s they loaded. The
 crc32 notices damage, not forgery (``hashlib`` would map OpenSSL into
@@ -51,17 +58,19 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from itertools import chain
+from itertools import accumulate, chain
 from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
 from .anncorra import DepNode, DepTree, Group, TagRegistry, default_registry, iter_sentences
 from .anncorra import load_tagset, parse_sentence
-from .diagnostics import Diagnostic, LerilError, has_errors, warning
+from .diagnostics import Diagnostic, LerilError, has_errors, utf8_text, warning
 
-SIDECAR_VERSION = 2
-_HEADER_KEYS = tuple("version covered crc tagset auto lines rows rows_crc trees trees_crc".split())
+SIDECAR_VERSION = 3
+_HEADER_KEYS = tuple(
+    "version covered crc tagset auto lines rows rows_crc trees trees_crc marks marks_crc".split()
+)
 _TAG_TYPES = {str, type(None)}
 # where str.splitlines ends a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -106,9 +115,9 @@ class _DataFile:
 
     prefix = memoryview(b"")  # the bytes the sidecar covered at open, not copied
     unread = 0  # records of the prefix, whose lines and trees stay on disk
-    # the sidecar's rows and tree block for them, with their crc32s
-    body = trees_body = b""
-    body_crc = trees_crc = 0
+    # the sidecar's rows, tree block and checkpoint block for them, with their crc32s
+    body = trees_body = marks_body = b""
+    body_crc = trees_crc = marks_crc = 0
     # The file up to the end of its last record: length, crc32, line count
     # and auto-id count. A sidecar covers no more, so that a ``# id`` line
     # after the last record still names the sentence appended below it.
@@ -125,6 +134,7 @@ class _DataFile:
         # the lines and [surfaces, parents, groups] of the records parsed
         self.raws: list[str] = []
         self.trees: list[list] = []
+        self.marks: list[list] = []  # [end, crc, lines, auto] after each of them
 
     def append(self, payload: bytes, size: int) -> None:
         """Append ``payload`` with one ``write`` to the file, now ``size``
@@ -160,7 +170,7 @@ class CorpusStore:
 
         tagset_path = self.path / "tagset.cfg"
         if registry is None and tagset_path.is_file():
-            registry = load_tagset(tagset_path.read_text(encoding="utf-8"))
+            registry = load_tagset(utf8_text(tagset_path.read_bytes(), tagset_path))
         self.registry = registry if registry is not None else default_registry()
 
         if mode == "rw":
@@ -236,11 +246,13 @@ class CorpusStore:
         sidecar = _read_sidecar(path, data, self._tagset)
         # with an id another data file holds, the full parse names the duplicate
         if sidecar is not None and self._rows.keys().isdisjoint(row[0] for row in sidecar[1]):
-            header, rows, f.body, f.trees_body = sidecar
-            covered, f.crc, f.lines, f.auto, f.body_crc, f.trees_crc = (
-                header[key] for key in ("covered", "crc", "lines", "auto", "rows_crc", "trees_crc")
+            header, rows, f.body, f.trees_body, f.marks_body = sidecar
+            covered, f.crc, f.lines, f.auto, f.body_crc, f.trees_crc, f.marks_crc = (
+                header[key]
+                for key in ("covered", "crc", "lines", "auto", "rows_crc", "trees_crc", "marks_crc")
             )
-            f.prefix, f.rows, f.unread, f.stale = memoryview(data)[:covered], rows, len(rows), False
+            f.prefix, f.rows, f.unread = memoryview(data)[:covered], rows, len(rows)
+            f.stale = len(rows) != header["rows"]  # kept up to a checkpoint only
             for row in rows:
                 self._rows[row[0]] = row
 
@@ -260,7 +272,7 @@ class CorpusStore:
             tail_lines = text.splitlines()
             last_raw, last_line = tail_lines[-1], len(tail_lines)
 
-        last_record = 0  # its line number in the tail
+        parsed = []  # the line number in the tail and the auto-id count of each record
         for sentence_id, lineno, line in iter_sentences(text):
             auto_id = sentence_id is None
             if auto_id:
@@ -278,7 +290,7 @@ class CorpusStore:
                 text = text[: len(text) - len(last_raw)]
                 break
             f.auto += auto_id
-            last_record = lineno
+            parsed.append((lineno, f.auto))
             self._index(f, sentence_id, line, tree)
         if torn is not None:
             line_no, offset, reason = torn
@@ -294,10 +306,16 @@ class CorpusStore:
             data += b"\n"
 
         parts = text.splitlines(keepends=True)
+        last_record = parsed[-1][0] if parsed else 0
         f.trailer = "".join(parts[last_record:]).encode("utf-8")
         f.trailer_lines = len(parts) - last_record
-        f.end = covered + len(text.encode("utf-8")) - len(f.trailer)
-        f.crc = _crc32(memoryview(data)[covered : f.end], f.crc)
+        ends = list(accumulate(len(part.encode("utf-8")) for part in parts[:last_record]))
+        view, f.end = memoryview(data), covered
+        for lineno, auto in parsed:
+            end = covered + ends[lineno - 1]
+            f.crc = _crc32(view[f.end : end], f.crc)
+            f.marks.append([end, f.crc, f.lines + lineno, auto])
+            f.end = end
         f.lines += last_record
         f.stale = f.stale or last_record > 0
 
@@ -383,6 +401,7 @@ class CorpusStore:
         f.end += len(f.trailer) + len(payload)
         f.lines += f.trailer_lines + 2
         f.trailer, f.trailer_lines, f.stale = b"", 0, True
+        f.marks.append([f.end, f.crc, f.lines, f.auto])
         self._index(f, sentence_id, line, tree)
         return CorpusRecord(sentence_id, line, tree, language, str(data_file))
 
@@ -463,12 +482,19 @@ def _sidecar_path(data_file: Path) -> Path:
 
 def _read_sidecar(
     data_file: Path, data: bytes, tagset: int
-) -> tuple[dict, list[list], bytes, memoryview] | None:
-    """Header, rows, row bytes and tree block of the sidecar of
-    ``data_file`` when it describes a prefix of ``data`` read under registry
-    digest ``tagset``; None otherwise. The tree block is checked against its
-    crc32, not decoded, and stays a view of the file's bytes: a copy of it
-    would cost every open more than its crc32 does."""
+) -> tuple[dict, list[list], bytes, memoryview, memoryview] | None:
+    """Header, rows, row bytes, tree block and checkpoint block of the
+    sidecar of ``data_file`` for the prefix of ``data`` it still describes,
+    read under registry digest ``tagset``; None when it describes none.
+
+    The rows and the tree block are checked against their crc32s and the
+    rows decoded; the tree and checkpoint blocks stay views of the file's
+    bytes, since a copy of them would cost every open more than its crc32
+    does. While ``data`` holds the whole covered prefix, the checkpoint
+    block is neither checked nor decoded. Otherwise only the records up to
+    the last checkpoint that ``data`` still matches are returned, the blocks
+    cut to them and the header's counters and crc32s those of that prefix
+    (its ``rows`` count stays the sidecar's)."""
     try:
         raw = _sidecar_path(data_file).read_bytes()
         start = raw.find(b"\n") + 1 or len(raw)
@@ -481,26 +507,55 @@ def _read_sidecar(
         or any(type(value) is not int for value in header.values())
         or header["version"] != SIDECAR_VERSION
         or header["tagset"] != tagset
-        or not 0 <= header["trees"] <= len(raw) - start
+        # both block lengths at least 0, and both blocks after the header
+        or not 0 <= header["trees"] <= header["trees"] + header["marks"] <= len(raw) - start
     ):
         return None
-    end = len(raw) - header["trees"]
-    body, trees = raw[start:end], memoryview(raw)[end:]
+    marks_at = len(raw) - header["marks"]
+    end = marks_at - header["trees"]
+    body, trees, marks = raw[start:end], memoryview(raw)[end:marks_at], memoryview(raw)[marks_at:]
     if header["rows_crc"] != _crc32(body) or header["trees_crc"] != _crc32(trees):
         return None
+    rows = _decode_rows(body, header["rows"])
+    if rows is None:
+        return None
     covered = header["covered"]
-    if not 0 <= covered <= len(data) or header["crc"] != _crc32(memoryview(data)[:covered]):
+    if (
+        0 <= covered <= len(data)
+        and header["crc"] == _crc32(memoryview(data)[:covered])
+        and _ends_line(data, covered)
+    ):
+        return header, rows, body, trees, marks
+    points = _decode_marks(marks, header, len(rows))
+    kept = 0 if points is None else _kept(data, points)
+    if not kept:
         return None
-    # the prefix must end a line, and not between the two halves of "\r\n"
-    if covered and (data[covered - 1] not in b"\n\r" or data[covered - 1 : covered + 1] == b"\r\n"):
+    try:
+        rows_end, trees_end, marks_end = (
+            _line_end(raw, at, stop, kept)
+            for at, stop in ((start, end), (end, marks_at), (marks_at, len(raw)))
+        )
+    except ValueError:  # a tree block of fewer lines than rows
         return None
+    body = raw[start:rows_end]
+    trees, marks = memoryview(raw)[end:trees_end], memoryview(raw)[marks_at:marks_end]
+    covered, crc, lines, auto = points[kept - 1]
+    header = dict(
+        header, covered=covered, crc=crc, lines=lines, auto=auto,
+        rows_crc=_crc32(body), trees_crc=_crc32(trees), marks_crc=_crc32(marks),
+    )
+    return header, rows[:kept], body, trees, marks
+
+
+def _decode_rows(body: bytes, count: int) -> list[list] | None:
+    """The ``count`` rows of ``body``; None unless each is [id, rels, nodes,
+    depth], ids unique, rels and nodes of one length. Checked column by
+    column, which keeps the loops in C."""
     try:
         rows = json.loads("[" + body.decode().replace("\n", ",")[:-1] + "]")
     except ValueError:
         return None
-    # every row is [id, rels, nodes, depth], ids unique, rels and nodes of
-    # one length; checked column by column, which keeps the loops in C
-    if len(rows) != header["rows"] or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
+    if len(rows) != count or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
         return None
     ids, rels, nodes, depths = zip(*rows) if rows else ((), (), (), ())
     if not (
@@ -512,27 +567,79 @@ def _read_sidecar(
         and set(map(type, chain.from_iterable(rels + nodes))) <= _TAG_TYPES
     ):
         return None
-    return header, rows, body, trees
+    return rows
+
+
+def _decode_marks(marks: memoryview, header: dict, count: int) -> list[list] | None:
+    """The ``count`` checkpoints of the checkpoint block, ``[end, crc,
+    lines, auto]`` of ints each, the last one that of the covered prefix;
+    None when the block is not that."""
+    if header["marks_crc"] != _crc32(marks):
+        return None
+    try:
+        points = json.loads("[" + str(marks, "utf-8").replace("\n", ",")[:-1] + "]")
+    except ValueError:
+        return None
+    if (
+        len(points) != count
+        or set(map(type, points)) - {list}
+        or set(map(len, points)) - {4}
+        or set(map(type, chain.from_iterable(points))) - {int}
+        or points[-1:] != [[header[key] for key in ("covered", "crc", "lines", "auto")]]
+    ):
+        return None
+    return points
+
+
+def _kept(data: bytes, points: list[list]) -> int:
+    """The number of records up to the last checkpoint that ``data`` still
+    matches: its prefix has the checkpoint's crc32 and ends a line there. A
+    checkpoint past the end of ``data`` fails the crc32 of the bytes left,
+    and does not end a line there."""
+    view, crc, start, kept = memoryview(data), 0, 0, 0
+    for count, (end, point_crc, _lines, _auto) in enumerate(points, 1):
+        crc = _crc32(view[start:end], crc)
+        if crc != point_crc:
+            break
+        start = end
+        if _ends_line(data, end):
+            kept = count
+    return kept
+
+
+def _ends_line(data: bytes, end: int) -> bool:
+    """Whether the first ``end`` bytes of ``data`` end a line, and not
+    between the two halves of ``"\\r\\n"``."""
+    return not end or data[end - 1 : end] in (b"\n", b"\r") and data[end - 1 : end + 1] != b"\r\n"
+
+
+def _line_end(raw: bytes, at: int, stop: int, count: int) -> int:
+    """The offset after the first ``count`` lines of ``raw[at:stop]``;
+    ValueError when it holds fewer."""
+    for _ in range(count):
+        at = raw.index(b"\n", at, stop) + 1
+    return at
 
 
 def _write_sidecar(f: _DataFile, tagset: int) -> None:
     """Write the sidecar of ``f`` atomically; a failed write leaves none,
     which only costs the next open a full parse. Only the records parsed in
     this session are encoded and checksummed."""
-    rows, trees = (
+    rows, trees, marks = (
         "".join(_ROW_ENCODER.encode(item) + "\n" for item in items).encode("utf-8")
-        for items in (f.rows[f.unread :], f.trees)
+        for items in (f.rows[f.unread :], f.trees, f.marks)
     )
     values = (
         SIDECAR_VERSION, f.end, f.crc, tagset, f.auto, f.lines, len(f.rows),
         _crc32(rows, f.body_crc), len(f.trees_body) + len(trees), _crc32(trees, f.trees_crc),
+        len(f.marks_body) + len(marks), _crc32(marks, f.marks_crc),
     )
     header = json.dumps(dict(zip(_HEADER_KEYS, values))).encode("ascii") + b"\n"
     path = _sidecar_path(f.path)
     temp = path.with_name(path.name + ".tmp")
     try:
         with temp.open("wb") as fh:
-            fh.writelines((header, f.body, rows, f.trees_body, trees))
+            fh.writelines((header, f.body, rows, f.trees_body, trees, f.marks_body, marks))
         os.replace(temp, path)
     except OSError:
         temp.unlink(missing_ok=True)

@@ -11,6 +11,15 @@ class LerilError(Exception):
     """Base class for errors raised anywhere in this package."""
 
 
+def utf8_text(data: bytes, source) -> str:
+    """``data`` decoded as UTF-8; a LerilError naming ``source`` and the
+    offset of the first byte that is not UTF-8 text otherwise."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise LerilError(f"{source}: not UTF-8 text at byte {exc.start}") from None
+
+
 class Severity(enum.IntEnum):
     """Diagnostic severity, ordered so that ``max()`` picks the worst."""
 

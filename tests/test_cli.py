@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -572,6 +573,41 @@ class TestExitCodes:
     def test_clean_exit_0(self, capsys):
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tlg", "parse", "{file}"],
+            ["tlg", "validate", "{file}"],
+            ["anncorra", "convert", "{file}"],
+            ["anncorra", "check", "{file}"],
+            ["dict", "parse", "{file}"],
+            ["dict", "lookup", "{file}", "go"],
+            ["sutra", "parse-formula", "{file}"],
+            ["dict", "parse", "-"],
+        ],
+        ids=lambda argv: " ".join(argv[:2] + argv[2:][:1]).replace("{file}", "file"),
+    )
+    @pytest.mark.parametrize(
+        "data, byte", [(b"\xff\xfe# a\n", 0), (b"# a\nb \xe0\n", 6)], ids=["at-0", "at-6"]
+    )
+    def test_input_that_is_not_utf8_is_an_io_failure(
+        self, capsys, tmp_path, monkeypatch, argv, data, byte
+    ):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = _run(capsys, *(arg.format(file=path) for arg in argv))
+        source = argv[2].format(file=path)
+        assert (code, out, err) == (3, "", f"error: {source}: not UTF-8 text at byte {byte}\n")
+
+    def test_store_tagset_that_is_not_utf8_is_an_io_failure(self, capsys, tmp_path):
+        store = tmp_path / "store"
+        assert _run(capsys, "corpus", "add", SENTENCES, "--store", str(store))[0] == 0
+        (store / "tagset.cfg").write_bytes(b"K4\trelation\tnonverbal\t\xff\xfe\n")
+        code, out, err = _run(capsys, "corpus", "stats", "--store", str(store))
+        tagset = store / "tagset.cfg"
+        assert (code, out, err) == (3, "", f"error: {tagset}: not UTF-8 text at byte 22\n")
+
 
 SUBCOMMANDS = {
     "dict": ["parse", "emit", "lookup", "filter"],
@@ -668,6 +704,13 @@ class TestImports:
         out = _fresh_python(_IMPORTS_AFTER_RUN, *(arg.format(store=store) for arg in argv))
         modules = sorted(f"leril.{name}" for name in ["cli", "diagnostics", *layers.split()])
         assert out.split() == ["0", *modules]
+
+    def test_literal_frame_transfer_leaves_the_json_decoder_unloaded(self):
+        out = _fresh_python(
+            _IMPORTS_AFTER_RUN + 'print("json.decoder" in sys.modules)',
+            "transfer", "--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai", "I go.",
+        )
+        assert out.split()[-1] == "False"
 
     def test_import_leril_loads_a_layer_on_first_access(self):
         out = _fresh_python(

@@ -19,7 +19,7 @@ from treegen import random_tree
 import leril.corpus_store as corpus_store_module
 from leril.anncorra import Group, emit_explicit, parse_sentence, to_interchange
 from leril.cli import run
-from leril.corpus_store import CorpusError, CorpusStore, StoreLockedError
+from leril.corpus_store import SIDECAR_VERSION, CorpusError, CorpusStore, StoreLockedError
 from leril.diagnostics import Severity
 
 
@@ -403,22 +403,43 @@ def _rewrite_sidecar(path, edit=None, block=None, fresh_crc=True):
     """Apply ``edit(header, rows, trees)``, then ``block`` to the bytes of
     the tree block, to a sidecar and store it with fresh row checksum and
     tree block length and, with ``fresh_crc``, tree block checksum, so that
-    only the edit (or the stale tree block checksum) can make it unusable."""
+    only the edit (or the stale tree block checksum) can make it unusable.
+    The checkpoint block is kept as it is."""
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)
-    cut = len(body) - header["trees"]
+    marks_at = len(body) - header["marks"]
+    cut = marks_at - header["trees"]
     rows = [json.loads(line) for line in body[:cut].splitlines()]
-    trees = [json.loads(line) for line in body[cut:].splitlines()]
+    trees = [json.loads(line) for line in body[cut:marks_at].splitlines()]
     if edit is not None:
         edit(header, rows, trees)
     rows, trees = _json_lines(rows), _json_lines(trees)
-    assert edit is not None or rows + trees == body  # the store's own encoding
+    assert edit is not None or rows + trees == body[:marks_at]  # the store's own encoding
     if block is not None:
         trees = block(trees)
     header["rows_crc"], header["trees"] = zlib.crc32(rows), len(trees)
     if fresh_crc:
         header["trees_crc"] = zlib.crc32(trees)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rows + trees)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rows + trees + body[marks_at:])
+
+
+def _rewrite_checkpoints(path, edit=None, block=None, fresh_crc=True):
+    """Apply ``edit(points)``, then ``block`` to the bytes of the checkpoint
+    block, to a sidecar and store it with fresh block length and, with
+    ``fresh_crc``, block checksum."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    marks_at = len(body) - header["marks"]
+    points = [json.loads(line) for line in body[marks_at:].splitlines()]
+    if edit is not None:
+        edit(points)
+    marks = _json_lines(points)
+    if block is not None:
+        marks = block(marks)
+    header["marks"] = len(marks)
+    if fresh_crc:
+        header["marks_crc"] = zlib.crc32(marks)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body[:marks_at] + marks)
 
 
 def _wrong_shape(header, rows, trees):
@@ -457,14 +478,18 @@ def _duplicate_row(header, rows, trees):
     rows[1][0] = rows[0][0]
 
 
-def _version_1(path):
-    """Rewrite a sidecar in the layout of version 1: no tree block."""
+def _old_layout(path, version):
+    """Rewrite a sidecar in the layout of an older version: version 2 had no
+    checkpoint block, version 1 no tree block either."""
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)
-    rows = body[: len(body) - header.pop("trees")]
-    del header["trees_crc"]
-    header["version"] = 1
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rows)
+    body = body[: len(body) - header.pop("marks")]
+    del header["marks_crc"]
+    if version == 1:
+        body = body[: len(body) - header.pop("trees")]
+        del header["trees_crc"]
+    header["version"] = version
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 # Damage to the tree block that its checksum would catch, as the edit or
@@ -571,7 +596,9 @@ class TestSidecar:
             lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
             lambda p: p.write_bytes(b'["a header", 1]\n' + p.read_bytes().partition(b"\n")[2]),
             lambda p: p.write_bytes(p.read_bytes().replace(b'"k2"', b'"k3"', 1)),
-            lambda p: p.write_bytes(p.read_bytes().replace(b'"version": 2', b'"version": "2"', 1)),
+            lambda p: p.write_bytes(
+                p.read_bytes().replace(b'"version": %d' % SIDECAR_VERSION, b'"version": "3"', 1)
+            ),
             lambda p: p.write_bytes(b"\xff\xfe" + p.read_bytes()),
             lambda p: p.write_bytes(b""),
             lambda p: _rewrite_sidecar(p, _wrong_shape),
@@ -625,13 +652,20 @@ class TestSidecar:
                 reader.records()
 
     def test_version_1_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
+        self._older_sidecar_is_ignored_and_replaced(capsys, store_dir, 1, monkeypatch)
+
+    def test_version_2_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
+        # after an upgrade, the first open of each data file parses it whole
+        self._older_sidecar_is_ignored_and_replaced(capsys, store_dir, 2, monkeypatch)
+
+    def _older_sidecar_is_ignored_and_replaced(self, capsys, store_dir, version, monkeypatch):
         sidecar = store_dir / "hin.anncorra.idx"
-        _version_1(sidecar)
+        _old_layout(sidecar, version)
         calls = _count_parses(monkeypatch)
         self._same_as_without_sidecar(capsys, store_dir)
         assert len(calls) == 2 * 6 * 12  # every read parsed everything
         assert _cli_add(capsys, store_dir, "")[0] == 0
-        assert json.loads(sidecar.read_bytes().partition(b"\n")[0])["version"] == 2
+        assert json.loads(sidecar.read_bytes().partition(b"\n")[0])["version"] == SIDECAR_VERSION
         calls.clear()
         self._same_as_without_sidecar(capsys, store_dir)
         assert len(calls) == 6 * 12  # only the reads without the sidecar parse
@@ -729,6 +763,147 @@ class TestSidecar:
             ]
             assert reader.get("s5").tree.groups
 
+    def _reads_parse(self, capsys, path, monkeypatch):
+        """The sentences each read parses with the sidecar in place, once the
+        reads have been found to print what they print without it."""
+        calls = _count_parses(monkeypatch)
+        _cli_reads(capsys, path)
+        parsed = len(calls)
+        self._same_as_without_sidecar(capsys, path)
+        return parsed / len(READS)
+
+    def _next_writer_rebuilds_it(
+        self, capsys, path, monkeypatch, text="# late\nraama/k1 gayA::v\n"
+    ):
+        """The next ``corpus add`` of ``text`` parses only what no checkpoint
+        kept and its sentences, and writes the sidecar a writer with none would."""
+        plain = path.parent / "plain"
+        plain.mkdir()
+        shutil.copyfile(path / "hin.anncorra", plain / "hin.anncorra")
+        calls = _count_parses(monkeypatch)
+        assert _cli_add(capsys, path, text)[0] == 0
+        parsed = len(calls)
+        assert _cli_add(capsys, plain, text)[0] == 0
+        assert _sidecars(path) == _sidecars(plain)
+        assert self._reads_parse(capsys, path, monkeypatch) == 0
+        return parsed
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda p: _rewrite_checkpoints(p, None, lambda b: b.replace(b"[", b"{", 1), False),
+            # the line count of the eighth checkpoint, the one a cut to it
+            # would keep, against a stale crc32
+            lambda p: _rewrite_checkpoints(
+                p, lambda points: points[7].__setitem__(2, 1), fresh_crc=False
+            ),
+            lambda p: _rewrite_checkpoints(p, lambda points: points[3].__setitem__(1, "7")),
+            lambda p: _rewrite_checkpoints(p, lambda points: points[3].append(0)),
+            lambda p: _rewrite_checkpoints(p, lambda points: points.pop(3)),
+            lambda p: _rewrite_checkpoints(p, lambda points: points[-1].__setitem__(2, 99)),
+            lambda p: _rewrite_checkpoints(p, None, lambda b: b"[1,2,3,4]"),
+            lambda p: _rewrite_checkpoints(p, None, lambda b: b"\xff" + b),
+        ],
+        ids=["flipped-byte", "stale-crc", "crc-not-an-int", "too-long", "one-missing",
+             "last-one-not-covered", "not-json-lines", "not-utf8"],
+    )
+    def test_damaged_checkpoint_block_keeps_nothing_of_a_cut_file(
+        self, capsys, store_dir, damage, monkeypatch
+    ):
+        damage(store_dir / "hin.anncorra.idx")
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 0  # uncut: not read
+        data = store_dir / "hin.anncorra"
+        data.write_bytes(data.read_bytes()[: _record_end(data.read_bytes(), 8)])
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 8
+        assert self._next_writer_rebuilds_it(capsys, store_dir, monkeypatch) == 9
+
+    def test_tree_block_of_too_few_lines_keeps_nothing_of_a_cut_file(
+        self, capsys, store_dir, monkeypatch
+    ):
+        _rewrite_sidecar(store_dir / "hin.anncorra.idx", *TREE_DAMAGE["block-cut-after-a-line"])
+        data = store_dir / "hin.anncorra"
+        data.write_bytes(data.read_bytes()[: _record_end(data.read_bytes(), 8)])
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 8
+
+    def test_auto_ids_go_on_counting_after_a_cut(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "store"
+        path.mkdir()
+        data = path / "hin.anncorra"
+        data.write_text("".join(f"{line}\n" for line in POOL))  # hin-1 to hin-6
+        assert _cli_add(capsys, path, "")[0] == 0
+        raw = data.read_bytes()
+        data.write_bytes(raw[: raw.index(POOL[3].encode())] + b"siitaa/k2 dekhA::v\n")
+        assert self._reads_parse(capsys, path, monkeypatch) == 1  # hin-4 only
+        assert self._next_writer_rebuilds_it(capsys, path, monkeypatch) == 2
+
+    def test_restore_of_an_earlier_copy_keeps_its_rows(self, capsys, store_dir, monkeypatch):
+        data = store_dir / "hin.anncorra"
+        kept = data.read_bytes()
+        later = "".join(f"# late{k}\n{line}\n" for k, line in enumerate(POOL))
+        assert _cli_add(capsys, store_dir, later)[0] == 0
+        data.write_bytes(kept)  # the data file alone, restored from a copy
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 0
+        # a writer that adds nothing still writes the sidecar of the kept rows
+        assert self._next_writer_rebuilds_it(capsys, store_dir, monkeypatch, "") == 0
+        calls = _count_parses(monkeypatch)
+        batch = "".join(f"# new{k}\n{POOL[k % len(POOL)]}\n" for k in range(20))
+        code, out, _err = _cli_add(capsys, store_dir, batch)
+        assert (code, out.split()) == (0, [f"new{k}" for k in range(20)])
+        assert len(calls) == 20
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 0
+
+    @pytest.mark.parametrize(
+        "cut, parsed",
+        [
+            # the sentence line of the eighth record, s7, loses its last bytes
+            (lambda data: data[: _record_end(data, 8) - 5], 1),
+            (lambda data: data[: _record_end(data, 7) + 3], 0),  # inside "# s7"
+            (lambda data: data[:10], 1),  # inside the first record's line
+            # cut back to s7, then "siitaa/k2" of s2 made "siitaa/k1"
+            (lambda data: data[: _record_end(data, 8)].replace(b"a/k2 d", b"a/k1 d", 1), 6),
+        ],
+        ids=["mid-record", "mid-id-line", "below-the-first-record", "edit-after-the-cut"],
+    )
+    def test_cut_back_keeps_the_records_before_it(
+        self, capsys, store_dir, cut, parsed, monkeypatch
+    ):
+        data = store_dir / "hin.anncorra"
+        data.write_bytes(cut(data.read_bytes()))
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == parsed
+        assert self._next_writer_rebuilds_it(capsys, store_dir, monkeypatch) == parsed + 1
+
+    @pytest.mark.parametrize(
+        "newline, cut, parsed",
+        [
+            # "\r\n" line ends, cut between the two halves of the fourth
+            # record's: s3 is parsed again
+            (b"\r\n", lambda data: data[: _record_end(data, 4, b"\r\n") - 1], 1),
+            # "\r" line ends, cut back to the end of s2, then a line that
+            # starts with "\n": s2's "\r" now starts a "\r\n", so its
+            # checkpoint is not kept and s2 is parsed again with the new line
+            (b"\r", lambda data: data[: _record_end(data, 3, b"\r")] + b"\nraama/k1 gayA::v\n", 2),
+        ],
+        ids=["crlf-cut-after-cr", "cr-then-lf"],
+    )
+    def test_cut_between_cr_and_lf(self, capsys, tmp_path, newline, cut, parsed, monkeypatch):
+        path = tmp_path / "store"
+        path.mkdir()
+        data = path / "hin.anncorra"
+        records = (f"# s{k}\n{line}\n" for k, line in enumerate(POOL))
+        data.write_bytes("".join(records).encode().replace(b"\n", newline))
+        assert _cli_add(capsys, path, "")[0] == 0
+        data.write_bytes(cut(data.read_bytes()))
+        assert self._reads_parse(capsys, path, monkeypatch) == parsed
+        assert self._next_writer_rebuilds_it(capsys, path, monkeypatch) == parsed + 1
+
+
+def _record_end(data: bytes, count: int, newline: bytes = b"\n") -> int:
+    """The byte offset after the first ``count`` records, two lines each."""
+    end = 0
+    for _ in range(2 * count):
+        end = data.index(newline, end) + len(newline)
+    return end
+
 
 _OPS = st.one_of(
     st.tuples(st.just("add"), st.lists(st.sampled_from(POOL), max_size=4)),
@@ -739,6 +914,8 @@ _OPS = st.one_of(
     st.tuples(st.just("torn"), st.sampled_from(["siitaa/k1 ga", "raama/k1 gayA::v", "# c"])),
     st.tuples(st.just("drop-sidecar")),
     st.tuples(st.just("cut"), st.floats(0.0, 1.0)),
+    # the data file as it was after an earlier step, restored from a copy
+    st.tuples(st.just("restore"), st.integers(0, 9)),
 )
 
 
@@ -775,11 +952,14 @@ def _observe(path: Path):
     [("hand", [(False, POOL[0])]), ("add", []), ("torn", "x/k1 y"), ("hand", [(True, POOL[1])])]
 )
 @example([("add", [POOL[0]]), ("hand", [(False, "# c")]), ("add", [POOL[1]]), ("torn", "x/k1 y")])
+# a restore back to a checkpoint, then a writer that rewrites the sidecar
+@example([("add", [POOL[0], POOL[1]]), ("add", [POOL[2]]), ("restore", 0), ("add", [POOL[3]])])
 def test_sidecar_never_changes_what_readers_see(ops):
     with tempfile.TemporaryDirectory() as tmp:
         path, plain = Path(tmp) / "store", Path(tmp) / "plain"
         path.mkdir()
         serial = 0
+        copies = []  # the data file after each step, None while there is none
         for op in ops:
             data = path / "hin.anncorra"
             if op[0] == "add":
@@ -801,9 +981,16 @@ def test_sidecar_never_changes_what_readers_see(ops):
                     fh.write("".join(parts))
             elif op[0] == "drop-sidecar":
                 (path / "hin.anncorra.idx").unlink(missing_ok=True)
+            elif op[0] == "restore":
+                copy = copies[op[1] % len(copies)] if copies else None
+                if copy is None:
+                    data.unlink(missing_ok=True)
+                else:
+                    data.write_bytes(copy)
             elif data.exists():
                 raw = data.read_bytes()
                 data.write_bytes(raw[: int(len(raw) * op[1])])
+            copies.append(data.read_bytes() if data.exists() else None)
             before = _sidecars(path)
             seen = _observe(path)
             assert _sidecars(path) == before
