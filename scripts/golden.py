@@ -1,0 +1,531 @@
+#!/usr/bin/env python3
+"""Golden differential check: what ``leril`` prints here against a base revision.
+
+    python scripts/golden.py --base HEAD [--allow GLOB ...]
+
+Builds a fixed, deterministic list of cases and runs every one through
+``leril.cli.run`` in-process, once with the sources of this working tree
+and once with those of ``--base`` (extracted with ``git archive`` into a
+temporary directory, so no network is needed). Each tree runs in its own
+child process. The cases are:
+
+- every subcommand on ``tests/fixtures/`` and on a few generated inputs
+  (empty, not UTF-8, BOM, NUL, CR line ends, deep brackets, a missing file,
+  a directory), with and without ``--strict``, plus transfer sentences and
+  literal frames, and ``--tagset`` / ``LERIL_TAGSET`` variants;
+- ``-h`` of every command and subcommand, and usage errors;
+- treebank store lifecycles: adds, reads, hand edits, a data file cut back
+  or restored from a copy, a torn last line, damaged sidecars;
+- the prepare ops and ops of the three bench workloads for seeds 1-3, built
+  by the ``setup`` functions of ``bench/*.py`` (read, not changed).
+
+Every store case runs twice: with the sidecars the writers leave, and with
+every sidecar deleted before each command. A case is one command; it
+compares stdout, stderr and the exit code (or the ``SystemExit`` code, or
+the type and text of an escaping exception), with the temporary directory
+replaced by ``<TMP>``. Long outputs are compared by digest.
+
+``--allow GLOB`` (repeatable) names cases whose difference is intended;
+they are listed but do not fail the run. Exit status: 0 when no other case
+differs, 1 otherwise. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import fnmatch
+import hashlib
+import io
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+BENCH = ROOT / "bench"
+SEEDS = (1, 2, 3)
+LONG = 4096  # outputs longer than this are compared by digest
+READS = [
+    ["corpus", "query", "k1"],
+    ["corpus", "query", "k2"],
+    ["corpus", "query", "kr"],
+    ["corpus", "query", "k4"],
+    ["corpus", "query", "zz"],
+    ["corpus", "stats"],
+    ["corpus", "stats", "--strict"],
+    ["corpus", "export"],
+    ["corpus", "export", "--format", "interchange"],
+]
+
+
+class Cmd:
+    """One ``leril`` command line, with its stdin bytes and LERIL_TAGSET."""
+
+    __slots__ = ("name", "argv", "stdin", "tagset")
+
+    def __init__(self, name, argv, stdin=None, tagset=None):
+        self.name, self.argv, self.stdin, self.tagset = name, argv, stdin, tagset
+
+
+# ---------------------------------------------------------------- inputs
+
+
+def _inputs(tmp: Path) -> dict[str, Path]:
+    """The fixtures and the generated inputs, by name, copied under ``tmp``."""
+    folder = tmp / "in"
+    shutil.copytree(FIXTURES, folder)
+    sentences = (FIXTURES / "sentences.anncorra").read_bytes()
+    generated = {
+        "empty.txt": b"",
+        "not-utf8.txt": b"\xff\xfe# a\n",
+        "bom.anncorra": b"\xef\xbb\xbf" + sentences,
+        "nul.anncorra": b"rAma_ne/k1 a\x00b piyA::v\n",
+        "cr.anncorra": sentences.replace(b"\n", b"\r"),
+        "crlf.dict": (FIXTURES / "go.dict").read_bytes().replace(b"\n", b"\r\n"),
+        "u2028.anncorra": "rAma_ne/k1 piyA::v\n".encode(),
+        "deep.anncorra": b"[" * 300 + b"x/k1 y::v" + b"]<s>" * 300 + b"\n",
+        "deep.formula": b"a[" * 300 + b"b" + b"]" * 300 + b"\n",
+        "frames.tlg": b'HEADWORD::"x","V"\nMEANING::1::"y"\nFRAME_E:: []\nFRAME_I:: [[\n',
+        "mixed.anncorra": (
+            b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
+            b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"
+        ),
+    }
+    for name, data in generated.items():
+        (folder / name).write_bytes(data)
+    paths = {p.name: p for p in sorted(folder.iterdir())}
+    paths["missing"] = folder / "no-such-file"
+    paths["directory"] = folder
+    return paths
+
+
+def _file_cases(inputs: dict[str, Path]) -> list[Cmd]:
+    """Every file-reading subcommand on every input, with and without --strict."""
+    fixture = {name: str(inputs[name]) for name in inputs}
+    templates = [
+        ["dict", "parse", "{}"],
+        ["dict", "parse", "{}", "--format", "text"],
+        ["dict", "emit", "{}"],
+        ["dict", "lookup", "{}", "go"],
+        ["dict", "lookup", "{}", "go", "--format", "interchange"],
+        ["dict", "lookup", "{}", "go", "--pos", "V"],
+        ["dict", "lookup", "{}", "nope"],
+        ["dict", "filter", "{}", "--wordlist", fixture["wordlist.txt"]],
+        ["dict", "filter", fixture["go.dict"], "--wordlist", "{}"],
+        ["tlg", "parse", "{}"],
+        ["tlg", "parse", "{}", "--format", "text"],
+        ["tlg", "validate", "{}"],
+        ["tlg", "emit", "{}"],
+        ["tlg", "corpus", "{}"],
+        ["tlg", "seed", "--dict", "{}"],
+        ["tlg", "seed", "--dict", "{}", "--headword", "go"],
+        ["tlg", "seed", "--dict", "{}", "--headword", "nope"],
+        ["anncorra", "parse", "{}"],
+        ["anncorra", "check", "{}"],
+        ["anncorra", "convert", "{}"],
+        ["anncorra", "convert", "{}", "--explicit"],
+        ["anncorra", "convert", "{}", "--minimize"],
+        ["anncorra", "parse", "{}", "--tagset", fixture["tagset_k4.cfg"]],
+        ["anncorra", "check", "{}", "--tagset", fixture["tagset_k4.cfg"]],
+        ["anncorra", "convert", "{}", "--minimize", "--tagset", fixture["tagset_k4.cfg"]],
+        ["anncorra", "parse", fixture["sentences.anncorra"], "--tagset", "{}"],
+        ["sutra", "parse-formula", "{}"],
+        ["sutra", "parse-thread", "{}"],
+        ["sutra", "check", "{}", fixture["issue.thread"]],
+        ["sutra", "check", fixture["issue.formula"], "{}"],
+        ["sutra", "check", fixture["issue.formula"], fixture["issue.thread"], "--alias", "{}"],
+        ["transfer", "--lexicon", "{}", "I go to school."],
+        ["transfer", "--lexicon", "{}", "These clothes go into that suitcase.", "--gloss-slots"],
+        ["transfer", "--lexicon", "{}", "I go to school.", "--headword", "go", "--sense", "1"],
+    ]
+    cases = []
+    for name, path in inputs.items():
+        for template in templates:
+            argv = [str(path) if arg == "{}" else arg for arg in template]
+            for strict in ([], ["--strict"]):
+                label = " ".join(template[:2]) + f" #{templates.index(template)}"
+                cases.append(Cmd(f"file/{label}/{name}{''.join(strict)}", argv + strict))
+        if name.endswith((".anncorra", ".cfg", ".txt")) or name in ("missing", "directory"):
+            for sub in ("parse", "check", "convert"):
+                argv = ["anncorra", sub, fixture["sentences.anncorra"]]
+                cases.append(Cmd(f"file/anncorra {sub} LERIL_TAGSET/{name}", argv, tagset=str(path)))
+    for name in ("sentences.anncorra", "go.dict", "go.tlg", "issue.formula", "empty.txt"):
+        data = inputs[name].read_bytes()
+        for argv in (["anncorra", "convert", "-"], ["dict", "parse", "-"], ["tlg", "emit", "-"],
+                     ["sutra", "parse-formula", "-"]):
+            cases.append(Cmd(f"stdin/{' '.join(argv[:2])}/{name}", argv, stdin=data))
+    return cases
+
+
+def _transfer_cases(inputs: dict[str, Path]) -> list[Cmd]:
+    """Transfer of fixture sentences over the lexicon and as literal frames."""
+    lexicon = str(inputs["go.tlg"])
+    text = inputs["go.tlg"].read_text(encoding="utf-8")
+    fields = [line.partition("::") for line in text.splitlines()]
+    sentences = [value.strip() for key, _, value in fields if key == "ENG_EXP"]
+    sentences += ["I go to the school.", "She goes to school quickly.", "", "go"]
+    frames_e = [value.strip() for key, _, value in fields if key == "FRAME_E"]
+    frames_i = [value.strip() for key, _, value in fields if key == "FRAME_I"]
+    frames = list(zip(frames_e, frames_i)) + [("[]", "A"), ("A goes [[", "A"), ("A B", "[]")]
+    cases = []
+    for k, sentence in enumerate(sentences):
+        for optional in ("include", "omit", "mark"):
+            for extra in ([], ["--gloss-slots"], ["--headword", "go"], ["--headword", "nope"],
+                          ["--headword", "go", "--sense", "2"], ["--sense", "1"]):
+                argv = ["transfer", sentence, "--lexicon", lexicon, "--optional", optional, *extra]
+                cases.append(Cmd(f"transfer/lexicon/{k}/{optional}/{' '.join(extra)}", argv))
+            for j, (source, target) in enumerate(frames):
+                argv = ["transfer", sentence, "--frame-e", source, "--frame-i", target,
+                        "--optional", optional]
+                cases.append(Cmd(f"transfer/literal/{k}/{j}/{optional}", argv))
+    cases += [
+        Cmd("transfer/usage/frame-e-alone", ["transfer", "x", "--frame-e", "A goes"]),
+        Cmd("transfer/usage/no-lexicon", ["transfer", "x"]),
+        Cmd("transfer/usage/frames-and-headword",
+            ["transfer", "x", "--frame-e", "A", "--frame-i", "A", "--headword", "go"]),
+        Cmd("transfer/usage/bad-optional", ["transfer", "x", "--lexicon", lexicon,
+                                            "--optional", "sometimes"]),
+        Cmd("transfer/usage/sense-not-int", ["transfer", "x", "--lexicon", lexicon,
+                                             "--headword", "go", "--sense", "one"]),
+    ]
+    return cases
+
+
+def _help_cases() -> list[Cmd]:
+    """Help of every command and subcommand, and usage errors."""
+    subcommands = {
+        "dict": ["parse", "emit", "lookup", "filter"],
+        "tlg": ["parse", "validate", "seed", "emit", "corpus"],
+        "anncorra": ["parse", "check", "convert"],
+        "sutra": ["parse-formula", "parse-thread", "check"],
+        "corpus": ["add", "query", "stats", "export"],
+    }
+    argvs = [[], ["-h"], ["--help"], ["nope"], ["--strict"], ["transfer"], ["transfer", "-h"]]
+    for command, subs in subcommands.items():
+        argvs += [[command], [command, "-h"], [command, "nope"]]
+        for sub in subs:
+            argvs += [[command, sub], [command, sub, "-h"], [command, sub, "x", "--bogus"]]
+    argvs += [
+        ["dict", "parse", "x", "--format", "xml"],
+        ["tlg", "parse", "x", "--format", "xml"],
+        ["corpus", "export", "--store", "x", "--format", "xml"],
+        ["anncorra", "convert", "x", "--explicit", "--minimize"],
+        ["dict", "filter", "x"],
+        ["corpus", "add", "x"],
+        ["corpus", "query", "k1"],
+    ]
+    return [Cmd(f"help/{' '.join(argv) or '-'}", argv) for argv in argvs]
+
+
+# ---------------------------------------------------------------- stores
+
+
+def _cut(fraction):
+    def action(store: Path) -> None:
+        for data in sorted(store.glob("*.anncorra")):
+            raw = data.read_bytes()
+            data.write_bytes(raw[: int(len(raw) * fraction)])
+
+    return action
+
+
+def _flip(fraction):
+    def action(store: Path) -> None:
+        for sidecar in sorted(store.glob("*.idx")):
+            raw = bytearray(sidecar.read_bytes())
+            if raw:
+                raw[min(int(len(raw) * fraction), len(raw) - 1)] ^= 0x01
+                sidecar.write_bytes(raw)
+
+    return action
+
+
+def _append(text: bytes, name="hin.anncorra"):
+    def action(store: Path) -> None:
+        with (store / name).open("ab") as fh:
+            fh.write(text)
+
+    return action
+
+
+def _copy_and_restore():
+    """Two actions: keep a copy of the data files, and write it back."""
+    kept: dict[str, bytes] = {}
+
+    def copy(store: Path) -> None:
+        kept.update({p.name: p.read_bytes() for p in store.glob("*.anncorra")})
+
+    def restore(store: Path) -> None:
+        for name, data in kept.items():
+            (store / name).write_bytes(data)
+
+    return copy, restore
+
+
+def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
+    """Store lifecycles as (name, steps(folder) -> list of Cmd or actions)."""
+    path = {name: str(p) for name, p in inputs.items()}
+    k4 = path["tagset_k4.cfg"]
+    langs = {"und": [], "hin": ["--lang", "hin"], "outside": ["--lang", "../x"],
+             "hin-k4": ["--lang", "hin", "--tagset", k4]}
+
+    def reads(store, *extra):
+        return [Cmd(" ".join(argv), [*argv, "--store", str(store), *extra]) for argv in READS]
+
+    def add(store, source, *extra):
+        return Cmd(f"add {Path(source).name}", ["corpus", "add", source, "--store", str(store),
+                                                *extra])
+
+    scenarios = []
+    for source in ("sentences.anncorra", "mixed.anncorra", "cr.anncorra", "bom.anncorra",
+                   "deep.anncorra", "empty.txt", "not-utf8.txt", "missing", "go.dict"):
+        # a store is made first, so that the reads after an add that fails on
+        # its input read one
+        unreadable = source in ("missing", "not-utf8.txt")
+        first = [path["sentences.anncorra"], "--lang", "tel"] if unreadable else []
+        for label, lang in langs.items():
+            def steps(store, source=source, lang=lang, first=first):
+                made = [add(store, *first)] if first else []
+                return [*made, add(store, path[source], *lang), *reads(store),
+                        *reads(store, "--tagset", k4)]
+
+            scenarios.append((f"store/add/{source}/{label}", steps))
+
+    pool = path["mixed.anncorra"]
+    sentences = path["sentences.anncorra"]
+
+    def two_adds(store):
+        return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
+                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+
+    def two_languages(store):
+        return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "tel"),
+                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+
+    def hand_appended(store):
+        return [add(store, sentences, "--lang", "hin"),
+                _append(b"raama/k1 gayA::v\n\n# t1 note\nsiitaa/k2 dekhA::v\n# dangling\n"),
+                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+
+    def torn(store):
+        return [add(store, pool, "--lang", "hin"), _append(b"# s9\nsiitaa/k1 ga"),
+                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+
+    def torn_utf8(store):
+        return [add(store, sentences, "--lang", "hin"), _append(b"siitaa/k1 g\xc3"),
+                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+
+    def unterminated(store):
+        return [add(store, pool, "--lang", "hin"), _append(b"# s9\nraama/k1 gayA::v"),
+                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+
+    def restored(store):
+        copy, restore = _copy_and_restore()
+        return [add(store, sentences, "--lang", "hin"), copy, add(store, pool, "--lang", "hin"),
+                restore, *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+
+    def stdin_add(store):
+        data = inputs["mixed.anncorra"].read_bytes()
+        return [Cmd("add -", ["corpus", "add", "-", "--store", str(store)], stdin=data),
+                *reads(store)]
+
+    def store_tagset(store):
+        def tagset(s):
+            s.mkdir(parents=True, exist_ok=True)
+            shutil.copyfile(k4, s / "tagset.cfg")
+
+        return [tagset, add(store, sentences), _append(b"raama/k4 gayA::v\n", "und.anncorra"),
+                *reads(store), add(store, pool), *reads(store)]
+
+    for name, steps in [("two-adds", two_adds), ("two-languages", two_languages),
+                        ("hand-appended", hand_appended), ("torn", torn),
+                        ("torn-utf8", torn_utf8), ("unterminated", unterminated),
+                        ("restored", restored), ("stdin", stdin_add),
+                        ("store-tagset", store_tagset)]:
+        scenarios.append((f"store/{name}", steps))
+    for fraction in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
+        def cut(store, fraction=fraction):
+            return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
+                    _cut(fraction), *reads(store), add(store, sentences, "--lang", "hin"),
+                    *reads(store)]
+
+        def flipped(store, fraction=fraction):
+            return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
+                    _flip(fraction), *reads(store), add(store, sentences, "--lang", "hin"),
+                    *reads(store)]
+
+        scenarios.append((f"store/cut-{fraction}", cut))
+        scenarios.append((f"store/sidecar-byte-{fraction}", flipped))
+    return [(name, lambda folder, steps=steps: steps(folder / "store")) for name, steps in scenarios]
+
+
+# ---------------------------------------------------------------- bench
+
+
+def _bench_scenarios(tmp: Path) -> list[tuple[str, object, bool]]:
+    """The bench workloads' ops as (name, steps(folder), store case?)."""
+    sys.path.insert(0, str(BENCH))
+    spec = json.loads((BENCH / "spec.json").read_text(encoding="utf-8"))
+    import convert_long  # noqa: E402  (bench modules, importable from BENCH only)
+    import lexicon
+    import treebank
+
+    modules = {"treebank": treebank, "convert_long": convert_long, "lexicon": lexicon}
+    scenarios = []
+    for name, module in modules.items():
+        sizes = spec["workloads"][name]["sizes"]
+        for seed in SEEDS:
+            def steps(folder, module=module, name=name, sizes=sizes, seed=seed):
+                workload = module.setup(folder, random.Random(f"{name}:{seed}"), sizes)
+                ops = [Cmd(f"prepare {k} {op.kind}", op.argv) for k, op in enumerate(workload.prepare)]
+                for run in (1, 2):  # the second pass starts from the restored data file
+                    ops.append(lambda _store, reset=workload.reset: reset())
+                    ops += [Cmd(f"pass {run} op {k} {op.kind}", op.argv)
+                            for k, op in enumerate(workload.ops)]
+                return ops
+
+            scenarios.append((f"bench/{name}/seed{seed}", steps, name == "treebank"))
+    return scenarios
+
+
+# ---------------------------------------------------------------- worker
+
+
+def _execute(run, cmd: Cmd) -> list:
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    if cmd.stdin is not None:
+        sys.stdin = io.TextIOWrapper(io.BytesIO(cmd.stdin))
+    if cmd.tagset is not None:
+        os.environ["LERIL_TAGSET"] = cmd.tagset
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(list(cmd.argv))
+            except SystemExit as exc:
+                code = f"SystemExit {exc.code}"
+            except Exception as exc:  # an escaping exception is an outcome too
+                code = f"raised {type(exc).__name__}: {exc}"
+    finally:
+        sys.stdin = stdin
+        os.environ.pop("LERIL_TAGSET", None)
+    return [out.getvalue(), err.getvalue(), code]
+
+
+def _normalise(outcome: list, tmp: str) -> list:
+    result = []
+    for value in outcome:
+        if isinstance(value, str):
+            value = value.replace(tmp, "<TMP>")
+            if len(value) > LONG:
+                digest = hashlib.sha256(value.encode("utf-8", "surrogatepass")).hexdigest()
+                value = f"sha256 {digest} ({len(value)} chars)"
+        result.append(value)
+    return result
+
+
+def worker(src: Path, out_path: Path) -> None:
+    """Run every case with the leril sources under ``src``; write the outcomes."""
+    sys.path.insert(0, str(src))
+    import leril
+    import leril.cli
+
+    if Path(leril.__file__).resolve().parent != src.resolve() / "leril":
+        raise SystemExit(f"error: imported leril from {leril.__file__}, not {src}")
+    os.environ.pop("LERIL_TAGSET", None)
+    run = leril.cli.run
+    results: dict[str, list] = {}
+
+    def record(case: str, cmd: Cmd) -> None:
+        assert case not in results, f"two cases named {case!r}"
+        results[case] = _normalise(_execute(run, cmd), name)
+
+    with tempfile.TemporaryDirectory(prefix="golden-") as name:
+        tmp = Path(name)
+        inputs = _inputs(tmp)
+        for cmd in _help_cases() + _file_cases(inputs) + _transfer_cases(inputs):
+            record(cmd.name, cmd)
+        sequences = [(n, steps, True) for n, steps in _store_scenarios(inputs)]
+        sequences += _bench_scenarios(tmp)
+        for k, (scenario, steps, store_case) in enumerate(sequences):
+            for variant in ("sidecar", "plain") if store_case else ("",):
+                folder = tmp / "runs" / f"{k}{variant}"
+                folder.mkdir(parents=True)
+                store = folder / "store"
+                label = f"{scenario}@{variant}" if variant else scenario
+                for step, item in enumerate(steps(folder)):
+                    if not isinstance(item, Cmd):
+                        item(store)
+                        continue
+                    if variant == "plain":
+                        for sidecar in store.glob("*.idx"):
+                            sidecar.unlink()
+                    record(f"{label}/{step} {item.name}", item)
+                shutil.rmtree(folder)
+    out_path.write_text(json.dumps(results), encoding="utf-8")
+
+
+# ---------------------------------------------------------------- driver
+
+
+def _run_worker(src: Path, out_path: Path) -> dict:
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    env["COLUMNS"] = "100"
+    subprocess.run(
+        [sys.executable, __file__, "--worker", str(src), str(out_path)], check=True, env=env
+    )
+    return json.loads(out_path.read_text(encoding="utf-8"))
+
+
+def _extract(revision: str, into: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
+        check=True, capture_output=True,
+    ).stdout
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, **safe)
+    return into / "src"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", help="git revision to compare with")
+    parser.add_argument("--allow", action="append", default=[], metavar="GLOB",
+                        help="cases whose difference is intended (fnmatch glob; repeatable)")
+    parser.add_argument("--worker", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        worker(Path(args.worker[0]), Path(args.worker[1]))
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+    with tempfile.TemporaryDirectory(prefix="golden-base-") as name:
+        tmp = Path(name)
+        base = _run_worker(_extract(args.base, tmp / "base"), tmp / "base.json")
+        here = _run_worker(ROOT / "src", tmp / "here.json")
+    differing = sorted(
+        case for case in base.keys() | here.keys() if base.get(case) != here.get(case)
+    )
+    allowed = [c for c in differing if any(fnmatch.fnmatchcase(c, g) for g in args.allow)]
+    for case in differing:
+        tag = "allowed" if case in allowed else "DIFFERS"
+        print(f"{tag}: {case}")
+        old, new = base.get(case), here.get(case)
+        for field, a, b in zip(("stdout", "stderr", "exit"), old or [None] * 3, new or [None] * 3):
+            if a != b:
+                print(f"  {field}: {str(a)[:300]!r}\n  {' ' * len(field)}  -> {str(b)[:300]!r}")
+    print(f"golden: {len(here)} cases, {len(differing)} differences "
+          f"({len(allowed)} allowed) against {args.base}")
+    return 1 if len(differing) > len(allowed) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

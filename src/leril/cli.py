@@ -144,14 +144,6 @@ def _cmd_dict_parse(args):
     return diags
 
 
-def _cmd_dict_emit(args):
-    from . import dict_model
-
-    dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
-    _print(dict_model.emit_dictionary(dictionary))
-    return diags
-
-
 def _cmd_dict_lookup(args):
     from . import dict_model
 
@@ -220,14 +212,6 @@ def _cmd_tlg_seed(args):
         record, seed_diags = translexgram.seed_from_dictionary(entry)
         records.append(record)
         diags.extend(seed_diags)
-    _print(translexgram.emit_tlg(records))
-    return diags
-
-
-def _cmd_tlg_emit(args):
-    from . import translexgram
-
-    records, diags = translexgram.parse_tlg(_read_text(args.file))
     _print(translexgram.emit_tlg(records))
     return diags
 
@@ -398,9 +382,10 @@ def _cmd_corpus_add(args):
     from . import anncorra, corpus_store
 
     added = []
-    with corpus_store.CorpusStore(args.store, "rw", _load_registry(args)) as store:
+    registry = _load_registry(args)
+    text = _read_text(args.file)  # before the store is created or locked
+    with corpus_store.CorpusStore(args.store, "rw", registry) as store:
         diags = store.diagnostics
-        text = _read_text(args.file)
         auto = len(store)
         for sentence_id, lineno, line in anncorra.iter_sentences(text):
             if sentence_id is None:
@@ -468,8 +453,9 @@ def _fill_dict(p_dict: argparse.ArgumentParser) -> None:
     p = _command(dict_sub.add_parser("parse"), _cmd_dict_parse)
     p.add_argument("file")
     p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p = _command(dict_sub.add_parser("emit"), _cmd_dict_emit)
+    p = _command(dict_sub.add_parser("emit"), _cmd_dict_parse)  # parse --format text
     p.add_argument("file")
+    p.set_defaults(format="text")
     p = _command(dict_sub.add_parser("lookup"), _cmd_dict_lookup)
     p.add_argument("file")
     p.add_argument("headword")
@@ -490,8 +476,9 @@ def _fill_tlg(p_tlg: argparse.ArgumentParser) -> None:
     p = _command(tlg_sub.add_parser("seed"), _cmd_tlg_seed)
     p.add_argument("--dict", required=True)
     p.add_argument("--headword")
-    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_emit)
+    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_parse)  # parse --format text
     p.add_argument("file")
+    p.set_defaults(format="text")
     p = _command(tlg_sub.add_parser("corpus"), _cmd_tlg_corpus)
     p.add_argument("file")
 

@@ -17,29 +17,28 @@ ignore the lock.
 
 Summary sidecar. Beside each data file a writer keeps
 ``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a JSON
-header (format version; byte length, ``zlib.crc32``, line and auto-id
-counts of the data file prefix it covers; tag registry digest; count and
-crc32 of the rows; byte length and crc32 of the tree block and of the
-checkpoint block), one row line per record, ``[id, relation tags, node
-tags, depth]``, then the tree block, one line per record, ``[surfaces,
-parents, groups as [start, stop, tag]]``, then the checkpoint block, one
-line per record, ``[end, crc32, lines, auto ids]`` of the file up to the
-end of that record. Every open checks the crc32s of the rows and the tree
-block and decodes the rows alone, which ``query_by_relation`` and
-``stats`` read; ``export`` reads the prefix's lines unparsed, and ``get``,
-``records`` and the interchange export also decode the tree block. Lines
-without the rows' ids, or a block without one rooted tree per row, fail
-them with "does not describe". When the data file no longer holds the
+header (format version, tag registry digest, byte lengths of the tree and
+checkpoint blocks, and one ``zlib.crc32`` of the three blocks), one row
+line per record, ``[id, relation tags, node tags, depth]``, then the tree
+block, one line per record, ``[surfaces, parents, groups as [start, stop,
+tag]]``, then the checkpoint block, one line per record, ``[end, crc32,
+lines, auto ids]`` of the data file up to the end of that record; the last
+one is the prefix the sidecar covers. Nothing is stored twice. Every open
+checks the crc32 and decodes the rows, which ``query_by_relation`` and
+``stats`` read, and the last checkpoint; ``export`` reads the prefix's
+lines unparsed, and the interchange export also decodes the tree block.
+Lines without the rows' ids, or a block without one rooted tree per row,
+fail it with "does not describe". When the data file no longer holds the
 covered prefix (it was cut back, as by a restore from an earlier copy, or
-edited), the open checks and decodes the checkpoint block and keeps the
-records up to the last checkpoint whose prefix still matches its crc32;
-it parses only what follows, and a writer rewrites the sidecar with the
-kept rows, trees and checkpoints. A sidecar that is missing, cannot be
-read, is of another version (version 2 had no checkpoints) or registry,
-or has no matching checkpoint covers nothing, and every record is parsed:
-deleting one is always safe. Only writers write one, at close, under the
-lock, via ``os.replace``, reusing the bytes and crc32s they loaded. The
-crc32 notices damage, not forgery (``hashlib`` would map OpenSSL into
+edited), the open decodes every checkpoint and keeps the records up to the
+last one whose prefix still matches its crc32; it parses only what
+follows, and a writer rewrites the sidecar with the kept rows, trees and
+checkpoints. A sidecar that is missing, cannot be read, fails its crc32,
+is of another version (so after an upgrade, until the next writer) or
+registry, or has no matching checkpoint covers nothing, and every record
+is parsed: deleting one is always safe. Only writers write one, at close,
+under the lock, via ``os.replace``, reusing the block bytes they loaded.
+The crc32 notices damage, not forgery (``hashlib`` would map OpenSSL into
 every corpus command, 3.6 MB resident). ``SIDECAR_VERSION`` must change
 with any change to what a line parses to: rows and trees (surfaces,
 parents, groups) are trusted without parsing their lines.
@@ -63,14 +62,12 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 
-from .anncorra import DepNode, DepTree, Group, TagRegistry, default_registry, iter_sentences
+from .anncorra import DepTree, TagRegistry, default_registry, iter_sentences
 from .anncorra import load_tagset, parse_sentence
 from .diagnostics import Diagnostic, LerilError, has_errors, utf8_text, warning
 
-SIDECAR_VERSION = 3
-_HEADER_KEYS = tuple(
-    "version covered crc tagset auto lines rows rows_crc trees trees_crc marks marks_crc".split()
-)
+SIDECAR_VERSION = 4
+_HEADER_KEYS = ("version", "tagset", "trees", "marks", "crc")
 _TAG_TYPES = {str, type(None)}
 # where str.splitlines ends a line
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -87,15 +84,6 @@ class CorpusError(LerilError):
 
 class StoreLockedError(CorpusError):
     """Another writer holds the store lock."""
-
-
-@dataclass
-class CorpusRecord:
-    id: str
-    raw: str
-    tree: DepTree
-    language: str
-    source: str  # the data file the record is stored in
 
 
 @dataclass(frozen=True)
@@ -115,9 +103,7 @@ class _DataFile:
 
     prefix = memoryview(b"")  # the bytes the sidecar covered at open, not copied
     unread = 0  # records of the prefix, whose lines and trees stay on disk
-    # the sidecar's rows, tree block and checkpoint block for them, with their crc32s
-    body = trees_body = marks_body = b""
-    body_crc = trees_crc = marks_crc = 0
+    body = trees_body = marks_body = b""  # the sidecar's rows, tree and checkpoint blocks for them
     # The file up to the end of its last record: length, crc32, line count
     # and auto-id count. A sidecar covers no more, so that a ``# id`` line
     # after the last record still names the sentence appended below it.
@@ -246,13 +232,9 @@ class CorpusStore:
         sidecar = _read_sidecar(path, data, self._tagset)
         # with an id another data file holds, the full parse names the duplicate
         if sidecar is not None and self._rows.keys().isdisjoint(row[0] for row in sidecar[1]):
-            header, rows, f.body, f.trees_body, f.marks_body = sidecar
-            covered, f.crc, f.lines, f.auto, f.body_crc, f.trees_crc, f.marks_crc = (
-                header[key]
-                for key in ("covered", "crc", "lines", "auto", "rows_crc", "trees_crc", "marks_crc")
-            )
+            point, rows, f.body, f.trees_body, f.marks_body, f.stale = sidecar
+            covered, f.crc, f.lines, f.auto = point
             f.prefix, f.rows, f.unread = memoryview(data)[:covered], rows, len(rows)
-            f.stale = len(rows) != header["rows"]  # kept up to a checkpoint only
             for row in rows:
                 self._rows[row[0]] = row
 
@@ -346,31 +328,21 @@ class CorpusStore:
     def __contains__(self, sentence_id: str) -> bool:
         return sentence_id in self._rows
 
-    def get(self, sentence_id: str) -> CorpusRecord | None:
-        records = self.records() if sentence_id in self._rows else ()
-        return next((r for r in records if r.id == sentence_id), None)
-
-    def records(self) -> list[CorpusRecord]:
-        """Every record, by data file, with its tree built from the columns."""
-        files = self._files.values()
-        return [_record(f, *record) for f in files for record in zip(f.rows, _lines(f), _trees(f))]
-
     def add_sentence(
         self,
         sentence_id: str,
         line: str,
         language: str,
         diagnostics: list[Diagnostic] | None = None,
-    ) -> CorpusRecord:
+    ) -> None:
         """Validate, persist and index one sentence.
 
         Rejects a language that does not name a data file of this store,
         duplicates, lines that do not parse and resolve cleanly, and any id
         or line that would not read back unchanged from the data file (an
         empty id or one with whitespace; a line starting with ``#``, with
-        leading or trailing whitespace or with a line break). The record's
-        source is its data file, as on a reopen. Parse warnings are appended
-        to ``diagnostics`` when a list is supplied.
+        leading or trailing whitespace or with a line break). Parse warnings
+        are appended to ``diagnostics`` when a list is supplied.
         """
         if self.mode != "rw":
             raise CorpusError("store opened read-only")
@@ -403,7 +375,6 @@ class CorpusStore:
         f.trailer, f.trailer_lines, f.stale = b"", 0, True
         f.marks.append([f.end, f.crc, f.lines, f.auto])
         self._index(f, sentence_id, line, tree)
-        return CorpusRecord(sentence_id, line, tree, language, str(data_file))
 
     def _data_file(self, language: str) -> Path:
         """The data file of ``language``, which a reopen finds again under it.
@@ -482,19 +453,17 @@ def _sidecar_path(data_file: Path) -> Path:
 
 def _read_sidecar(
     data_file: Path, data: bytes, tagset: int
-) -> tuple[dict, list[list], bytes, memoryview, memoryview] | None:
-    """Header, rows, row bytes, tree block and checkpoint block of the
-    sidecar of ``data_file`` for the prefix of ``data`` it still describes,
-    read under registry digest ``tagset``; None when it describes none.
+) -> tuple[list, list[list], bytes, memoryview, memoryview, bool] | None:
+    """The last kept checkpoint, rows, row bytes, tree block and checkpoint
+    block of the sidecar of ``data_file`` for the prefix of ``data`` it
+    still describes, read under registry digest ``tagset``, and whether
+    records were dropped from its end; None when it describes none.
 
-    The rows and the tree block are checked against their crc32s and the
-    rows decoded; the tree and checkpoint blocks stay views of the file's
-    bytes, since a copy of them would cost every open more than its crc32
-    does. While ``data`` holds the whole covered prefix, the checkpoint
-    block is neither checked nor decoded. Otherwise only the records up to
-    the last checkpoint that ``data`` still matches are returned, the blocks
-    cut to them and the header's counters and crc32s those of that prefix
-    (its ``rows`` count stays the sidecar's)."""
+    The crc32 of the blocks is checked and the rows decoded; the tree and
+    checkpoint blocks stay views of the file's bytes, since a copy would
+    cost every open more than the crc32 does. While ``data`` holds the
+    prefix of the last checkpoint, no other one is decoded; otherwise the
+    records up to the last checkpoint ``data`` still matches are kept."""
     try:
         raw = _sidecar_path(data_file).read_bytes()
         start = raw.find(b"\n") + 1 or len(raw)
@@ -509,25 +478,27 @@ def _read_sidecar(
         or header["tagset"] != tagset
         # both block lengths at least 0, and both blocks after the header
         or not 0 <= header["trees"] <= header["trees"] + header["marks"] <= len(raw) - start
+        or header["crc"] != _crc32(memoryview(raw)[start:])
     ):
         return None
     marks_at = len(raw) - header["marks"]
     end = marks_at - header["trees"]
     body, trees, marks = raw[start:end], memoryview(raw)[end:marks_at], memoryview(raw)[marks_at:]
-    if header["rows_crc"] != _crc32(body) or header["trees_crc"] != _crc32(trees):
+    rows = _decode_rows(body)
+    if rows is None or raw.count(b"\n", marks_at) != len(rows):
         return None
-    rows = _decode_rows(body, header["rows"])
-    if rows is None:
+    last = _json_lines(raw[max(marks_at, raw.rfind(b"\n", marks_at, len(raw) - 1) + 1) :])
+    if not _are_checkpoints(last, 1):  # a sidecar of no records covers nothing
         return None
-    covered = header["covered"]
+    covered, crc, *_ = point = last[0]
     if (
         0 <= covered <= len(data)
-        and header["crc"] == _crc32(memoryview(data)[:covered])
+        and crc == _crc32(memoryview(data)[:covered])
         and _ends_line(data, covered)
     ):
-        return header, rows, body, trees, marks
-    points = _decode_marks(marks, header, len(rows))
-    kept = 0 if points is None else _kept(data, points)
+        return point, rows, body, trees, marks, False
+    points = _json_lines(marks)
+    kept = _kept(data, points) if _are_checkpoints(points, len(rows)) else 0
     if not kept:
         return None
     try:
@@ -537,25 +508,25 @@ def _read_sidecar(
         )
     except ValueError:  # a tree block of fewer lines than rows
         return None
-    body = raw[start:rows_end]
     trees, marks = memoryview(raw)[end:trees_end], memoryview(raw)[marks_at:marks_end]
-    covered, crc, lines, auto = points[kept - 1]
-    header = dict(
-        header, covered=covered, crc=crc, lines=lines, auto=auto,
-        rows_crc=_crc32(body), trees_crc=_crc32(trees), marks_crc=_crc32(marks),
-    )
-    return header, rows[:kept], body, trees, marks
+    return points[kept - 1], rows[:kept], raw[start:rows_end], trees, marks, True
 
 
-def _decode_rows(body: bytes, count: int) -> list[list] | None:
-    """The ``count`` rows of ``body``; None unless each is [id, rels, nodes,
-    depth], ids unique, rels and nodes of one length. Checked column by
-    column, which keeps the loops in C."""
+def _json_lines(block) -> list | None:
+    """The values of the JSON lines of ``block``; None unless it is UTF-8
+    JSON lines, each ended by a newline."""
     try:
-        rows = json.loads("[" + body.decode().replace("\n", ",")[:-1] + "]")
+        return json.loads("[" + str(block, "utf-8").replace("\n", ",")[:-1] + "]")
     except ValueError:
         return None
-    if len(rows) != count or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
+
+
+def _decode_rows(body: bytes) -> list[list] | None:
+    """The rows of ``body``; None unless each is [id, rels, nodes, depth],
+    ids unique, rels and nodes of one length. Checked column by column,
+    which keeps the loops in C."""
+    rows = _json_lines(body)
+    if rows is None or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
         return None
     ids, rels, nodes, depths = zip(*rows) if rows else ((), (), (), ())
     if not (
@@ -570,25 +541,15 @@ def _decode_rows(body: bytes, count: int) -> list[list] | None:
     return rows
 
 
-def _decode_marks(marks: memoryview, header: dict, count: int) -> list[list] | None:
-    """The ``count`` checkpoints of the checkpoint block, ``[end, crc,
-    lines, auto]`` of ints each, the last one that of the covered prefix;
-    None when the block is not that."""
-    if header["marks_crc"] != _crc32(marks):
-        return None
-    try:
-        points = json.loads("[" + str(marks, "utf-8").replace("\n", ",")[:-1] + "]")
-    except ValueError:
-        return None
-    if (
-        len(points) != count
-        or set(map(type, points)) - {list}
-        or set(map(len, points)) - {4}
-        or set(map(type, chain.from_iterable(points))) - {int}
-        or points[-1:] != [[header[key] for key in ("covered", "crc", "lines", "auto")]]
-    ):
-        return None
-    return points
+def _are_checkpoints(points: list | None, count: int) -> bool:
+    """Whether ``points`` is ``count`` checkpoints, ``[end, crc, lines, auto]`` each."""
+    return (
+        points is not None
+        and len(points) == count
+        and not set(map(type, points)) - {list}
+        and not set(map(len, points)) - {4}
+        and not set(map(type, chain.from_iterable(points))) - {int}
+    )
 
 
 def _kept(data: bytes, points: list[list]) -> int:
@@ -624,22 +585,24 @@ def _line_end(raw: bytes, at: int, stop: int, count: int) -> int:
 def _write_sidecar(f: _DataFile, tagset: int) -> None:
     """Write the sidecar of ``f`` atomically; a failed write leaves none,
     which only costs the next open a full parse. Only the records parsed in
-    this session are encoded and checksummed."""
+    this session are encoded; the crc32 runs over every block written."""
     rows, trees, marks = (
         "".join(_ROW_ENCODER.encode(item) + "\n" for item in items).encode("utf-8")
         for items in (f.rows[f.unread :], f.trees, f.marks)
     )
+    blocks = (f.body, rows, f.trees_body, trees, f.marks_body, marks)
+    crc = 0
+    for block in blocks:
+        crc = _crc32(block, crc)
     values = (
-        SIDECAR_VERSION, f.end, f.crc, tagset, f.auto, f.lines, len(f.rows),
-        _crc32(rows, f.body_crc), len(f.trees_body) + len(trees), _crc32(trees, f.trees_crc),
-        len(f.marks_body) + len(marks), _crc32(marks, f.marks_crc),
+        SIDECAR_VERSION, tagset, len(f.trees_body) + len(trees), len(f.marks_body) + len(marks), crc
     )
     header = json.dumps(dict(zip(_HEADER_KEYS, values))).encode("ascii") + b"\n"
     path = _sidecar_path(f.path)
     temp = path.with_name(path.name + ".tmp")
     try:
         with temp.open("wb") as fh:
-            fh.writelines((header, f.body, rows, f.trees_body, trees, f.marks_body, marks))
+            fh.writelines((header, *blocks))
         os.replace(temp, path)
     except OSError:
         temp.unlink(missing_ok=True)
@@ -673,10 +636,7 @@ def _trees(f: _DataFile) -> list[list]:
     row, one root, parents and groups inside the sentence and typed fields."""
     if not f.unread:
         return f.trees
-    try:
-        trees = json.loads("[" + str(f.trees_body, "utf-8").replace("\n", ",")[:-1] + "]")
-    except ValueError:
-        trees = None
+    trees = _json_lines(f.trees_body)
     if trees is None or len(trees) != f.unread or not all(map(_is_tree, f.rows, trees)):
         raise _not_described(f)
     return trees + f.trees
@@ -697,21 +657,6 @@ def _is_tree(row: list, tree) -> bool:
             for start, stop, tag in groups
         )
     )
-
-
-def _record(f: _DataFile, row: list, raw: str, tree: list) -> CorpusRecord:
-    """A record of ``f`` with its tree built from the columns; index labels,
-    which tree equality ignores, are not kept."""
-    (sentence_id, rels, tags, _depth), (surfaces, parents, groups) = row, tree
-    nodes = [
-        DepNode(position, surface, rel, tag, parent=parent)
-        for position, (surface, rel, tag, parent) in enumerate(zip(surfaces, rels, tags, parents))
-    ]
-    for node in nodes:
-        if node.parent is not None:
-            nodes[node.parent].children.append(node.position)
-    dep_tree = DepTree(nodes, parents.index(None), [Group(*group) for group in groups])
-    return CorpusRecord(sentence_id, raw, dep_tree, f.language, str(f.path))
 
 
 def _json_array(items: list[str], margin: str) -> str:

@@ -600,6 +600,29 @@ class TestExitCodes:
         source = argv[2].format(file=path)
         assert (code, out, err) == (3, "", f"error: {source}: not UTF-8 text at byte {byte}\n")
 
+    @pytest.mark.parametrize(
+        "data", [None, b"# s1\nraama/k1 g\xffyA::v\n"], ids=["missing", "not-utf8"]
+    )
+    def test_corpus_add_of_an_unreadable_input_creates_no_store(self, capsys, tmp_path, data):
+        source, store = tmp_path / "input.anncorra", tmp_path / "store"
+        if data is not None:
+            source.write_bytes(data)
+        code, out, err = _run(capsys, "corpus", "add", str(source), "--store", str(store))
+        assert (code, out) == (3, "") and err.startswith("error: ") and str(source) in err
+        assert not store.exists()
+
+    def test_corpus_add_reads_stdin_before_it_opens_the_store(self, capsys, tmp_path, monkeypatch):
+        store, opened = tmp_path / "store", []
+
+        class Stdin(io.BytesIO):
+            def read(self, *args):
+                opened.append(store.exists())
+                return super().read(*args)
+
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(Stdin(b"raama/k1 gayA::v\n")))
+        assert _run(capsys, "corpus", "add", "-", "--store", str(store)) == (0, "und-1\n", "")
+        assert opened == [False]
+
     def test_store_tagset_that_is_not_utf8_is_an_io_failure(self, capsys, tmp_path):
         store = tmp_path / "store"
         assert _run(capsys, "corpus", "add", SENTENCES, "--store", str(store))[0] == 0

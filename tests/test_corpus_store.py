@@ -29,11 +29,17 @@ def store(tmp_path):
         yield s
 
 
+def _records(store):
+    """The records of the store's interchange export."""
+    return json.loads(store.export("interchange"))["records"]
+
+
 class TestAdd:
     def test_add_explicit_sentence(self, store, explicit_line):
-        record = store.add_sentence("s1", explicit_line, "hin")
-        assert len(record.tree.nodes) == 5
-        assert store.get("s1").raw == explicit_line
+        assert store.add_sentence("s1", explicit_line, "hin") is None
+        [record] = _records(store)
+        assert (record["id"], record["raw"]) == ("s1", explicit_line)
+        assert len(record["tree"]["nodes"]) == 5
 
     def test_duplicate_id_rejected(self, store, explicit_line):
         store.add_sentence("s1", explicit_line, "hin")
@@ -43,9 +49,10 @@ class TestAdd:
     def test_defaulted_form_stores_isomorphic_tree(
         self, store, explicit_line, defaulted_line
     ):
-        first = store.add_sentence("s1", explicit_line, "hin")
-        second = store.add_sentence("s2", defaulted_line, "hin")
-        assert first.tree == second.tree
+        store.add_sentence("s1", explicit_line, "hin")
+        store.add_sentence("s2", defaulted_line, "hin")
+        first, second = _records(store)
+        assert first["tree"] == second["tree"]
 
     def test_unparseable_line_rejected_with_diagnostics(self, store):
         with pytest.raises(CorpusError) as exc:
@@ -82,7 +89,7 @@ class TestAdd:
                 writer.add_sentence("s2", line, "hin")
             assert "s2" not in writer
         with CorpusStore(path, "r") as reader:
-            assert [(r.id, r.raw) for r in reader.records()] == [("s1", "piyA::v:i")]
+            assert reader.export("linear") == "# s1\npiyA::v:i\n"
 
     @pytest.mark.parametrize(
         "sentence_id",
@@ -97,7 +104,7 @@ class TestAdd:
                 writer.add_sentence(sentence_id, "piyA::v:i", "hin")
             assert sentence_id not in writer
         with CorpusStore(path, "r") as reader:
-            assert [r.id for r in reader.records()] == ["s1"]
+            assert [r["id"] for r in _records(reader)] == ["s1"]
 
 
     @pytest.mark.parametrize(
@@ -115,7 +122,7 @@ class TestAdd:
                 writer.add_sentence("s2", "piyA::v:i", language)
             assert "s2" not in writer
         with CorpusStore(path, "r") as reader:
-            assert [(r.id, r.language) for r in reader.records()] == [("s1", "hin")]
+            assert [(r["id"], r["language"]) for r in _records(reader)] == [("s1", "hin")]
         assert [p.name for p in tmp_path.rglob("*anncorra")] == ["hin.anncorra"]
 
     def test_language_with_dots_and_spaces_reads_back(self, tmp_path):
@@ -123,7 +130,7 @@ class TestAdd:
         with CorpusStore(path, "rw") as writer:
             writer.add_sentence("s1", "piyA::v:i", "hin.v2 a")
         with CorpusStore(path, "r") as reader:
-            assert [(r.id, r.language) for r in reader.records()] == [("s1", "hin.v2 a")]
+            assert [(r["id"], r["language"]) for r in _records(reader)] == [("s1", "hin.v2 a")]
 
     def test_id_starting_with_hash_reads_back(self, tmp_path):
         # "# #s2" names the sentence "#s2": only the marker's '#' is dropped
@@ -131,7 +138,7 @@ class TestAdd:
         with CorpusStore(path, "rw") as writer:
             writer.add_sentence("#s2", "piyA::v:i", "hin")
         with CorpusStore(path, "r") as reader:
-            assert [r.id for r in reader.records()] == ["#s2"]
+            assert [r["id"] for r in _records(reader)] == ["#s2"]
 
 
 class TestPersistence:
@@ -141,8 +148,8 @@ class TestPersistence:
             writer.add_sentence("s1", explicit_line, "hin")
         with CorpusStore(path, "r") as reader:
             assert len(reader) == 1
-            assert reader.get("s1").language == "hin"
-            assert reader.get("s1").raw == explicit_line
+            [record] = _records(reader)
+            assert (record["id"], record["language"], record["raw"]) == ("s1", "hin", explicit_line)
 
     def test_languages_go_to_separate_files(self, tmp_path, explicit_line):
         path = tmp_path / "store"
@@ -278,24 +285,28 @@ class TestExport:
                 else:
                     fresh.add_sentence(pending, line, "hin")
             assert fresh.stats() == store.stats()
-            for record in store.records():
-                assert fresh.get(record.id).tree == record.tree
+            assert _without_source(fresh) == _without_source(store)
 
 
-def _interchange_reference(store):
-    doc = {
-        "format": "anncorra-corpus",
-        "records": [
-            {
-                "id": record.id,
-                "language": record.language,
-                "source": record.source,
-                "raw": record.raw,
-                "tree": to_interchange(record.tree),
-            }
-            for record in store.records()
-        ],
-    }
+def _without_source(store):
+    return [{key: value for key, value in r.items() if key != "source"} for r in _records(store)]
+
+
+def _interchange_reference(store, language="hin"):
+    """json.dumps of the export document of a store of one language, its
+    trees parsed from the lines of the linear export."""
+    lines = store.export("linear").split("\n")[:-1]
+    records = [
+        {
+            "id": sentence_id[2:],
+            "language": language,
+            "source": str(store.path / f"{language}.anncorra"),
+            "raw": raw,
+            "tree": to_interchange(parse_sentence(raw, store.registry)[0]),
+        }
+        for sentence_id, raw in zip(lines[::2], lines[1::2])
+    ]
+    doc = {"format": "anncorra-corpus", "records": records}
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
@@ -319,8 +330,8 @@ class TestInterchangeBytes:
                     if stop - start > 1:
                         tree.groups.append(Group(start + 1, stop, "k1"))
                 writer.add_sentence(f"t{k}", emit_explicit(tree), "hin")
-            assert any(r.tree.groups for r in writer.records())
-            assert any(not r.tree.groups for r in writer.records())
+            assert any(r["tree"]["groups"] for r in _records(writer))
+            assert any(not r["tree"]["groups"] for r in _records(writer))
             written = writer.export("interchange")
             assert written == _interchange_reference(writer)
         with CorpusStore(path, "r") as reader:
@@ -399,47 +410,54 @@ def _json_lines(items):
     return "".join(encode(item) + "\n" for item in items).encode()
 
 
-def _rewrite_sidecar(path, edit=None, block=None, fresh_crc=True):
-    """Apply ``edit(header, rows, trees)``, then ``block`` to the bytes of
-    the tree block, to a sidecar and store it with fresh row checksum and
-    tree block length and, with ``fresh_crc``, tree block checksum, so that
-    only the edit (or the stale tree block checksum) can make it unusable.
-    The checkpoint block is kept as it is."""
+def _blocks(path):
+    """The header and the row, tree and checkpoint blocks of a sidecar."""
     head, _, body = path.read_bytes().partition(b"\n")
     header = json.loads(head)
     marks_at = len(body) - header["marks"]
-    cut = marks_at - header["trees"]
-    rows = [json.loads(line) for line in body[:cut].splitlines()]
-    trees = [json.loads(line) for line in body[cut:marks_at].splitlines()]
+    trees_at = marks_at - header["trees"]
+    return header, body[:trees_at], body[trees_at:marks_at], body[marks_at:]
+
+
+def _store_sidecar(path, header, rows, trees, marks, fresh_crc=True):
+    """Write a sidecar of these blocks, with their lengths in ``header``
+    and, with ``fresh_crc``, their crc32."""
+    header["trees"], header["marks"] = len(trees), len(marks)
+    if fresh_crc:
+        header["crc"] = zlib.crc32(rows + trees + marks)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + rows + trees + marks)
+
+
+def _rewrite_sidecar(path, edit=None, block=None, fresh_crc=True):
+    """Apply ``edit(header, rows, trees)``, then ``block`` to the bytes of
+    the tree block, to a sidecar and store it with fresh block lengths and,
+    with ``fresh_crc``, checksum, so that only the edit (or the stale
+    checksum) can make it unusable. The checkpoint block is kept as it is."""
+    header, row_block, tree_block, marks = _blocks(path)
+    rows = [json.loads(line) for line in row_block.splitlines()]
+    trees = [json.loads(line) for line in tree_block.splitlines()]
     if edit is not None:
         edit(header, rows, trees)
     rows, trees = _json_lines(rows), _json_lines(trees)
-    assert edit is not None or rows + trees == body[:marks_at]  # the store's own encoding
+    # the store's own encoding
+    assert edit is not None or rows + trees == row_block + tree_block
     if block is not None:
         trees = block(trees)
-    header["rows_crc"], header["trees"] = zlib.crc32(rows), len(trees)
-    if fresh_crc:
-        header["trees_crc"] = zlib.crc32(trees)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + rows + trees + body[marks_at:])
+    _store_sidecar(path, header, rows, trees, marks, fresh_crc)
 
 
 def _rewrite_checkpoints(path, edit=None, block=None, fresh_crc=True):
     """Apply ``edit(points)``, then ``block`` to the bytes of the checkpoint
-    block, to a sidecar and store it with fresh block length and, with
-    ``fresh_crc``, block checksum."""
-    head, _, body = path.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    marks_at = len(body) - header["marks"]
-    points = [json.loads(line) for line in body[marks_at:].splitlines()]
+    block, to a sidecar and store it with fresh block lengths and, with
+    ``fresh_crc``, checksum."""
+    header, rows, trees, marks = _blocks(path)
+    points = [json.loads(line) for line in marks.splitlines()]
     if edit is not None:
         edit(points)
     marks = _json_lines(points)
     if block is not None:
         marks = block(marks)
-    header["marks"] = len(marks)
-    if fresh_crc:
-        header["marks_crc"] = zlib.crc32(marks)
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body[:marks_at] + marks)
+    _store_sidecar(path, header, rows, trees, marks, fresh_crc)
 
 
 def _wrong_shape(header, rows, trees):
@@ -467,7 +485,7 @@ def _other_version(header, rows, trees):
 
 
 def _missing_key(header, rows, trees):
-    del header["auto"]
+    del header["tagset"]
 
 
 def _row_count(header, rows, trees):
@@ -479,17 +497,23 @@ def _duplicate_row(header, rows, trees):
 
 
 def _old_layout(path, version):
-    """Rewrite a sidecar in the layout of an older version: version 2 had no
+    """Rewrite a sidecar in the layout of an older version: version 3 kept a
+    crc32 per block and the last checkpoint in its header, version 2 had no
     checkpoint block, version 1 no tree block either."""
-    head, _, body = path.read_bytes().partition(b"\n")
-    header = json.loads(head)
-    body = body[: len(body) - header.pop("marks")]
-    del header["marks_crc"]
-    if version == 1:
-        body = body[: len(body) - header.pop("trees")]
-        del header["trees_crc"]
-    header["version"] = version
-    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    header, rows, trees, marks = _blocks(path)
+    covered, crc, lines, auto = json.loads(marks.splitlines()[-1])
+    old = dict(
+        version=version, covered=covered, crc=crc, tagset=header["tagset"], auto=auto,
+        lines=lines, rows=rows.count(b"\n"), rows_crc=zlib.crc32(rows),
+        trees=len(trees), trees_crc=zlib.crc32(trees), marks=len(marks), marks_crc=zlib.crc32(marks),
+    )
+    if version < 3:
+        del old["marks"], old["marks_crc"]
+        marks = b""
+    if version < 2:
+        del old["trees"], old["trees_crc"]
+        trees = b""
+    path.write_bytes(json.dumps(old).encode() + b"\n" + rows + trees + marks)
 
 
 # Damage to the tree block that its checksum would catch, as the edit or
@@ -649,14 +673,17 @@ class TestSidecar:
         assert seen[5] == (3, "", f"error: {sidecar} does not describe {data}\n")
         with CorpusStore(store_dir) as reader:
             with pytest.raises(CorpusError, match="does not describe"):
-                reader.records()
+                reader.export("interchange")
 
     def test_version_1_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
         self._older_sidecar_is_ignored_and_replaced(capsys, store_dir, 1, monkeypatch)
 
     def test_version_2_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
-        # after an upgrade, the first open of each data file parses it whole
         self._older_sidecar_is_ignored_and_replaced(capsys, store_dir, 2, monkeypatch)
+
+    def test_version_3_sidecar_is_ignored_and_replaced(self, capsys, store_dir, monkeypatch):
+        # after an upgrade, every open parses each data file whole until a writer
+        self._older_sidecar_is_ignored_and_replaced(capsys, store_dir, 3, monkeypatch)
 
     def _older_sidecar_is_ignored_and_replaced(self, capsys, store_dir, version, monkeypatch):
         sidecar = store_dir / "hin.anncorra.idx"
@@ -757,11 +784,9 @@ class TestSidecar:
         with CorpusStore(path) as reader:
             assert (reader.stats(), reader.query_by_relation("k2")) == expected
             # trees come back on demand, in store order, equal to parsed ones
-            assert [r.raw for r in reader.records()] == POOL
-            assert [r.tree for r in reader.records()] == [
-                parse_sentence(line, reader.registry)[0] for line in POOL
-            ]
-            assert reader.get("s5").tree.groups
+            assert [r["raw"] for r in _records(reader)] == POOL
+            assert reader.export("interchange") == _interchange_reference(reader)
+            assert _records(reader)[5]["tree"]["groups"]
 
     def _reads_parse(self, capsys, path, monkeypatch):
         """The sentences each read parses with the sidecar in place, once the
@@ -789,33 +814,51 @@ class TestSidecar:
         return parsed
 
     @pytest.mark.parametrize(
-        "damage",
+        "damage, uncut",
         [
-            lambda p: _rewrite_checkpoints(p, None, lambda b: b.replace(b"[", b"{", 1), False),
+            # a block that fails the crc32 makes the sidecar cover nothing
+            (lambda p: _rewrite_checkpoints(p, None, lambda b: b.replace(b"[", b"{", 1), False), 12),
             # the line count of the eighth checkpoint, the one a cut to it
             # would keep, against a stale crc32
-            lambda p: _rewrite_checkpoints(
-                p, lambda points: points[7].__setitem__(2, 1), fresh_crc=False
+            (
+                lambda p: _rewrite_checkpoints(
+                    p, lambda points: points[7].__setitem__(2, 1), fresh_crc=False
+                ),
+                12,
             ),
-            lambda p: _rewrite_checkpoints(p, lambda points: points[3].__setitem__(1, "7")),
-            lambda p: _rewrite_checkpoints(p, lambda points: points[3].append(0)),
-            lambda p: _rewrite_checkpoints(p, lambda points: points.pop(3)),
-            lambda p: _rewrite_checkpoints(p, lambda points: points[-1].__setitem__(2, 99)),
-            lambda p: _rewrite_checkpoints(p, None, lambda b: b"[1,2,3,4]"),
-            lambda p: _rewrite_checkpoints(p, None, lambda b: b"\xff" + b),
+            # an uncut open decodes the last checkpoint alone
+            (lambda p: _rewrite_checkpoints(p, lambda points: points[3].__setitem__(1, "7")), 0),
+            (lambda p: _rewrite_checkpoints(p, lambda points: points[3].append(0)), 0),
+            # fewer checkpoints than rows
+            (lambda p: _rewrite_checkpoints(p, lambda points: points.pop(3)), 12),
+            (lambda p: _rewrite_checkpoints(p, None, lambda b: b"[1,2,3,4]"), 12),
+            (lambda p: _rewrite_checkpoints(p, None, lambda b: b"\xff" + b), 0),
         ],
         ids=["flipped-byte", "stale-crc", "crc-not-an-int", "too-long", "one-missing",
-             "last-one-not-covered", "not-json-lines", "not-utf8"],
+             "not-json-lines", "not-utf8"],
     )
     def test_damaged_checkpoint_block_keeps_nothing_of_a_cut_file(
-        self, capsys, store_dir, damage, monkeypatch
+        self, capsys, store_dir, damage, uncut, monkeypatch
     ):
         damage(store_dir / "hin.anncorra.idx")
-        assert self._reads_parse(capsys, store_dir, monkeypatch) == 0  # uncut: not read
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == uncut
         data = store_dir / "hin.anncorra"
         data.write_bytes(data.read_bytes()[: _record_end(data.read_bytes(), 8)])
         assert self._reads_parse(capsys, store_dir, monkeypatch) == 8
         assert self._next_writer_rebuilds_it(capsys, store_dir, monkeypatch) == 9
+
+    def test_checkpoint_damage_only_the_crc32_sees_is_not_carried_forward(
+        self, capsys, store_dir, monkeypatch
+    ):
+        sidecar = store_dir / "hin.anncorra.idx"
+        raw = bytearray(sidecar.read_bytes())
+        at = len(raw) - len(_blocks(sidecar)[3]) // 2  # inside the checkpoint block
+        while not chr(raw[at]).isdigit():
+            at += 1
+        raw[at] = ord("8" if raw[at] == ord("9") else "9")  # still four ints a line
+        sidecar.write_bytes(raw)
+        assert self._reads_parse(capsys, store_dir, monkeypatch) == 12
+        assert self._next_writer_rebuilds_it(capsys, store_dir, monkeypatch) == 13
 
     def test_tree_block_of_too_few_lines_keeps_nothing_of_a_cut_file(
         self, capsys, store_dir, monkeypatch
@@ -931,7 +974,6 @@ def _observe(path: Path):
                 # both exports, byte for byte
                 reader.export("linear"),
                 reader.export("interchange"),
-                [(r.id, r.language, r.raw, r.tree) for r in reader.records()],
             )
     except CorpusError as exc:
         seen = ("error", str(exc))
@@ -1031,7 +1073,7 @@ class TestTornTail:
             "# s1\nraama/k1 gayA::v\n# s3\nsiitaa/k2 dekhA::v\n"
         )
         with CorpusStore(path) as reader:
-            assert [r.id for r in reader.records()] == ["s1", "s3"]
+            assert [r["id"] for r in _records(reader)] == ["s1", "s3"]
 
     def _store(self, tmp_path, text: bytes):
         path = tmp_path / "store"
