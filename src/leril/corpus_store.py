@@ -487,6 +487,7 @@ def _read_sidecar(
     rows = _decode_rows(body)
     if rows is None or raw.count(b"\n", marks_at) != len(rows):
         return None
+    # the last line of the checkpoint block
     last = _json_lines(raw[max(marks_at, raw.rfind(b"\n", marks_at, len(raw) - 1) + 1) :])
     if not _are_checkpoints(last, 1):  # a sidecar of no records covers nothing
         return None
