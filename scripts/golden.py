@@ -20,10 +20,18 @@ child process. The cases are:
   by the ``setup`` functions of ``bench/*.py`` (read, not changed).
 
 Every store case runs twice: with the sidecars the writers leave, and with
-every sidecar deleted before each command. A case is one command; it
-compares stdout, stderr and the exit code (or the ``SystemExit`` code, or
-the type and text of an escaping exception), with the temporary directory
-replaced by ``<TMP>``. Long outputs are compared by digest.
+every sidecar deleted before each command. After a lifecycle with sidecars,
+the reads run on a copy of the store it leaves (the ``own/`` cases). The
+stores the ``--base`` run leaves are kept, and both trees run the reads on
+a copy of them too (the ``kept/`` cases). A store the base wrote must read
+here as it reads there, and as the store written here reads here: a change
+to what a line parses to, or to the sidecar's layout, that does not bump
+``SIDECAR_VERSION`` leaves base-written sidecars that read differently.
+
+A case is one command; it compares stdout, stderr and the exit code (or
+the ``SystemExit`` code, or the type and text of an escaping exception),
+with the temporary directory replaced by ``<TMP>``. Long outputs are
+compared by digest.
 
 ``--allow GLOB`` (repeatable) names cases whose difference is intended;
 they are listed but do not fail the run. Exit status: 0 when no other case
@@ -72,6 +80,10 @@ class Cmd:
 
     def __init__(self, name, argv, stdin=None, tagset=None):
         self.name, self.argv, self.stdin, self.tagset = name, argv, stdin, tagset
+
+
+def _reads(store: Path, *extra: str) -> list:
+    return [Cmd(" ".join(argv), [*argv, "--store", str(store), *extra]) for argv in READS]
 
 
 # ---------------------------------------------------------------- inputs
@@ -276,9 +288,6 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
     langs = {"und": [], "hin": ["--lang", "hin"], "outside": ["--lang", "../x"],
              "hin-k4": ["--lang", "hin", "--tagset", k4]}
 
-    def reads(store, *extra):
-        return [Cmd(" ".join(argv), [*argv, "--store", str(store), *extra]) for argv in READS]
-
     def add(store, source, *extra):
         return Cmd(f"add {Path(source).name}", ["corpus", "add", source, "--store", str(store),
                                                 *extra])
@@ -293,8 +302,8 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
         for label, lang in langs.items():
             def steps(store, source=source, lang=lang, first=first):
                 made = [add(store, *first)] if first else []
-                return [*made, add(store, path[source], *lang), *reads(store),
-                        *reads(store, "--tagset", k4)]
+                return [*made, add(store, path[source], *lang), *_reads(store),
+                        *_reads(store, "--tagset", k4)]
 
             scenarios.append((f"store/add/{source}/{label}", steps))
 
@@ -303,38 +312,38 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
 
     def two_adds(store):
         return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
-                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, sentences, "--lang", "hin"), *_reads(store)]
 
     def two_languages(store):
         return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "tel"),
-                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, pool, "--lang", "hin"), *_reads(store)]
 
     def hand_appended(store):
         return [add(store, sentences, "--lang", "hin"),
                 _append(b"raama/k1 gayA::v\n\n# t1 note\nsiitaa/k2 dekhA::v\n# dangling\n"),
-                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, pool, "--lang", "hin"), *_reads(store)]
 
     def torn(store):
         return [add(store, pool, "--lang", "hin"), _append(b"# s9\nsiitaa/k1 ga"),
-                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, sentences, "--lang", "hin"), *_reads(store)]
 
     def torn_utf8(store):
         return [add(store, sentences, "--lang", "hin"), _append(b"siitaa/k1 g\xc3"),
-                *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, pool, "--lang", "hin"), *_reads(store)]
 
     def unterminated(store):
         return [add(store, pool, "--lang", "hin"), _append(b"# s9\nraama/k1 gayA::v"),
-                *reads(store), add(store, sentences, "--lang", "hin"), *reads(store)]
+                *_reads(store), add(store, sentences, "--lang", "hin"), *_reads(store)]
 
     def restored(store):
         copy, restore = _copy_and_restore()
         return [add(store, sentences, "--lang", "hin"), copy, add(store, pool, "--lang", "hin"),
-                restore, *reads(store), add(store, pool, "--lang", "hin"), *reads(store)]
+                restore, *_reads(store), add(store, pool, "--lang", "hin"), *_reads(store)]
 
     def stdin_add(store):
         data = inputs["mixed.anncorra"].read_bytes()
         return [Cmd("add -", ["corpus", "add", "-", "--store", str(store)], stdin=data),
-                *reads(store)]
+                *_reads(store)]
 
     def store_tagset(store):
         def tagset(s):
@@ -342,7 +351,7 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
             shutil.copyfile(k4, s / "tagset.cfg")
 
         return [tagset, add(store, sentences), _append(b"raama/k4 gayA::v\n", "und.anncorra"),
-                *reads(store), add(store, pool), *reads(store)]
+                *_reads(store), add(store, pool), *_reads(store)]
 
     for name, steps in [("two-adds", two_adds), ("two-languages", two_languages),
                         ("hand-appended", hand_appended), ("torn", torn),
@@ -353,13 +362,13 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
     for fraction in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
         def cut(store, fraction=fraction):
             return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
-                    _cut(fraction), *reads(store), add(store, sentences, "--lang", "hin"),
-                    *reads(store)]
+                    _cut(fraction), *_reads(store), add(store, sentences, "--lang", "hin"),
+                    *_reads(store)]
 
         def flipped(store, fraction=fraction):
             return [add(store, sentences, "--lang", "hin"), add(store, pool, "--lang", "hin"),
-                    _flip(fraction), *reads(store), add(store, sentences, "--lang", "hin"),
-                    *reads(store)]
+                    _flip(fraction), *_reads(store), add(store, sentences, "--lang", "hin"),
+                    *_reads(store)]
 
         scenarios.append((f"store/cut-{fraction}", cut))
         scenarios.append((f"store/sidecar-byte-{fraction}", flipped))
@@ -431,8 +440,12 @@ def _normalise(outcome: list, tmp: str) -> list:
     return result
 
 
-def worker(src: Path, out_path: Path) -> None:
-    """Run every case with the leril sources under ``src``; write the outcomes."""
+def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
+    """Run every case with the leril sources under ``src``; write the outcomes.
+
+    With ``keep``, the store each lifecycle leaves with its sidecars is also
+    copied into ``stores``. The reads then run on a copy of every store there.
+    """
     sys.path.insert(0, str(src))
     import leril
     import leril.cli
@@ -446,6 +459,15 @@ def worker(src: Path, out_path: Path) -> None:
     def record(case: str, cmd: Cmd) -> None:
         assert case not in results, f"two cases named {case!r}"
         results[case] = _normalise(_execute(run, cmd), name)
+
+    def read(label: str, store: Path) -> None:
+        """The reads on a copy of ``store``, at one path for every copy."""
+        copy = tmp / "read" / "store"
+        shutil.copytree(store, copy)
+        for extra in ((), ("--tagset", str(inputs["tagset_k4.cfg"]))):
+            for cmd in _reads(copy, *extra):
+                record(f"{label}/{cmd.name}{' --tagset' if extra else ''}", cmd)
+        shutil.rmtree(copy.parent)
 
     with tempfile.TemporaryDirectory(prefix="golden-") as name:
         tmp = Path(name)
@@ -468,19 +490,25 @@ def worker(src: Path, out_path: Path) -> None:
                         for sidecar in store.glob("*.idx"):
                             sidecar.unlink()
                     record(f"{label}/{step} {item.name}", item)
+                if variant == "sidecar" and store.exists():
+                    read(f"own/{scenario}", store)
+                    if keep:
+                        shutil.copytree(store, stores / str(k))
                 shutil.rmtree(folder)
+        for k, (scenario, _steps, _store_case) in enumerate(sequences):
+            if (stores / str(k)).exists():
+                read(f"kept/{scenario}", stores / str(k))
     out_path.write_text(json.dumps(results), encoding="utf-8")
 
 
 # ---------------------------------------------------------------- driver
 
 
-def _run_worker(src: Path, out_path: Path) -> dict:
+def _run_worker(src: Path, out_path: Path, stores: Path, keep: bool) -> dict:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     env["COLUMNS"] = "100"
-    subprocess.run(
-        [sys.executable, __file__, "--worker", str(src), str(out_path)], check=True, env=env
-    )
+    argv = [sys.executable, __file__, "--worker", str(src), str(out_path), str(stores)]
+    subprocess.run(argv + ["--keep"] * keep, check=True, env=env)
     return json.loads(out_path.read_text(encoding="utf-8"))
 
 
@@ -500,25 +528,30 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", help="git revision to compare with")
     parser.add_argument("--allow", action="append", default=[], metavar="GLOB",
                         help="cases whose difference is intended (fnmatch glob; repeatable)")
-    parser.add_argument("--worker", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
+    parser.add_argument("--worker", nargs=3, metavar=("SRC", "OUT", "STORES"),
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--keep", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        worker(Path(args.worker[0]), Path(args.worker[1]))
+        worker(*map(Path, args.worker), args.keep)
         return 0
     if not args.base:
         parser.error("--base is required")
     with tempfile.TemporaryDirectory(prefix="golden-base-") as name:
         tmp = Path(name)
-        base = _run_worker(_extract(args.base, tmp / "base"), tmp / "base.json")
-        here = _run_worker(ROOT / "src", tmp / "here.json")
-    differing = sorted(
-        case for case in base.keys() | here.keys() if base.get(case) != here.get(case)
-    )
-    allowed = [c for c in differing if any(fnmatch.fnmatchcase(c, g) for g in args.allow)]
-    for case in differing:
+        stores = tmp / "stores"
+        stores.mkdir()
+        base = _run_worker(_extract(args.base, tmp / "base"), tmp / "base.json", stores, True)
+        here = _run_worker(ROOT / "src", tmp / "here.json", stores, False)
+    pairs = [(case, base.get(case), here.get(case)) for case in base.keys() | here.keys()]
+    # a store the base wrote reads here as the store written here does
+    pairs += [(f"{case} against own/", here.get(f"own/{case[5:]}"), outcome)
+              for case, outcome in here.items() if case.startswith("kept/")]
+    differing = sorted((case, old, new) for case, old, new in pairs if old != new)
+    allowed = [c for c, *_ in differing if any(fnmatch.fnmatchcase(c, g) for g in args.allow)]
+    for case, old, new in differing:
         tag = "allowed" if case in allowed else "DIFFERS"
         print(f"{tag}: {case}")
-        old, new = base.get(case), here.get(case)
         for field, a, b in zip(("stdout", "stderr", "exit"), old or [None] * 3, new or [None] * 3):
             if a != b:
                 print(f"  {field}: {str(a)[:300]!r}\n  {' ' * len(field)}  -> {str(b)[:300]!r}")

@@ -25,25 +25,26 @@ Each token is read by one compiled regular expression of the grammar
 above. The character walk that defines the grammar runs only on tokens
 the expression rejects, to name the error and its column.
 
-Default attachment and the tree checks are linear in sentence length: two
-sweeps give every token's nearest verbal token, one walk over the parent
-links finds any cycle, and mirrored links are checked against a set.
-Group-head lookups cost the summed length of the groups, which is the
-sentence length times the bracket nesting depth.
+A tree is its nodes and groups: each node holds its surface, its tags and
+the position of its head, so the nodes form one parent array. Default
+attachment and the tree checks are linear in sentence length: two sweeps
+give every token's nearest verbal token and one walk over the parent
+links finds any cycle. Group-head lookups cost the summed length of the
+groups, which is the sentence length times the bracket nesting depth.
 
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
-node tag; the ``/`` versus ``::`` position disambiguates. Tree equality
-ignores index labels, which are a serialization artifact: two trees are
-equal when surfaces, tags, attachments and groups agree.
+node tag; the ``/`` versus ``::`` position disambiguates. Index labels are
+a serialization artifact and stay on the tokens; a tree holds none, so two
+trees are equal when surfaces, tags, attachments and groups agree.
 """
 
 from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, LerilError, error, warning
 
@@ -175,15 +176,11 @@ class AnnToken:
     node_tag: str | None = None
 
 
-@dataclass
-class DepNode:
-    position: int
+class DepNode(NamedTuple):
     surface: str
     rel_tag: str | None = None
     node_tag: str | None = None
-    index: str | None = field(default=None, compare=False)
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
+    parent: int | None = None  # position of the head; None at the root
 
 
 @dataclass(frozen=True)
@@ -195,11 +192,14 @@ class Group:
     tag: str
 
 
-@dataclass
-class DepTree:
+class DepTree(NamedTuple):
     nodes: list[DepNode]
-    root: int
-    groups: list[Group] = field(default_factory=list)
+    groups: list[Group]
+
+    @property
+    def root(self) -> int:
+        """Position of the one node without a parent."""
+        return next(p for p, node in enumerate(self.nodes) if node.parent is None)
 
 
 _TAG = r"[A-Za-z][A-Za-z0-9]*"
@@ -417,16 +417,19 @@ def _has_cycle(parents: list[int | None]) -> bool:
     return False
 
 
-def _is_bare(node: DepNode) -> bool:
-    return node.rel_tag is None and node.node_tag is None and node.index is None
+def _is_bare(token: AnnToken | DepNode) -> bool:
+    # a token can carry an index label only on one of its tags
+    return token.rel_tag is None and token.node_tag is None
 
 
-def _group_head(nodes: list[DepNode], group: Group) -> int | None:
+def _group_head(
+    tokens: Sequence[AnnToken | DepNode], parents: Sequence[int | None], group: Group
+) -> int | None:
     candidates = [
-        node.position
-        for node in nodes[group.start : group.stop]
-        if not _is_bare(node)
-        and (node.parent is None or not (group.start <= node.parent < group.stop))
+        p
+        for p, token in enumerate(tokens[group.start : group.stop], group.start)
+        if not _is_bare(token)
+        and (parents[p] is None or not (group.start <= parents[p] < group.stop))
     ]
     return candidates[0] if len(candidates) == 1 else None
 
@@ -444,28 +447,19 @@ def resolve(
     diagnostics: list[Diagnostic] = []
     if not tokens:
         return None, [error("no tokens to resolve")]
-    nodes = [
-        DepNode(
-            position=p,
-            surface=t.surface,
-            rel_tag=t.rel_tag,
-            node_tag=t.node_tag,
-            index=t.self_index,
-        )
-        for p, t in enumerate(tokens)
-    ]
 
     labels: dict[str, int] = {}
     failed = False
-    for node in nodes:
-        if node.index is not None:
-            if node.index in labels:
-                diagnostics.append(error(f"duplicate index label '{node.index}'"))
+    for p, token in enumerate(tokens):
+        if token.self_index is not None:
+            if token.self_index in labels:
+                diagnostics.append(error(f"duplicate index label '{token.self_index}'"))
                 failed = True
-            labels[node.index] = node.position
+            labels[token.self_index] = p
 
-    verbal = [registry.is_verbal(n.rel_tag, n.node_tag) for n in nodes]
+    verbal = [registry.is_verbal(t.rel_tag, t.node_tag) for t in tokens]
     nearest_verbal = _nearest_verbal_table(verbal)
+    parents: list[int | None] = [None] * len(tokens)
     for p, token in enumerate(tokens):
         if token.parent_ref is not None:
             target = labels.get(token.parent_ref)
@@ -476,7 +470,7 @@ def resolve(
                 diagnostics.append(error(f"token '{token.surface}' refers to itself"))
                 failed = True
             else:
-                nodes[p].parent = target
+                parents[p] = target
         elif token.rel_tag is not None:
             target = nearest_verbal[p]
             if target is None:
@@ -485,7 +479,7 @@ def resolve(
                 )
                 failed = True
             else:
-                nodes[p].parent = target
+                parents[p] = target
     if failed:
         return None, diagnostics
 
@@ -493,48 +487,46 @@ def resolve(
     for group in sorted(groups, key=lambda g: g.stop - g.start):
         head = None
         head_known = False
-        for node in nodes[group.start : group.stop]:
-            if not _is_bare(node) or node.parent is not None:
+        for p, token in enumerate(tokens[group.start : group.stop], group.start):
+            if not _is_bare(token) or parents[p] is not None:
                 continue
             if not head_known:
-                head = _group_head(nodes, group)
+                head = _group_head(tokens, parents, group)
                 head_known = True
             if head is None or not verbal[head]:
                 diagnostics.append(
                     error(
                         f"group '<{group.tag}>' has no verbal head for bare token "
-                        f"'{node.surface}'"
+                        f"'{token.surface}'"
                     )
                 )
                 failed = True
                 continue
-            node.parent = head
+            parents[p] = head
             diagnostics.append(
                 warning(
-                    f"bare token '{node.surface}' attached to group head "
-                    f"'{nodes[head].surface}'"
+                    f"bare token '{token.surface}' attached to group head "
+                    f"'{tokens[head].surface}'"
                 )
             )
     if failed:
         return None, diagnostics
 
-    if _has_cycle([node.parent for node in nodes]):
+    if _has_cycle(parents):
         diagnostics.append(error("cycle in parent references"))
         return None, diagnostics
 
-    roots = [node.position for node in nodes if node.parent is None]
+    roots = [p for p, parent in enumerate(parents) if parent is None]
     if not roots:
         diagnostics.append(error("no root: every token has a parent"))
         return None, diagnostics
     if len(roots) > 1:
-        surfaces = ", ".join(f"'{nodes[r].surface}'" for r in roots)
+        surfaces = ", ".join(f"'{tokens[r].surface}'" for r in roots)
         diagnostics.append(error(f"multiple roots: {surfaces}"))
         return None, diagnostics
 
-    for node in nodes:
-        if node.parent is not None:
-            nodes[node.parent].children.append(node.position)
-    return DepTree(nodes, roots[0], list(groups)), diagnostics
+    nodes = [DepNode(t.surface, t.rel_tag, t.node_tag, p) for t, p in zip(tokens, parents)]
+    return DepTree(nodes, list(groups)), diagnostics
 
 
 _CHUNK_RE = re.compile(r"\S+")
@@ -628,55 +620,6 @@ def parse_sentence(
     return tree, diagnostics + resolve_diags
 
 
-def validate_tree(tree: DepTree) -> list[Diagnostic]:
-    """Structural re-validation of a (possibly hand-built) tree."""
-    diagnostics: list[Diagnostic] = []
-    nodes = tree.nodes
-    for pos, node in enumerate(nodes):
-        if node.position != pos:
-            diagnostics.append(
-                error(f"node at list position {pos} carries position {node.position}")
-            )
-    roots = [n.position for n in nodes if n.parent is None]
-    if len(roots) > 1:
-        diagnostics.append(error(f"multiple roots: {len(roots)} parentless nodes"))
-    elif not roots:
-        diagnostics.append(error("no root: every node has a parent"))
-    elif roots[0] != tree.root:
-        diagnostics.append(error("root field does not name the parentless node"))
-
-    # (list index of the parent, child position) for every child link
-    child_links = {(p, child) for p, node in enumerate(nodes) for child in node.children}
-    for node in nodes:
-        for child in node.children:
-            if not (0 <= child < len(nodes)) or nodes[child].parent != node.position:
-                diagnostics.append(
-                    error(f"child link {node.position}->{child} is not mirrored by a parent link")
-                )
-        if node.parent is not None:
-            if not (0 <= node.parent < len(nodes)):
-                diagnostics.append(error(f"node {node.position} has an out-of-range parent"))
-            elif (node.parent, node.position) not in child_links:
-                diagnostics.append(
-                    error(
-                        f"parent link {node.position}->{node.parent} is not mirrored "
-                        "by a child link"
-                    )
-                )
-
-    if _has_cycle([node.parent for node in nodes]):
-        diagnostics.append(error("cycle in parent references"))
-        return diagnostics
-
-    labels: dict[str, int] = {}
-    for node in nodes:
-        if node.index is not None:
-            if node.index in labels:
-                diagnostics.append(error(f"duplicate index label '{node.index}'"))
-            labels[node.index] = node.position
-    return diagnostics
-
-
 _LABEL_LETTERS = "ijklmnopqrstuvwxyzabcdefgh"
 
 
@@ -716,24 +659,24 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
     group_heads = _innermost_group_heads(tree)
 
     keep: dict[int, int] = {}
-    for node in nodes:
+    for p, node in enumerate(nodes):
         if node.parent is None:
             continue
         if node.rel_tag is None:
-            if group_heads.get(node.position) != node.parent:
+            if group_heads.get(p) != node.parent:
                 raise EmitError(
                     f"cannot serialize node '{node.surface}': no relation tag and no "
                     "covering group headed by its parent"
                 )
             continue
-        if minimal and nearest_verbal[node.position] == node.parent:
+        if minimal and nearest_verbal[p] == node.parent:
             continue
-        keep[node.position] = node.parent
+        keep[p] = node.parent
 
     labeled = set(keep.values())
-    root_node = nodes[tree.root]
-    if root_node.rel_tag is not None or root_node.node_tag is not None:
-        labeled.add(tree.root)
+    root = tree.root
+    if not _is_bare(nodes[root]):
+        labeled.add(root)
     label = {pos: _index_label(k) for k, pos in enumerate(sorted(labeled))}
 
     opens: dict[int, list[Group]] = defaultdict(list)
@@ -747,17 +690,17 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
         entries.sort(key=lambda g: -g.start)  # inner groups close first
 
     chunks = []
-    for node in nodes:
+    for p, node in enumerate(nodes):
         bits = [node.surface]
-        lbl = label.get(node.position)
+        lbl = label.get(p)
         placed = False
         if node.rel_tag is not None:
             part = f"/{node.rel_tag}"
             if lbl is not None:
                 part += f":{lbl}"
                 placed = True
-            if node.position in keep:
-                part += f"->{label[keep[node.position]]}"
+            if p in keep:
+                part += f"->{label[keep[p]]}"
             bits.append(part)
         if node.node_tag is not None:
             part = f"::{node.node_tag}"
@@ -770,8 +713,8 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
                 f"node '{node.surface}' needs an index label but has no tag to carry it"
             )
         text = "".join(bits)
-        prefix = "[" * len(opens.get(node.position, ()))
-        suffix = "".join(f"]<{g.tag}>" for g in closes.get(node.position, ()))
+        prefix = "[" * len(opens.get(p, ()))
+        suffix = "".join(f"]<{g.tag}>" for g in closes.get(p, ()))
         chunks.append(prefix + text + suffix)
     return " ".join(chunks)
 
@@ -788,7 +731,8 @@ def _innermost_group_heads(tree: DepTree) -> dict[int, int | None]:
     for group in sorted(reversed(tree.groups), key=lambda g: g.start - g.stop):
         for p in range(max(group.start, 0), min(group.stop, n)):
             innermost[p] = group
-    heads = {group: _group_head(tree.nodes, group) for group in set(innermost.values())}
+    parents = [node.parent for node in tree.nodes]
+    heads = {group: _group_head(tree.nodes, parents, group) for group in set(innermost.values())}
     return {p: heads[group] for p, group in innermost.items()}
 
 
@@ -797,13 +741,13 @@ def to_interchange(tree: DepTree) -> dict:
     return {
         "nodes": [
             {
-                "position": n.position,
+                "position": p,
                 "surface": n.surface,
                 "rel": n.rel_tag,
                 "node": n.node_tag,
                 "parent": n.parent,
             }
-            for n in tree.nodes
+            for p, n in enumerate(tree.nodes)
         ],
         "root": tree.root,
         "groups": [{"start": g.start, "stop": g.stop, "tag": g.tag} for g in tree.groups],

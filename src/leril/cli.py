@@ -260,10 +260,7 @@ def _cmd_anncorra_check(args):
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     for _sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
-        tree, tree_diags = anncorra.parse_sentence(line, registry)
-        diags.extend(_with_line(tree_diags, lineno))
-        if tree is not None:
-            diags.extend(_with_line(anncorra.validate_tree(tree), lineno))
+        diags.extend(_with_line(anncorra.parse_sentence(line, registry)[1], lineno))
     return diags
 
 

@@ -716,10 +716,15 @@ def _interchange(f: _DataFile) -> list[str]:
 
 
 def _tree_depth(tree: DepTree) -> int:
-    nodes = tree.nodes
-    depth = 0
-    level = nodes[tree.root].children
-    while level:
-        depth += 1
-        level = [child for position in level for child in nodes[position].children]
-    return depth
+    # edges from the root down; a node's depth is its parent's plus one
+    depths: list[int | None] = [None] * len(tree.nodes)
+    for start in range(len(depths)):
+        path, p = [], start
+        while p is not None and depths[p] is None:
+            path.append(p)
+            p = tree.nodes[p].parent
+        depth = -1 if p is None else depths[p]
+        for q in reversed(path):
+            depth += 1
+            depths[q] = depth
+    return max(depths)

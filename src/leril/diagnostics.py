@@ -12,10 +12,11 @@ class LerilError(Exception):
 
 
 def utf8_text(data: bytes, source) -> str:
-    """``data`` decoded as UTF-8; a LerilError naming ``source`` and the
-    offset of the first byte that is not UTF-8 text otherwise."""
+    """``data`` decoded as UTF-8 without a leading byte order mark; a
+    LerilError naming ``source`` and the file offset of the first byte that
+    is not UTF-8 text otherwise."""
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise LerilError(f"{source}: not UTF-8 text at byte {exc.start}") from None
 

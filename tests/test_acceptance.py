@@ -6,7 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import random
 import time
 
-from treegen import enumerate_trees, random_tree
+from treegen import children, enumerate_trees, random_tree
 
 from leril.anncorra import (
     default_registry,
@@ -43,10 +43,11 @@ def test_criterion_1_explicit_sentence_tree():
     assert not has_errors(diags)
     root = tree.nodes[tree.root]
     assert (root.surface, root.node_tag) == ("piyA", "v")
-    children = [(tree.nodes[c].surface, tree.nodes[c].rel_tag) for c in root.children]
-    assert children == [("rAma_ne", "k1"), ("kATakara", "kr"), ("pAnI", "k2")]
-    katakara = tree.nodes[root.children[1]]
-    assert [(tree.nodes[c].surface, tree.nodes[c].rel_tag) for c in katakara.children] == [
+    kids = children(tree)
+    dependents = [(tree.nodes[c].surface, tree.nodes[c].rel_tag) for c in kids[tree.root]]
+    assert dependents == [("rAma_ne", "k1"), ("kATakara", "kr"), ("pAnI", "k2")]
+    katakara = kids[tree.root][1]
+    assert [(tree.nodes[c].surface, tree.nodes[c].rel_tag) for c in kids[katakara]] == [
         ("phala", "k2")
     ]
     check("criterion 1")

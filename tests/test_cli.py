@@ -601,6 +601,27 @@ class TestExitCodes:
         assert (code, out, err) == (3, "", f"error: {source}: not UTF-8 text at byte {byte}\n")
 
     @pytest.mark.parametrize(
+        "argv, fixture",
+        [
+            (["anncorra", "parse", "{file}"], SENTENCES),
+            (["corpus", "add", "{file}", "--store", "{folder}/store"], SENTENCES),
+            (["dict", "parse", "{file}"], GO_DICT),
+        ],
+        ids=["anncorra parse", "corpus add", "dict parse"],
+    )
+    def test_input_byte_order_mark_is_dropped(self, capsys, tmp_path, argv, fixture):
+        outcomes = []
+        for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            folder = tmp_path / name
+            folder.mkdir()
+            (folder / "input").write_bytes(prefix + (ROOT / fixture).read_bytes())
+            argv_here = [arg.format(file=folder / "input", folder=folder) for arg in argv]
+            result = _run(capsys, *argv_here)
+            outcomes.append([str(part).replace(str(folder), "<folder>") for part in result])
+        assert outcomes[0][0] == "0" and outcomes[0][1]
+        assert outcomes[1] == outcomes[0]
+
+    @pytest.mark.parametrize(
         "data", [None, b"# s1\nraama/k1 g\xffyA::v\n"], ids=["missing", "not-utf8"]
     )
     def test_corpus_add_of_an_unreadable_input_creates_no_store(self, capsys, tmp_path, data):

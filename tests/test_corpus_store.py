@@ -326,9 +326,10 @@ class TestInterchangeBytes:
                 if k % 2:
                     start = rng.randrange(n)
                     stop = rng.randint(start + 1, n)
-                    tree.groups = [Group(start, stop, "s")]
+                    groups = [Group(start, stop, "s")]
                     if stop - start > 1:
-                        tree.groups.append(Group(start + 1, stop, "k1"))
+                        groups.append(Group(start + 1, stop, "k1"))
+                    tree = tree._replace(groups=groups)
                 writer.add_sentence(f"t{k}", emit_explicit(tree), "hin")
             assert any(r["tree"]["groups"] for r in _records(writer))
             assert any(not r["tree"]["groups"] for r in _records(writer))

@@ -9,26 +9,20 @@ from leril.anncorra import DepNode, DepTree
 def make_tree(parents, rel_tags, node_tags, surfaces=None):
     """Build a DepTree from parallel per-position lists.
 
-    ``parents[p]`` is None exactly for the root. Children are kept in
-    surface order, matching what resolve() produces.
+    ``parents[p]`` is None exactly for the root.
     """
-    n = len(parents)
-    surfaces = surfaces or [f"w{p}" for p in range(n)]
-    nodes = [
-        DepNode(position=p, surface=surfaces[p], rel_tag=rel_tags[p], node_tag=node_tags[p])
-        for p in range(n)
-    ]
-    root = None
-    for p, parent in enumerate(parents):
-        if parent is None:
-            root = p
-        else:
-            nodes[p].parent = parent
-    for p, parent in enumerate(parents):
-        if parent is not None:
-            nodes[parent].children.append(p)
-    assert root is not None
-    return DepTree(nodes=nodes, root=root, groups=[])
+    surfaces = surfaces or [f"w{p}" for p in range(len(parents))]
+    assert list(parents).count(None) == 1
+    return DepTree([DepNode(*node) for node in zip(surfaces, rel_tags, node_tags, parents)], [])
+
+
+def children(tree):
+    """Every position's children in surface order, read off the parent links."""
+    kids = [[] for _ in tree.nodes]
+    for p, node in enumerate(tree.nodes):
+        if node.parent is not None:
+            kids[node.parent].append(p)
+    return kids
 
 
 def _reaches_root(parents, root):
