@@ -229,12 +229,7 @@ def _cmd_tlg_corpus(args):
 
 
 def _with_line(diags, lineno):
-    return [
-        Diagnostic(d.severity, d.message, lineno, d.column, d.field)
-        if d.line is None
-        else d
-        for d in diags
-    ]
+    return [d._replace(line=lineno) if d.line is None else d for d in diags]
 
 
 def _cmd_anncorra_parse(args):

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class LerilError(Exception):
@@ -33,8 +32,7 @@ class Severity(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding produced by a parser or validator.
 
     ``line`` and ``column`` are 1-based where known; ``field`` names the

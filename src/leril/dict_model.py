@@ -238,7 +238,11 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
 
         if line.startswith("--"):
             sm = _SENSE_RE.match(line)
-            if sm is None:
+            try:
+                number = int(sm.group(1)) if sm else None
+            except ValueError:  # more digits than int() converts
+                number = None
+            if number is None:
                 diagnostics.append(error("malformed sense line", line=lineno))
                 continue
             if current is None:
@@ -251,7 +255,7 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
             except GlossParseError as exc:
                 diagnostics.append(error(str(exc), line=lineno, column=exc.position))
                 continue
-            current.start_sense(int(sm.group(1)), gloss, lineno)
+            current.start_sense(number, gloss, lineno)
             continue
 
         if current is None:

@@ -14,17 +14,20 @@ Example lists after ``eg:`` are comma-separated; quotes may wrap each
 example or the whole list, so commas inside one example are read as
 separators. The number of turns is stored, never interpreted.
 
+A parsed formula is flat: its heads, outermost first, and the turns
+between them. So ``==``, ``repr`` and ``hash`` are tuple operations, and
+no nesting depth is too deep for them.
+
 Cost: a formula line's brackets are paired in one pass, so a derivation
 finds its closing ``]`` by lookup instead of rescanning the rest of the
 line at every nesting level. Parsing, emitting and the interchange export
-walk a derivation chain in loops, so no nesting depth is too deep for
-them; the generated ``==`` and ``repr`` of nested formulas still recurse.
+are loops over the levels, so no nesting depth is too deep for them either.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, LerilError, error, warning
 
@@ -37,27 +40,25 @@ class SutraParseError(LerilError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class SutraFormula:
-    head: str
-    derivation: "Derivation | None" = None
+class SutraFormula(NamedTuple):
+    """``heads[k]`` is derived from ``heads[k + 1]`` in ``turns[k]`` turns;
+    ``heads[-1]`` is the innermost source."""
+
+    heads: tuple[str, ...]
+    turns: tuple[int, ...] = ()
+
+    @property
+    def head(self) -> str:
+        return self.heads[0]
 
 
-@dataclass(frozen=True)
-class Derivation:
-    turn_count: int
-    source: SutraFormula
-
-
-@dataclass(frozen=True)
-class ThreadStage:
+class ThreadStage(NamedTuple):
     label: str
     gloss: str | None = None
     examples: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class SenseThread:
+class SenseThread(NamedTuple):
     stages: tuple[ThreadStage, ...]
 
 
@@ -75,11 +76,11 @@ def parse_formula(text: str) -> SutraFormula:
     """Parse ``HEAD[~* < SOURCE]`` with the source recursively a formula.
 
     One level at a time, outermost first, so the first error in reading
-    order is the one raised; the formula is then built from its innermost
-    source outward.
+    order is the one raised.
     """
     closing = _closing_brackets(text)
-    levels: list[tuple[str, int]] = []  # (head, turns) of each derived level
+    heads: list[str] = []
+    turn_counts: list[int] = []
     start, stop = 0, len(text)
     while True:
         m = _HEAD_END_RE.search(text, start, stop)
@@ -88,8 +89,9 @@ def parse_formula(text: str) -> SutraFormula:
         head = text[start : stop if m is None else m.start()].strip()
         if not head:
             raise SutraParseError("empty head", position=start + 1)
+        heads.append(head)
         if m is None:
-            break
+            return SutraFormula(tuple(heads), tuple(turn_counts))
         opening = m.start()
         # A source lies strictly inside its enclosing brackets, whose content
         # is balanced, so a bracket closed within [start, stop) is closed there.
@@ -106,12 +108,8 @@ def parse_formula(text: str) -> SutraFormula:
             raise SutraParseError(
                 f"expected '~' or '<' in derivation, found {text[k]!r}", position=k + 1
             )
-        levels.append((head, turns.group().count("~")))
+        turn_counts.append(turns.group().count("~"))
         start, stop = k + 1, j
-    formula = SutraFormula(head)
-    for head, turn_count in reversed(levels):
-        formula = SutraFormula(head, Derivation(turn_count, formula))
-    return formula
 
 
 def _closing_brackets(text: str) -> dict[int, int]:
@@ -132,20 +130,9 @@ def _closing_brackets(text: str) -> dict[int, int]:
 
 def emit_formula(formula: SutraFormula) -> str:
     """Canonical text; ``parse_formula(emit_formula(f)) == f``."""
-    opening: list[str] = []
-    while formula.derivation is not None:
-        d = formula.derivation
-        spacer = " " if d.turn_count else ""
-        opening.append(f"{formula.head}[{'~' * d.turn_count}{spacer}< ")
-        formula = d.source
-    return "".join(opening) + formula.head + "]" * len(opening)
-
-
-def innermost_source(formula: SutraFormula) -> str:
-    """The deepest source label; the head itself for underived formulas."""
-    while formula.derivation is not None:
-        formula = formula.derivation.source
-    return formula.head
+    heads, turns = formula
+    opening = [f"{head}[{'~' * n}{' ' if n else ''}< " for head, n in zip(heads, turns)]
+    return "".join(opening) + heads[-1] + "]" * len(turns)
 
 
 _EG_RE = re.compile(r"\beg\s*:")
@@ -259,7 +246,7 @@ def check_consistency(
     records label equivalences the notation itself leaves implicit.
     """
     diagnostics: list[Diagnostic] = []
-    core = innermost_source(formula)
+    core = formula.heads[-1]
     first = thread.stages[0].label
     if not _labels_match(core, first, aliases):
         diagnostics.append(
@@ -325,17 +312,11 @@ def parse_thread_file(text: str) -> tuple[list[SenseThread], list[Diagnostic]]:
 
 
 def formula_to_interchange(formula: SutraFormula) -> dict:
-    """JSON-shaped export of a formula, built from its innermost source out."""
-    levels: list[SutraFormula] = []
-    while formula.derivation is not None:
-        levels.append(formula)
-        formula = formula.derivation.source
-    doc: dict = {"head": formula.head, "derivation": None}
-    for level in reversed(levels):
-        doc = {
-            "head": level.head,
-            "derivation": {"turn_count": level.derivation.turn_count, "source": doc},
-        }
+    """JSON-shaped export of a formula, nested from its innermost source out."""
+    heads, turns = formula
+    doc: dict = {"head": heads[-1], "derivation": None}
+    for head, turn_count in zip(heads[-2::-1], turns[::-1]):
+        doc = {"head": head, "derivation": {"turn_count": turn_count, "source": doc}}
     return doc
 
 

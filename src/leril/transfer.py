@@ -38,7 +38,6 @@ tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from string import ascii_uppercase
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -70,8 +69,7 @@ class Frame(NamedTuple):
         return [el.value for el in self.elements if el.kind == "slot"]
 
 
-@dataclass(frozen=True)
-class SlotBinding:
+class SlotBinding(NamedTuple):
     bindings: Mapping[str, tuple[str, ...]]
 
 

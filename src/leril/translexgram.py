@@ -163,10 +163,14 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                 )
                 continue
             mv = _MEANING_VALUE_RE.match(value)
-            if mv is None:
+            try:
+                number = int(mv.group(1)) if mv else None
+            except ValueError:  # more digits than int() converts
+                number = None
+            if number is None:
                 diagnostics.append(error("malformed MEANING line", line=lineno, field="MEANING"))
                 continue
-            meaning = TlgMeaning(number=int(mv.group(1)), gloss=_unquote(mv.group(2)))
+            meaning = TlgMeaning(number=number, gloss=_unquote(mv.group(2)))
             record.meanings.append(meaning)
             last = (meaning, "gloss")
             continue

@@ -147,8 +147,8 @@ def test_criterion_7_sutra_fixture(fixtures_dir):
     check = _timed(1.0)
     formula = parse_formula("viSaya[~~ < niSpAdana]")
     assert formula.head == "viSaya"
-    assert formula.derivation.turn_count == 2
-    assert formula.derivation.source.head == "niSpAdana"
+    assert formula.turns == (2,)
+    assert formula.heads[-1] == "niSpAdana"
     thread = parse_thread(
         "niSpAdana(astitwa meM IAnA/AnA) --> niSpatti kA srota "
         "--> niSpatti (santAna, sansakaraNa etc)"

@@ -17,6 +17,10 @@ GO_DICT = "tests/fixtures/go.dict"
 GO_TLG = "tests/fixtures/go.tlg"
 SENTENCES = "tests/fixtures/sentences.anncorra"
 ROOT = Path(__file__).resolve().parents[1]
+_BIG_MEANING_TLG = (
+    'HEADWORD::"go","V"\nMEANING::{n}::"jAnA"\nMEANING::2::"calanA"\n'
+    "FRAME_E:: A goes to B\nFRAME_I:: A B [ko] jAtA hai\n"
+)
 
 
 def _run(capsys, *argv):
@@ -570,6 +574,31 @@ class TestExitCodes:
         bad.write_text('--"1.jAnA"\n')
         assert _run(capsys, "dict", "parse", str(bad))[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, text, kept",
+        [
+            (["dict", "parse"], '"go", "V",\n--"{n}.jAnA"\n--"2.calanA"\nGo on.\n', '"calanA"'),
+            (["tlg", "parse"], _BIG_MEANING_TLG, '"calanA"'),
+            (
+                ["transfer", "I go to school.", "--lexicon"],
+                _BIG_MEANING_TLG,
+                "I school ko jAtA hai",
+            ),
+        ],
+        ids=["dict parse", "tlg parse", "transfer --lexicon"],
+    )
+    def test_a_number_too_long_for_int_is_a_malformed_line(
+        self, capsys, tmp_path, argv, text, kept
+    ):
+        # int() refuses more than 4 300 decimal digits
+        path = tmp_path / "big.txt"
+        path.write_text(text.replace("{n}", "1" * 5000))
+        code, out, err = _run(capsys, *argv, str(path))
+        assert code == 2
+        assert "Traceback" not in err
+        assert "error: malformed " in err.splitlines()[0]
+        assert kept in out
+
     def test_clean_exit_0(self, capsys):
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
 
@@ -750,11 +779,18 @@ class TestImports:
         assert out.split() == ["0", *modules]
 
     def test_literal_frame_transfer_leaves_the_json_decoder_unloaded(self):
+        loaded = _IMPORTS_AFTER_RUN + (
+            'print("json.decoder" in sys.modules, "dataclasses" in sys.modules)'
+        )
         out = _fresh_python(
-            _IMPORTS_AFTER_RUN + 'print("json.decoder" in sys.modules)',
+            loaded,
             "transfer", "--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai", "I go.",
         )
-        assert out.split()[-1] == "False"
+        assert out.split()[-2:] == ["False", "False"]
+        out = _fresh_python(
+            loaded, "sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"
+        )
+        assert out.split()[-1] == "False"  # dataclasses
 
     def test_import_leril_loads_a_layer_on_first_access(self):
         out = _fresh_python(

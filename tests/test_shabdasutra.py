@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from leril.cli import _dump_json, run
 from leril.diagnostics import Severity
 from leril.shabdasutra import (
-    Derivation,
     SenseThread,
     SutraFormula,
     SutraParseError,
@@ -34,20 +33,16 @@ class TestParseFormula:
     def test_issue_formula(self):
         formula = parse_formula(ISSUE_FORMULA)
         assert formula.head == "viSaya"
-        assert formula.derivation.turn_count == 2
-        assert formula.derivation.source == SutraFormula("niSpAdana")
+        assert formula == SutraFormula(("viSaya", "niSpAdana"), (2,))
 
     def test_bare_head(self):
-        assert parse_formula("jAnA") == SutraFormula("jAnA")
+        assert parse_formula("jAnA") == SutraFormula(("jAnA",))
 
     def test_nested_derivation(self):
         formula = parse_formula("a[< b[~ < c]]")
         assert formula.head == "a"
-        assert formula.derivation.turn_count == 0
-        inner = formula.derivation.source
-        assert inner.head == "b"
-        assert inner.derivation.turn_count == 1
-        assert inner.derivation.source == SutraFormula("c")
+        assert formula.heads == ("a", "b", "c")
+        assert formula.turns == (0, 1)
         assert parse_formula(emit_formula(formula)) == formula
 
     @pytest.mark.parametrize(
@@ -94,7 +89,7 @@ class TestEmit:
         assert emit_formula(parse_formula(ISSUE_FORMULA)) == ISSUE_FORMULA
 
     def test_bare_head(self):
-        assert emit_formula(SutraFormula("jAnA")) == "jAnA"
+        assert emit_formula(SutraFormula(("jAnA",))) == "jAnA"
 
     def test_zero_turn_spacing(self):
         assert emit_formula(parse_formula("a[< b]")) == "a[< b]"
@@ -108,13 +103,13 @@ _head = st.text(alphabet="abcdefgSAI", min_size=1, max_size=6)
 
 
 def _formulas(depth: int):
-    if depth == 0:
-        return st.builds(SutraFormula, _head, st.none())
-    return st.builds(
-        SutraFormula,
-        _head,
-        st.none()
-        | st.builds(Derivation, st.integers(min_value=0, max_value=3), _formulas(depth - 1)),
+    """Formulas of up to ``depth`` derivations."""
+    return st.integers(0, depth).flatmap(
+        lambda n: st.builds(
+            SutraFormula,
+            st.lists(_head, min_size=n + 1, max_size=n + 1).map(tuple),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
+        )
     )
 
 
@@ -125,13 +120,7 @@ def test_formula_round_trip_property(formula):
 
 @given(_formulas(3))
 def test_turn_count_is_tilde_count(formula):
-    emitted = emit_formula(formula)
-    total_turns = 0
-    f = formula
-    while f.derivation is not None:
-        total_turns += f.derivation.turn_count
-        f = f.derivation.source
-    assert emitted.count("~") == total_turns
+    assert emit_formula(formula).count("~") == sum(formula.turns)
 
 
 def _normalized(alphabet: str, max_size: int):
@@ -206,6 +195,11 @@ class TestFiles:
         assert diags[0].line == 2
 
 
+def _derive(head: str, turns: int, source: SutraFormula) -> SutraFormula:
+    """The formula ``head[~... < source]``."""
+    return SutraFormula((head, *source.heads), (turns, *source.turns))
+
+
 def _reference_parse_formula(s: str, start: int, stop: int) -> SutraFormula:
     """The walk that counts bracket depth from each level's ``[``."""
     head_end = next((i for i in range(start, stop) if s[i] in "[]<~"), None)
@@ -216,7 +210,7 @@ def _reference_parse_formula(s: str, start: int, stop: int) -> SutraFormula:
     if not head:
         raise SutraParseError("empty head", position=start + 1)
     if head_end is None:
-        return SutraFormula(head)
+        return SutraFormula((head,))
     depth, j = 0, head_end
     while j < stop:
         depth += {"[": 1, "]": -1}.get(s[j], 0)
@@ -238,7 +232,7 @@ def _reference_parse_formula(s: str, start: int, stop: int) -> SutraFormula:
         k += 1
     if k >= j:
         raise SutraParseError("expected '<' in derivation", position=k + 1)
-    return SutraFormula(head, Derivation(turns, _reference_parse_formula(s, k + 1, j)))
+    return _derive(head, turns, _reference_parse_formula(s, k + 1, j))
 
 
 def _parse_outcome(parse, text):
@@ -271,13 +265,14 @@ def test_parse_formula_matches_depth_counting_walk(pieces):
 
 def _reference_interchange(formula: SutraFormula) -> dict:
     """The export written as a recursion over the derivation chain."""
-    doc: dict = {"head": formula.head}
-    if formula.derivation is None:
+    heads, turns = formula
+    doc: dict = {"head": heads[0]}
+    if not turns:
         doc["derivation"] = None
     else:
         doc["derivation"] = {
-            "turn_count": formula.derivation.turn_count,
-            "source": _reference_interchange(formula.derivation.source),
+            "turn_count": turns[0],
+            "source": _reference_interchange(SutraFormula(heads[1:], turns[1:])),
         }
     return doc
 
@@ -293,10 +288,8 @@ _odd_head = st.text(alphabet='aS"\\\x00\x1f\u00e9\u2028\U0001f600', min_size=1, 
 @given(
     st.lists(
         st.recursive(
-            st.builds(SutraFormula, _odd_head),
-            lambda inner: st.builds(
-                SutraFormula, _odd_head, st.builds(Derivation, st.integers(0, 12), inner)
-            ),
+            st.builds(lambda head: SutraFormula((head,)), _odd_head),
+            lambda inner: st.builds(_derive, _odd_head, st.integers(0, 12), inner),
             max_leaves=8,
         ),
         max_size=4,
@@ -319,20 +312,9 @@ def test_formulas_json_of_a_deep_formula(capsys, fixtures_dir, tmp_path):
 
 
 def _chain(depth: int) -> SutraFormula:
-    formula = SutraFormula("h0")
-    for k in range(1, depth):
-        formula = SutraFormula(f"h{k}", Derivation(k % 3, formula))
-    return formula
-
-
-def _levels(formula: SutraFormula) -> list[tuple[str, int | None]]:
-    """(head, turns) of every level; compared instead of the formulas, whose
-    generated ``==`` recurses once per level."""
-    levels = []
-    while formula.derivation is not None:
-        levels.append((formula.head, formula.derivation.turn_count))
-        formula = formula.derivation.source
-    return levels + [(formula.head, None)]
+    """``depth`` levels, ``h{depth - 1}`` outermost; level ``hk`` has k % 3 turns."""
+    ks = range(depth - 1, -1, -1)
+    return SutraFormula(tuple(f"h{k}" for k in ks), tuple(k % 3 for k in ks[:-1]))
 
 
 def test_formula_100000_levels_deep_round_trips():
@@ -341,7 +323,10 @@ def test_formula_100000_levels_deep_round_trips():
     assert text.startswith("h99999[< h99998[~~ < h99997[~ < ")
     assert text.endswith("h1[~ < h0" + "]" * 99_999)
     parsed = parse_formula(text)
-    assert _levels(parsed) == _levels(formula)
+    assert parsed == formula
+    assert repr(parsed) == repr(formula)
+    assert repr(parsed).startswith("SutraFormula(heads=('h99999', 'h99998', ")
+    assert hash(parsed) == hash(formula)
     assert emit_formula(parsed) == text
     doc, depth = formula_to_interchange(parsed), 0
     while doc["derivation"] is not None:
