@@ -105,6 +105,23 @@ def _inputs(tmp: Path) -> dict[str, Path]:
         "deep.anncorra": b"[" * 300 + b"x/k1 y::v" + b"]<s>" * 300 + b"\n",
         "deep.formula": b"a[" * 300 + b"b" + b"]" * 300 + b"\n",
         "frames.tlg": b'HEADWORD::"x","V"\nMEANING::1::"y"\nFRAME_E:: []\nFRAME_I:: [[\n',
+        # padded names and values, names that are not names, an alias, duplicate
+        # single fields, continuations after every kind of field, a skipped record
+        "fields.tlg": "\n".join([
+            'HEADWORD::"go","V"', 'MEANING::1::"jAnA"', "the gloss goes on",
+            "\u00a0ENG_EXP\u00a0::\u3000I go to school.\u00a0",
+            "TR_NAT ::  maiM skUla jAtA hUM.\u3000", "and on", "\u3000TR_ENG_INFLNCE::\u3000",
+            "FRAME_E\x1c:: A goes to B", "FRAME_E :: A goes to B",
+            "FRAME_I:: A B [ko] jAtA hai\x1c", "FRAME_I:: A B [ko] jAtA hai", "ERR ::",
+            "X_NOTE:: kept", "continued", "A:B:: x", "A B:: x", "1A:: x", ":: x", "COMNT::",
+            "COMNT:: a note", "wrapped", 'MEANING::2::"rakhA~jAnA"',
+            "ENG_EXP:: These clothes go into that suitcase.", "TR_NAT:: ye kapaDe",
+            "\x1cTR_NAT\x1c:: rakhe jAyeMge", "FRAME_E:: A goes into B",
+            "FRAME_I:: A B meM rakhA_jAtA_hai", 'HEADWORD::go,V', 'MEANING::1::"x"',
+            "ENG_EXP:: skipped", "stray", 'HEADWORD::"come","V"', 'MEANING::1::"AnA"',
+            "ENG_EXP:: I come home.", "TR_NAT:: maiM ghara AtA hUM.", "FRAME_E:: A comes B",
+            "FRAME_I:: A B AtA hai", "",
+        ]).encode(),
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"

@@ -25,10 +25,10 @@ A field line that is present but empty parses to ``""``; an absent field
 is ``None``. Emission writes empty fields as bare ``FIELD::`` lines, which
 keeps parse/emit round-trips exact.
 
-Cost: every CLI command on a lexicon parses the whole file once, and
-``parse_tlg`` runs one regex per line. The pattern stops at the field's
-``::``; the value is the rest of the line, stripped of Unicode
-whitespace.
+Cost: every CLI command on a lexicon parses the whole file once.
+``parse_tlg`` splits each line once, at its first ``::``, and strips
+Unicode whitespace from both halves; the name pattern runs only on a name
+that is none of the known fields.
 """
 
 from __future__ import annotations
@@ -76,10 +76,9 @@ class ParallelPair:
     sense_number: int
 
 
-# A field name, its ``::`` and the rest of the line, whose trailing
-# whitespace the reader strips: a lazy value group followed by ``\s*$``
-# would retry the end-of-line test at every character of the value.
-_FIELD_RE = re.compile(r"\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*)")
+# A field name; a line is a field when the text before its first ``::``
+# is one, stripped of Unicode whitespace (a name holds no ``:``).
+_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _MEANING_VALUE_RE = re.compile(r"^(\d+)\s*::\s*(.*)$")
 _HEADWORD_VALUE_RE = re.compile(r'^"([^"]*)"\s*,\s*"([^"]*)"$')
 
@@ -94,6 +93,8 @@ _SINGLE_FIELDS = {
     "COMNT": "comment",
 }
 _FIELD_ALIASES = {"TR_ENG_INFLNCE": "TR_ENG-INFLNC"}
+# Names known to match _NAME_RE, which the reader then does not run.
+_NAMES = frozenset(["HEADWORD", "MEANING", "TR_NAT", *_SINGLE_FIELDS, *_FIELD_ALIASES])
 
 
 def _unquote(value: str) -> str:
@@ -109,16 +110,17 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
     record: TlgRecord | None = None
     record_line = 0
     meaning: TlgMeaning | None = None
-    # Continuation target: (meaning, attribute), where the attribute is
-    # "tr_nat" or "extras" for the last entry of that list.
-    last: tuple[TlgMeaning, str] | None = None
+    # Continuation target: an attribute of ``meaning``, where "tr_nat" and
+    # "extras" stand for the last entry of that list.
+    last: str | None = None
     skipping = False
     saw_content = False
-    field_match = _FIELD_RE.match
+    name_match = _NAME_RE.fullmatch
 
     for lineno, raw in enumerate(text.splitlines(), 1):
-        m = field_match(raw)
-        if m is None:
+        name, sep, value = raw.partition("::")
+        name = name.strip()
+        if not sep or (name not in _NAMES and name_match(name) is None):
             if not raw.strip():
                 continue
             saw_content = True
@@ -129,27 +131,47 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                     error("continuation line without a preceding field", line=lineno)
                 )
                 continue
-            _extend(last, raw.strip())
+            _extend(meaning, last, raw.strip())
             continue
         saw_content = True
-        name, value = m.groups()
-        value = value.rstrip()
+        value = value.strip()
+
+        # A meaning implies a record, not skipped; most of its lines are single fields.
+        if meaning is not None:
+            if name in _FIELD_ALIASES:
+                canonical = _FIELD_ALIASES[name]
+                diagnostics.append(
+                    warning(f"field name {name} accepted as {canonical}", line=lineno, field=name)
+                )
+                name = canonical
+            attr = _SINGLE_FIELDS.get(name)
+            if attr is not None:
+                if getattr(meaning, attr) is not None:
+                    diagnostics.append(
+                        warning(
+                            f"duplicate {name} in meaning {meaning.number}; later value wins",
+                            line=lineno,
+                            field=name,
+                        )
+                    )
+                setattr(meaning, attr, value)
+                last = attr
+                continue
 
         if name == "HEADWORD":
             if record is not None:
                 _close_record(record, record_line, records, diagnostics)
                 record = meaning = None
+            last = None
             hv = _HEADWORD_VALUE_RE.match(value)
             if hv is None or not hv.group(1):
                 diagnostics.append(
                     error("malformed HEADWORD value; record skipped", line=lineno, field="HEADWORD")
                 )
                 skipping = True
-                last = None
                 continue
             record = TlgRecord(hv.group(1), hv.group(2))
             record_line = lineno
-            last = None
             skipping = False
             continue
 
@@ -172,7 +194,7 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                 continue
             meaning = TlgMeaning(number=number, gloss=_unquote(mv.group(2)))
             record.meanings.append(meaning)
-            last = (meaning, "gloss")
+            last = "gloss"
             continue
 
         if record is None:
@@ -186,17 +208,10 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
             )
             continue
 
-        if name in _FIELD_ALIASES:
-            canonical = _FIELD_ALIASES[name]
-            diagnostics.append(
-                warning(f"field name {name} accepted as {canonical}", line=lineno, field=name)
-            )
-            name = canonical
-
         if name == "TR_NAT":
             if value:
                 meaning.tr_nat.append(value)
-                last = (meaning, "tr_nat")
+                last = "tr_nat"
             else:
                 diagnostics.append(
                     warning("empty TR_NAT value ignored", line=lineno, field="TR_NAT")
@@ -204,23 +219,9 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                 last = None
             continue
 
-        attr = _SINGLE_FIELDS.get(name)
-        if attr is not None:
-            if getattr(meaning, attr) is not None:
-                diagnostics.append(
-                    warning(
-                        f"duplicate {name} in meaning {meaning.number}; later value wins",
-                        line=lineno,
-                        field=name,
-                    )
-                )
-            setattr(meaning, attr, value)
-            last = (meaning, attr)
-            continue
-
         diagnostics.append(warning(f"unknown field {name}", line=lineno, field=name))
         meaning.extras.append((name, value))
-        last = (meaning, "extras")
+        last = "extras"
 
     if record is not None:
         _close_record(record, record_line, records, diagnostics)
@@ -242,17 +243,16 @@ def _close_record(
     records.append(record)
 
 
-def _extend(last: tuple[TlgMeaning, str], text: str) -> None:
+def _extend(meaning: TlgMeaning, attr: str, text: str) -> None:
     """Join a continuation line onto the field value it continues."""
-    target, attr = last
     if attr == "tr_nat":
-        target.tr_nat[-1] = f"{target.tr_nat[-1]} {text}"
+        meaning.tr_nat[-1] = f"{meaning.tr_nat[-1]} {text}"
     elif attr == "extras":
-        name, value = target.extras[-1]
-        target.extras[-1] = (name, f"{value} {text}" if value else text)
+        name, value = meaning.extras[-1]
+        meaning.extras[-1] = (name, f"{value} {text}" if value else text)
     else:
-        current = getattr(target, attr)
-        setattr(target, attr, f"{current} {text}" if current else text)
+        current = getattr(meaning, attr)
+        setattr(meaning, attr, f"{current} {text}" if current else text)
 
 
 def validate_tlg(record: TlgRecord, policy: str = "lenient") -> list[Diagnostic]:

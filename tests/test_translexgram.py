@@ -258,15 +258,17 @@ def test_interchange_shape(go_tlg_text):
     assert doc["records"][0]["meanings"][1]["frame_i"] == "A B meM rakhA_jAtA_hai"
 
 
-# The field pattern before it stopped at ``::``: its lazy value group ends
-# in ``\s*$``. Patched in, it is the reference for the line reader.
+# The field pattern of an earlier reader: its lazy value group ends in
+# ``\s*$``. It is the reference for which lines are fields.
 _LAZY_FIELD_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_-]*)\s*::\s*(.*?)\s*$")
-_LINE_CHARS = 'ABCHIMNTabz019_-:" \t\r\x0b\x1c\u00a0\u2028'
-_space = st.text(alphabet=" \t\r\x0b\x1c\u00a0\u2028", max_size=2)
+_SPACES = " \t\r\x0b\x1c\x85\u00a0\u2028\u3000"
+_LINE_CHARS = 'ABCHIMNTabz019_-:" ' + _SPACES
+_space = st.text(alphabet=_SPACES, max_size=2)
 _field_name = st.sampled_from(
     [
         "HEADWORD", "MEANING", "MEANING_OTH", "ENG_EXP", "TR_NAT", "TR_ENG-INFLNC",
         "TR_ENG_INFLNCE", "FRAME_E", "FRAME_I", "ERR", "COMNT", "X_FIELD", "a-1", "1A",
+        "A:B", "A B", "\u00c9", "",
     ]
 )
 _field_value = st.sampled_from(
@@ -277,14 +279,71 @@ _field_line = st.tuples(_space, _field_name, _space, _space, _field_value, _spac
 )
 # Lines without a field: blank, continuation, or stray text.
 _other_line = st.text(alphabet=_LINE_CHARS, max_size=12)
+_OPENING = ['HEADWORD::"go","V"', 'MEANING::1::"x"']
+_PLACEHOLDER_RE = re.compile(r"@(\d+)@")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_field_line, _field_line, _other_line), max_size=12))
-@example(['HEADWORD::"go","V"', 'MEANING::1::"x"', "ENG_EXP:: a", "b", "TR_NAT:: c"])
+@given(
+    st.lists(st.one_of(_field_line, _field_line, _other_line), max_size=12).map(
+        lambda lines: _OPENING + lines
+    )
+)
+@example([*_OPENING, "ENG_EXP:: a", "b", "TR_NAT:: c"])
 def test_line_reader_matches_the_lazy_field_pattern(lines):
-    # \r, \x0b, \x1c and U+2028 in a generated line split it in two.
+    # \r, \x0b, \x1c, \x85 and U+2028 in a generated line split it in two.
     source = "\n".join(lines)
-    with mock.patch.object(translexgram, "_FIELD_RE", _LAZY_FIELD_RE):
-        expected = parse_tlg(source)
-    assert parse_tlg(source) == expected
+    # The reference text: a line the pattern accepts as its bare field, a
+    # blank line empty, and any other line a numbered placeholder with no
+    # ``::``, which can only continue the field before it.
+    texts = []
+    reference = []
+    for raw in source.splitlines():
+        m = _LAZY_FIELD_RE.match(raw)
+        if m is not None:
+            reference.append(f"{m.group(1)}::{m.group(2)}")
+        elif raw.strip():
+            reference.append(f"@{len(texts)}@")
+            texts.append(raw.strip())
+        else:
+            reference.append("")
+    records, diags = parse_tlg("\n".join(reference))
+    got, got_diags = parse_tlg(source)
+    assert to_interchange(got) == _fill(to_interchange(records), texts)
+    assert got_diags == diags
+
+
+def _fill(value, texts):
+    """``value`` with each placeholder replaced by the text it stands for."""
+    if isinstance(value, str):
+        return _PLACEHOLDER_RE.sub(lambda p: texts[int(p.group(1))], value)
+    if isinstance(value, dict):
+        return {key: _fill(item, texts) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_fill(item, texts) for item in value]
+    return value
+
+
+def _name_pattern_calls(text: str) -> int:
+    pattern = mock.Mock(wraps=translexgram._NAME_RE)
+    with mock.patch.object(translexgram, "_NAME_RE", pattern):
+        parse_tlg(text)
+    return pattern.fullmatch.call_count
+
+
+def test_known_field_names_skip_the_name_pattern(go_tlg_text):
+    meaning = TlgMeaning(
+        1, "g", "o", "I go.", ["a", "b"], "", "A goes to B", "A B jAtA hai", "", "c"
+    )
+    lexicon = emit_tlg([TlgRecord(f"w{k}", "V", [meaning, meaning]) for k in range(200)])
+    assert all(f"\n{name}::" in lexicon for name in translexgram._SINGLE_FIELDS)
+    assert _name_pattern_calls(go_tlg_text) == 0
+    assert _name_pattern_calls(lexicon) == 0
+    assert _name_pattern_calls(go_tlg_text + "X_FIELD:: x\n") >= 1
+
+
+def test_str_strip_and_the_re_whitespace_class_agree():
+    # parse_tlg strips with str.strip where the earlier reader matched \s.
+    chars = "".join(map(chr, range(0x110000)))
+    spaces = re.findall(r"\s", chars)
+    assert spaces == [c for c in chars if c.isspace()] == [c for c in chars if not c.strip()]
