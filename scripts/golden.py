@@ -10,7 +10,8 @@ temporary directory, so no network is needed). Each tree runs in its own
 child process. The cases are:
 
 - every subcommand on ``tests/fixtures/`` and on a few generated inputs
-  (empty, not UTF-8, BOM, NUL, CR line ends, deep brackets, a missing file,
+  (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
+  and LF that ``str.splitlines`` breaks at, deep brackets, a missing file,
   a directory), with and without ``--strict``, plus transfer sentences and
   literal frames, and ``--tagset`` / ``LERIL_TAGSET`` variants;
 - ``-h`` of every command and subcommand, and usage errors;
@@ -122,6 +123,7 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             "ENG_EXP:: I come home.", "TR_NAT:: maiM ghara AtA hUM.", "FRAME_E:: A comes B",
             "FRAME_I:: A B AtA hai", "",
         ]).encode(),
+        **_breaks(),
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"
@@ -133,6 +135,39 @@ def _inputs(tmp: Path) -> dict[str, Path]:
     paths["missing"] = folder / "no-such-file"
     paths["directory"] = folder
     return paths
+
+
+# the characters that end no line, though str.splitlines breaks at them
+BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _breaks() -> dict[str, bytes]:
+    """One input per notation holding each of BREAKS inside a value, and all
+    of them inside a comment and at a line end. The dictionary, formula,
+    thread and AnnCorra inputs end in a malformed line, whose diagnostic
+    shows how many lines come before it."""
+    files = {
+        "breaks.dict": ['"go", "V",' + BREAKS, '--"1.jAnA"',
+                        *(f"I go{c} to school." for c in BREAKS),
+                        f'--"2.ho~jAnA{{sthi{BREAKS}ti}}"', "Have you gone mad?", "--oops"],
+        "breaks.formula": [f"# core{BREAKS}formula", "viSaya[~~ < niSpAdana]" + BREAKS,
+                           *(f"vi{c}Saya[~ < jAnA]" for c in BREAKS), "a["],
+        "breaks.thread": [f"# thread{BREAKS}note", f"niSpAdana(astitwa{BREAKS}meM IAnA/AnA)",
+                          "--> niSpatti kA srota" + BREAKS,
+                          *(f"--> niSpatti (santAna{c} etc)" for c in BREAKS), "", "--> orphan"],
+        "breaks-alias.tsv": [f"# aliases{BREAKS}here", "viSaya\tniSpatti" + BREAKS,
+                             *(f"vi{c}Saya\tniSpAdana" for c in BREAKS)],
+        "breaks.cfg": [f"# tags{BREAKS}here", "k5\trelation\tnonverbal\tlocation" + BREAKS,
+                       *(f"k4{k}\trelation\tnonverbal\trecipient{c}{k}"
+                         for k, c in enumerate(BREAKS))],
+        "breaks-words.txt": [f"# words{BREAKS}here", "come" + BREAKS,
+                             *(f"nope{c}go" for c in BREAKS)],
+        "breaks.anncorra": ["# note\u2028 here", "rAma_ne/k1 piyA::v", f"# s2 note{BREAKS}",
+                            "piyA::v" + BREAKS,
+                            *(f"# b{k}\nrAma_ne/k1{c}piyA::v" for k, c in enumerate(BREAKS)),
+                            "a/k1->q piyA::v:i"],
+    }
+    return {name: ("\n".join(lines) + "\n").encode() for name, lines in files.items()}
 
 
 def _file_cases(inputs: dict[str, Path]) -> list[Cmd]:
@@ -311,7 +346,8 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
 
     scenarios = []
     for source in ("sentences.anncorra", "mixed.anncorra", "cr.anncorra", "bom.anncorra",
-                   "deep.anncorra", "empty.txt", "not-utf8.txt", "missing", "go.dict"):
+                   "deep.anncorra", "breaks.anncorra", "empty.txt", "not-utf8.txt", "missing",
+                   "go.dict"):
         # a store is made first, so that the reads after an add that fails on
         # its input read one
         unreadable = source in ("missing", "not-utf8.txt")

@@ -46,7 +46,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, LerilError, error, warning
+from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
 
 
 class AnnCorraParseError(LerilError):
@@ -144,7 +144,7 @@ def load_tagset(config: str) -> TagRegistry:
     """
     tags = list(DEFAULT_TAGS)
     seen: set[tuple[str, str]] = set()
-    for lineno, raw in enumerate(config.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(config), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -761,7 +761,7 @@ def iter_sentences(text: str) -> Iterator[tuple[str | None, int, str]]:
     sentence. Blank lines are skipped.
     """
     pending: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line:
             continue

@@ -30,6 +30,7 @@ from .diagnostics import (
     Severity,
     error,
     info,
+    split_lines,
     utf8_text,
     worst_severity,
 )
@@ -163,11 +164,8 @@ def _cmd_dict_filter(args):
     from . import dict_model
 
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
-    words = {
-        line.strip()
-        for line in _read_text(args.wordlist).splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    }
+    words = {line.strip() for line in split_lines(_read_text(args.wordlist))}
+    words = {word for word in words if word and not word.startswith("#")}
     _print(dict_model.emit_dictionary(dict_model.frequency_filter(dictionary, words)))
     return diags
 
@@ -232,7 +230,7 @@ def _with_line(diags, lineno):
     return [d._replace(line=lineno) if d.line is None else d for d in diags]
 
 
-def _cmd_anncorra_parse(args):
+def _cmd_anncorra_parse(args):  # also ``anncorra check``, which prints no document
     from . import anncorra
 
     registry = _load_registry(args) or anncorra.default_registry()
@@ -241,21 +239,12 @@ def _cmd_anncorra_parse(args):
     for sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
         tree, tree_diags = anncorra.parse_sentence(line, registry)
         diags.extend(_with_line(tree_diags, lineno))
-        if tree is not None:
+        if tree is not None and args.subcommand == "parse":
             sentences.append(
                 {"id": sentence_id, "line": lineno, "tree": anncorra.to_interchange(tree)}
             )
-    _print(_dump_json({"format": "anncorra", "sentences": sentences}))
-    return diags
-
-
-def _cmd_anncorra_check(args):
-    from . import anncorra
-
-    registry = _load_registry(args) or anncorra.default_registry()
-    diags: list[Diagnostic] = []
-    for _sentence_id, lineno, line in anncorra.iter_sentences(_read_text(args.file)):
-        diags.extend(_with_line(anncorra.parse_sentence(line, registry)[1], lineno))
+    if args.subcommand == "parse":
+        _print(_dump_json({"format": "anncorra", "sentences": sentences}))
     return diags
 
 
@@ -265,7 +254,7 @@ def _cmd_anncorra_convert(args):
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
     out_lines = []
-    for lineno, raw in enumerate(_read_text(args.file).splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(_read_text(args.file)), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             out_lines.append(raw)
@@ -479,7 +468,7 @@ def _fill_anncorra(p_ann: argparse.ArgumentParser) -> None:
     ann_sub = p_ann.add_subparsers(dest="subcommand")
     p = _command(ann_sub.add_parser("parse"), _cmd_anncorra_parse, tagset=True)
     p.add_argument("file")
-    p = _command(ann_sub.add_parser("check"), _cmd_anncorra_check, tagset=True)
+    p = _command(ann_sub.add_parser("check"), _cmd_anncorra_parse, tagset=True)
     p.add_argument("file")
     p = _command(ann_sub.add_parser("convert"), _cmd_anncorra_convert, tagset=True)
     p.add_argument("file")

@@ -2,9 +2,11 @@
 
 A store is a plain directory holding one append-only ``<lang>.anncorra``
 file per language, with records written as a ``# id`` comment line
-followed by the sentence's linear notation. An optional ``tagset.cfg``
-extends the default tag registry for everything read through the store.
-The layout is deliberately human-readable so dumps can be shipped as-is.
+followed by the sentence's linear notation; lines end at ``\\n``,
+``\\r\\n`` or ``\\r`` only (``diagnostics.split_lines``). An optional
+``tagset.cfg`` extends the default tag registry for everything read
+through the store. The layout is deliberately human-readable so dumps
+can be shipped as-is.
 
 Contract: single writer, any number of readers. Opening read-write takes
 an exclusive ``flock`` on ``.lock`` in the store directory, which the
@@ -64,13 +66,11 @@ from pathlib import Path
 
 from .anncorra import DepTree, TagRegistry, default_registry, iter_sentences
 from .anncorra import load_tagset, parse_sentence
-from .diagnostics import Diagnostic, LerilError, has_errors, utf8_text, warning
+from .diagnostics import Diagnostic, LerilError, has_errors, split_lines, utf8_text, warning
 
-SIDECAR_VERSION = 4
+SIDECAR_VERSION = 5
 _HEADER_KEYS = ("version", "tagset", "trees", "marks", "crc")
 _TAG_TYPES = {str, type(None)}
-# where str.splitlines ends a line
-_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -239,7 +239,7 @@ class CorpusStore:
                 self._rows[row[0]] = row
 
         tail = data[covered:]
-        torn = None  # (line number, byte offset, reason) of a torn last line
+        torn = None  # (byte offset, reason) of a torn last line, the one after ``parts``
         try:
             text = tail.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -247,12 +247,11 @@ class CorpusStore:
             if exc.start < cut:
                 raise CorpusError(f"{path}: not UTF-8 text at byte {covered + exc.start}") from None
             text = tail[:cut].decode("utf-8")
-            torn = (f.lines + len(text.splitlines()) + 1, covered + cut, "not UTF-8 text")
+            torn = (covered + cut, "not UTF-8 text")
+        parts = split_lines(text, keepends=True)  # the lines of the tail, with their ends
         last_raw = None  # the unterminated last line, if any
-        last_line = 0
-        if torn is None and text[-1:] not in ("", *_LINE_BREAKS):
-            tail_lines = text.splitlines()
-            last_raw, last_line = tail_lines[-1], len(tail_lines)
+        if torn is None and parts and parts[-1][-1] not in "\r\n":
+            last_raw = parts[-1]
 
         parsed = []  # the line number in the tail and the auto-id count of each record
         for sentence_id, lineno, line in iter_sentences(text):
@@ -264,30 +263,29 @@ class CorpusStore:
                     raise CorpusError(f"duplicate sentence id '{sentence_id}'")
                 tree, _ = self._parse(sentence_id, line)
             except CorpusError as exc:
-                if lineno != last_line:
+                if last_raw is None or lineno != len(parts):
                     raise CorpusError(
                         f"{path}:{f.lines + lineno}: {exc}", exc.diagnostics
                     ) from None
-                torn = (f.lines + lineno, len(data) - len(last_raw.encode("utf-8")), str(exc))
-                text = text[: len(text) - len(last_raw)]
+                torn = (len(data) - len(last_raw.encode("utf-8")), str(exc))
+                parts.pop()
                 break
             f.auto += auto_id
             parsed.append((lineno, f.auto))
             self._index(f, sentence_id, line, tree)
         if torn is not None:
-            line_no, offset, reason = torn
+            offset, reason = torn
             action = "removed" if self.mode == "rw" else "skipped"
             self.diagnostics.append(
-                warning(f"{path}:{line_no}: torn last record {action}: {reason}")
+                warning(f"{path}:{f.lines + len(parts) + 1}: torn last record {action}: {reason}")
             )
             if self.mode == "rw":
                 os.truncate(path, offset)
         elif last_raw is not None and self.mode == "rw":
             f.append(b"\n", len(data))
-            text += "\n"
+            parts[-1] += "\n"
             data += b"\n"
 
-        parts = text.splitlines(keepends=True)
         last_record = parsed[-1][0] if parsed else 0
         f.trailer = "".join(parts[last_record:]).encode("utf-8")
         f.trailer_lines = len(parts) - last_record
@@ -341,7 +339,7 @@ class CorpusStore:
         duplicates, lines that do not parse and resolve cleanly, and any id
         or line that would not read back unchanged from the data file (an
         empty id or one with whitespace; a line starting with ``#``, with
-        leading or trailing whitespace or with a line break). Parse warnings
+        leading or trailing whitespace or with ``\\n`` or ``\\r``). Parse warnings
         are appended to ``diagnostics`` when a list is supplied.
         """
         if self.mode != "rw":
@@ -672,8 +670,8 @@ def _interchange(f: _DataFile) -> list[str]:
     sort_keys=True) + "\n" for doc = {"format": "anncorra-corpus",
     "records": [{"id", "language", "source", "raw", "tree":
     anncorra.to_interchange(tree)}, ...]}, written from the columns with no
-    tree built: cli._dump_json took 5.8x as long on 600 sentences, counting
-    the dicts it needs, and this export sets the tail of a treebank workload.
+    tree built: opening and exporting the seed-7 treebank bench store takes
+    19-22 ms this way and 76-84 ms (3.8-4.0x) as dicts through cli._dump_json.
     """
     language, source = _json_string(f.language), _json_string(str(f.path))
     records = []

@@ -1,4 +1,5 @@
-"""Shared diagnostic records and the package-wide error base class."""
+"""Shared diagnostic records, the package-wide error base class, and how
+input text is read: UTF-8, in lines ended by ``\\n``, ``\\r\\n`` or ``\\r``."""
 
 from __future__ import annotations
 
@@ -20,16 +21,30 @@ def utf8_text(data: bytes, source) -> str:
         raise LerilError(f"{source}: not UTF-8 text at byte {exc.start}") from None
 
 
+def split_lines(text: str, keepends: bool = False) -> list[str]:
+    """The lines of ``text``, with their ends when ``keepends``. A line ends at
+    ``\\n``, ``\\r\\n`` or ``\\r`` only, as with universal newlines, so that a
+    line number is the one an editor shows; a final end starts no line.
+    ``corpus_store._ends_line`` is this rule on bytes. A list: a generator
+    would cost ``parse_tlg`` about 9%."""
+    flat = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    lines = flat.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or an empty text
+    if keepends:  # each line with the end that follows it in ``text``
+        at = 0
+        for k, line in enumerate(lines):
+            start, at = at, at + len(line) + 1 + text.startswith("\r\n", at + len(line))
+            lines[k] = text[start:at]
+    return lines
+
+
 class Severity(enum.IntEnum):
     """Diagnostic severity, ordered so that ``max()`` picks the worst."""
 
     INFO = 10
     WARNING = 20
     ERROR = 30
-
-    @property
-    def label(self) -> str:
-        return self.name.lower()
 
 
 class Diagnostic(NamedTuple):
@@ -46,15 +61,12 @@ class Diagnostic(NamedTuple):
     field: str | None = None
 
     def render(self) -> str:
-        where = ""
-        if self.line is not None and self.column is not None:
-            where = f" (line {self.line}, col {self.column})"
-        elif self.line is not None:
-            where = f" (line {self.line})"
-        elif self.column is not None:
-            where = f" (col {self.column})"
+        places = [f"line {self.line}"] if self.line is not None else []
+        if self.column is not None:
+            places.append(f"col {self.column}")
+        where = f" ({', '.join(places)})" if places else ""
         fieldpart = f" [{self.field}]" if self.field else ""
-        return f"{self.severity.label}: {self.message}{fieldpart}{where}"
+        return f"{self.severity.name.lower()}: {self.message}{fieldpart}{where}"
 
 
 def info(message: str, **kw) -> Diagnostic:

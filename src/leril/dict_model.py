@@ -26,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagnostics import Diagnostic, LerilError, error, info, warning
+from .diagnostics import Diagnostic, LerilError, error, info, split_lines, warning
 
 
 class GlossParseError(LerilError):
@@ -224,7 +224,7 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
             entry_lines.append(current.line)
             current = None
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line:
             continue

@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, LerilError, error, warning
+from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
 
 
 class SutraParseError(LerilError):
@@ -215,7 +215,7 @@ def emit_thread(thread: SenseThread) -> str:
 def load_aliases(text: str) -> dict[str, set[str]]:
     """Read alias lines ``label TAB alias``; ``#`` comments are skipped."""
     aliases: dict[str, set[str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -263,7 +263,7 @@ def parse_formula_file(text: str) -> tuple[list[SutraFormula], list[Diagnostic]]
     """One formula per nonblank line; ``#`` comments skipped."""
     formulas: list[SutraFormula] = []
     diagnostics: list[Diagnostic] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -291,7 +291,7 @@ def parse_thread_file(text: str) -> tuple[list[SenseThread], list[Diagnostic]]:
             diagnostics.append(error(str(exc), line=block_line))
         block = []
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line:
             flush()

@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .diagnostics import Diagnostic, error, info, warning
+from .diagnostics import Diagnostic, error, info, split_lines, warning
 from .transfer import FrameError, parse_frame
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -117,7 +117,7 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
     saw_content = False
     name_match = _NAME_RE.fullmatch
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         name, sep, value = raw.partition("::")
         name = name.strip()
         if not sep or (name not in _NAMES and name_match(name) is None):

@@ -76,10 +76,10 @@ class TestAdd:
             " piyA::v:i",
             "piyA::v:i ",
             "rAma_ne/k1\npiyA::v:i",
-            "rAma_ne/k1\x0cpiyA::v:i",
-            "rAma_ne/k1\u2028piyA::v:i",
+            "rAma_ne/k1\rpiyA::v:i",
+            "rAma_ne/k1\r\npiyA::v:i",
         ],
-        ids=["comment", "leading-space", "trailing-space", "newline", "form-feed", "u2028"],
+        ids=["comment", "leading-space", "trailing-space", "newline", "cr", "crlf"],
     )
     def test_line_that_would_not_read_back_is_rejected(self, tmp_path, line):
         path = tmp_path / "store"
@@ -90,6 +90,27 @@ class TestAdd:
             assert "s2" not in writer
         with CorpusStore(path, "r") as reader:
             assert reader.export("linear") == "# s1\npiyA::v:i\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["rAma_ne/k1\x0cpiyA::v:i", "rAma_ne/k1\u2028piyA::v:i"],
+        ids=["form-feed", "u2028"],
+    )
+    def test_line_with_a_character_that_ends_no_line_reads_back(self, tmp_path, line):
+        # only \n, \r\n and \r end a line, so a stored line may hold \f or U+2028
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("s1", "piyA::v:i", "hin")
+            writer.add_sentence("s2", line, "hin")
+            written = _records(writer)
+        expected = f"# s1\npiyA::v:i\n# s2\n{line}\n"
+        assert (path / "hin.anncorra.idx").is_file()
+        for sidecar in (True, False):
+            if not sidecar:
+                (path / "hin.anncorra.idx").unlink()
+            with CorpusStore(path, "r") as reader:
+                assert reader.export("linear") == expected
+                assert _records(reader) == written
 
     @pytest.mark.parametrize(
         "sentence_id",
