@@ -13,7 +13,8 @@ child process. The cases are:
   (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
   and LF that ``str.splitlines`` breaks at, deep brackets, a missing file,
   a directory), with and without ``--strict``, plus transfer sentences and
-  literal frames, and ``--tagset`` / ``LERIL_TAGSET`` variants;
+  literal frames, transfer over a lexicon that mixes malformed frame pairs
+  with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
 - ``-h`` of every command and subcommand, and usage errors;
 - treebank store lifecycles: adds, reads, hand edits, a data file cut back
   or restored from a copy, a torn last line, damaged sidecars;
@@ -124,6 +125,7 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             "FRAME_I:: A B AtA hai", "",
         ]).encode(),
         **_breaks(),
+        "mixed_frames.tlg": _mixed_frames(),
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"
@@ -168,6 +170,29 @@ def _breaks() -> dict[str, bytes]:
                             "a/k1->q piyA::v:i"],
     }
     return {name: ("\n".join(lines) + "\n").encode() for name, lines in files.items()}
+
+
+def _mixed_frames() -> bytes:
+    """Malformed frame pairs before, between and after pairs that match the
+    transfer sentences and pairs that do not."""
+    frames = {
+        "go": [("A A goes to B", "A B jAtA hai"),  # duplicate source slot
+               ("A goes to B", "A B [ko] jAtA hai"),
+               ("A flies over B", "A B [] uDatA hai"),  # [] in the target, most sources fail
+               ("A goes into B", "A B meM rakhA_jAtA_hai"),
+               ("[] A goes", "A jAtA hai"),  # [] in the source
+               ("A goes B", "A B B jAtA hai"),  # duplicate target slot
+               ("A goes C", "A B jAtA hai")],  # unbound target slot
+        "come": [("A comes to B", "A B [ko] AtA hai"),
+                 ("A [to] B", "A B"),
+                 ("A go to B", "A B [] jAtA hai")],  # [] in the target, "I go to school" matches
+    }
+    lines = []
+    for headword, pairs in frames.items():
+        lines.append(f'HEADWORD::"{headword}","V"')
+        for number, (source, target) in enumerate(pairs, 1):
+            lines += [f'MEANING::{number}::"x"', f"FRAME_E:: {source}", f"FRAME_I:: {target}"]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _file_cases(inputs: dict[str, Path]) -> list[Cmd]:
@@ -249,6 +274,11 @@ def _transfer_cases(inputs: dict[str, Path]) -> list[Cmd]:
                 argv = ["transfer", sentence, "--frame-e", source, "--frame-i", target,
                         "--optional", optional]
                 cases.append(Cmd(f"transfer/literal/{k}/{j}/{optional}", argv))
+    mixed = str(inputs["mixed_frames.tlg"])
+    for k, sentence in enumerate(sentences[:3] + ["She goes home.", "He flies over it"]):
+        for strict in ([], ["--strict"]):
+            argv = ["transfer", sentence, "--lexicon", mixed, *strict]
+            cases.append(Cmd(f"transfer/mixed/{k}{''.join(strict)}", argv))
     cases += [
         Cmd("transfer/usage/frame-e-alone", ["transfer", "x", "--frame-e", "A goes"]),
         Cmd("transfer/usage/no-lexicon", ["transfer", "x"]),

@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_WARNINGS = 1
 EXIT_ERRORS = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4  # an unexpected exception: a fault of leril, not of its input
 
 
 class _UsageError(Exception):
@@ -262,8 +263,8 @@ def _cmd_anncorra_convert(args):
         tree, tree_diags = anncorra.parse_sentence(stripped, registry)
         diags.extend(_with_line(tree_diags, lineno))
         if tree is None:
-            continue
-        if args.minimize:
+            out_lines.append(raw)  # an unparsable line is kept as it is
+        elif args.minimize:
             out_lines.append(anncorra.emit_minimal(tree, registry))
         else:
             out_lines.append(anncorra.emit_explicit(tree))
@@ -568,6 +569,9 @@ def run(argv: list[str]) -> int:
     except (LerilError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a fault of leril itself, reported in one line
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     for diag in diagnostics:
         print(diag.render(), file=sys.stderr)
     worst = worst_severity(diagnostics)

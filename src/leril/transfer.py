@@ -28,11 +28,15 @@ The ``transfer`` command is two calls: ``lexicon_pairs`` selects the
 labelled frame pairs of a lexicon (or the command passes its literal
 frames as one pair), and ``transfer_pairs`` tries them on the sentence.
 
-Every frame pair is parsed once per transfer, source frame then target
-frame, before the source is matched: a malformed target frame is reported
-whether or not its source matches, so the warnings of a lexicon do not
-depend on the sentence. Parsing looks each token up in one table of the
-26 slot elements, which every frame shares, and builds elements as named
+Every frame pair is checked token by token, source frame then target
+frame, for the faults ``parse_frame`` raises on: a malformed pair is
+reported whether or not its source could match, so the warnings of a
+lexicon do not depend on the sentence. Only a pair whose source frame's
+required literals all occur in the sentence is parsed and matched. Each
+distinct literal is folded at most once per transfer, and not at all when
+no fold of the sentence starts with its first two lowercased characters
+(a fold keeps them). Parsing looks each token up in one table of the 26
+slot elements, which every frame shares, and builds elements as named
 tuples.
 """
 
@@ -82,27 +86,39 @@ _SLOTS = {letter: FrameElement("slot", letter) for letter in ascii_uppercase}
 _tuple_new = tuple.__new__
 
 
+def _frame_error(tokens: list[str]) -> str | None:
+    """Why the split frame ``tokens`` is malformed (its first fault), or None."""
+    # no token twice and no "[]": well formed, without a loop in Python
+    if tokens and "[]" not in tokens and len(set(tokens)) == len(tokens):
+        return None
+    if not tokens:
+        return "empty frame"
+    seen: set[str] = set()
+    for token in tokens:
+        if token == "[]":
+            return "empty optional literal '[]'"
+        if token in _SLOTS:
+            if token in seen:
+                return f"duplicate slot letter '{token}'"
+            seen.add(token)
+    return None
+
+
 def parse_frame(text: str, side: str = "source") -> Frame:
     """Parse a frame pattern. Slot letters must be unique within a frame."""
     if side not in ("source", "target"):
         raise ValueError(f"unknown frame side: {side!r}")
     tokens = text.split()
-    if not tokens:
-        raise FrameError("empty frame")
+    message = _frame_error(tokens)
+    if message is not None:
+        raise FrameError(message)
     elements: list[FrameElement] = []
-    seen: set[str] = set()
     for token in tokens:
         slot = _SLOTS.get(token)
         if slot is not None:
-            if token in seen:
-                raise FrameError(f"duplicate slot letter '{token}'")
-            seen.add(token)
             elements.append(slot)
         elif token[0] == "[" and token[-1] == "]":
-            inner = token[1:-1]
-            if not inner:
-                raise FrameError("empty optional literal '[]'")
-            elements.append(_tuple_new(FrameElement, ("optional", inner)))
+            elements.append(_tuple_new(FrameElement, ("optional", token[1:-1])))
         else:
             elements.append(_tuple_new(FrameElement, ("literal", token)))
     return _tuple_new(Frame, (side, tuple(elements)))
@@ -119,13 +135,14 @@ def inflection_fold(token: str) -> str:
     Stripping repeats to a fixed point, which makes the fold idempotent.
     """
     folded = token.lower()
-    while True:
+    while folded.endswith(_FOLD_SUFFIXES):
         for suffix in _FOLD_SUFFIXES:
             if folded.endswith(suffix) and len(folded) - len(suffix) >= 2:
                 folded = folded[: -len(suffix)]
                 break
         else:
-            return folded
+            break
+    return folded
 
 
 def tokenize_sentence(sentence: str) -> list[str]:
@@ -280,7 +297,7 @@ def transfer_pairs(
 ) -> tuple[list[TransferMatch], list[Diagnostic]]:
     """Try each labelled frame pair on a sentence, in the order given.
 
-    Each pair is parsed, source frame then target frame, and a malformed
+    Each pair is checked, source frame then target frame, and a malformed
     one is skipped with a warning; so is a match whose target frame has a
     slot the source did not bind. ``glosses`` (see ``gloss_index``)
     annotates the rendered slot tokens it knows, e.g. ``school{=pAThaSAlA}``;
@@ -289,15 +306,31 @@ def transfer_pairs(
     """
     tokens = tokenize_sentence(sentence)
     folded = [inflection_fold(token) for token in tokens]
+    present = set(folded)
+    heads = {fold[:2] for fold in present}  # a fold starts as its lowercased token does
+    seen: set[str] = set()  # frame tokens met so far in this call
+    absent: set[str] = set()  # those of them that are required literals not in the sentence
     matches: list[TransferMatch] = []
     diagnostics: list[Diagnostic] = []
     for label, frame_e, frame_i in pairs:
-        try:
-            source = parse_frame(frame_e, "source")
-            target = parse_frame(frame_i, "target")
-        except FrameError as exc:
-            diagnostics.append(warning(f"{label}: {exc}"))
+        source_tokens = frame_e.split()
+        message = _frame_error(source_tokens) or _frame_error(frame_i.split())
+        if message is not None:
+            diagnostics.append(warning(f"{label}: {message}"))
             continue
+        if not seen.issuperset(source_tokens):
+            for token in source_tokens:
+                if token in seen:
+                    continue
+                seen.add(token)
+                if token in _SLOTS or (token[0] == "[" and token[-1] == "]"):
+                    continue
+                if token.lower()[:2] not in heads or inflection_fold(token) not in present:
+                    absent.add(token)
+        if not absent.isdisjoint(source_tokens):
+            continue
+        source = parse_frame(frame_e, "source")
+        target = parse_frame(frame_i, "target")
         binding = match_frame(source, tokens, folded)
         if binding is None:
             continue

@@ -136,6 +136,18 @@ class TestAnnCorra:
         assert out.splitlines()[0] == "# s2"
         assert "->" in out.splitlines()[1]
 
+    @pytest.mark.parametrize("mode", ["--explicit", "--minimize"])
+    def test_convert_writes_an_unparsable_line_back(self, capsys, tmp_path, mode):
+        src = tmp_path / "s.txt"
+        src.write_text("# s1\nrAma_ne/k1 piyA::v\n# s2\n a/k1->q piyA::v:i\n# s3\npiyA::v\n")
+        code, out, err = _run(capsys, "anncorra", "convert", mode, str(src))
+        assert code == 2
+        assert err == "error: undefined index label 'q' (line 4)\n"
+        first = "rAma_ne/k1->i piyA::v:i" if mode == "--explicit" else "rAma_ne/k1 piyA::v:i"
+        assert out.split("\n") == [
+            "# s1", first, "# s2", " a/k1->q piyA::v:i", "# s3", "piyA::v:i", ""
+        ]
+
     def test_tagset_flag(self, capsys, tmp_path):
         src = tmp_path / "s.txt"
         src.write_text("rAjA_ko/k4 piyA::v:i\n")
@@ -601,6 +613,15 @@ class TestExitCodes:
 
     def test_clean_exit_0(self, capsys):
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("frames out of order")
+
+        monkeypatch.setattr(cli, "_cmd_tlg_parse", broken)
+        code, out, err = _run(capsys, "tlg", "parse", GO_TLG)
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: frames out of order\n")
+        assert cli.EXIT_INTERNAL == 4
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,15 +1,19 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leril import transfer
+from leril.diagnostics import info, warning
 from leril.transfer import (
     Frame,
     FrameElement,
     FrameError,
     SlotBinding,
     TransferError,
+    TransferMatch,
+    _frame_error,
     gloss_index,
     inflection_fold,
     lexicon_pairs,
@@ -100,14 +104,16 @@ _frame_token = st.sampled_from(
 )
 
 
-@settings(max_examples=400)
-@given(
+_frame_text = st.builds(
+    lambda tokens, spaces: "".join(token + space for token, space in zip(tokens, spaces)),
     st.lists(_frame_token, max_size=7),
     st.lists(st.sampled_from([" ", "  ", "\t", "\u00a0", "\x1c"]), min_size=8, max_size=8),
-    st.sampled_from(["source", "target"]),
 )
-def test_parse_frame_matches_reference_walk(tokens, spaces, side):
-    text = "".join(token + space for token, space in zip(tokens, spaces))
+
+
+@settings(max_examples=400)
+@given(_frame_text, st.sampled_from(["source", "target"]))
+def test_parse_frame_matches_reference_walk(text, side):
     expected = _outcome(_reference_parse_frame, text)
     frame = _outcome(lambda t: parse_frame(t, side), text)
     if isinstance(expected, str):
@@ -116,6 +122,13 @@ def test_parse_frame_matches_reference_walk(tokens, spaces, side):
         assert frame.side == side
         assert frame.elements == tuple(FrameElement(kind, value) for kind, value in expected)
         assert frame.slots == [value for kind, value in expected if kind == "slot"]
+
+
+@settings(max_examples=400)
+@given(_frame_text)
+def test_frame_error_is_the_message_parse_frame_raises(text):
+    parsed = _outcome(parse_frame, text)
+    assert _frame_error(text.split()) == (parsed if isinstance(parsed, str) else None)
 
 
 class TestInflectionFold:
@@ -138,6 +151,26 @@ class TestInflectionFold:
     def test_idempotent(self, token):
         once = inflection_fold(token)
         assert inflection_fold(once) == once
+
+    @staticmethod
+    def _reference_fold(token):
+        """Strip the first fitting suffix until none fits, trying every suffix each time."""
+        folded = token.lower()
+        while True:
+            for suffix in ("es", "ed", "ing", "s"):
+                if folded.endswith(suffix) and len(folded) - len(suffix) >= 2:
+                    folded = folded[: -len(suffix)]
+                    break
+            else:
+                return folded
+
+    @settings(max_examples=400)
+    @given(st.text(alphabet="aegidnsSEGI\u0130\u00df\u1e9e", max_size=10))
+    def test_fold_matches_reference_and_keeps_two_characters(self, token):
+        lowered = token.lower()
+        folded = inflection_fold(token)
+        assert folded == self._reference_fold(token)
+        assert lowered.startswith(folded) and folded[:2] == lowered[:2]
 
 
 class TestTokenize:
@@ -379,3 +412,127 @@ def test_render_token_count(a_span, b_span, policy):
     rendered = render_target(frame, binding, policy).split()
     literal_count = 2 + (0 if policy == "drop" else 1)
     assert len(rendered) == literal_count + len(a_span) + len(b_span)
+
+
+def _reference_transfer_pairs(pairs, sentence, optional_policy="include", glosses=None):
+    """transfer_pairs parsing every pair with the reference walk, then matching it."""
+    tokens = tokenize_sentence(sentence)
+    folded = [inflection_fold(token) for token in tokens]
+    matches, diagnostics = [], []
+    for label, frame_e, frame_i in pairs:
+        try:
+            source, target = (
+                Frame(side, tuple(FrameElement(*el) for el in _reference_parse_frame(text)))
+                for side, text in (("source", frame_e), ("target", frame_i))
+            )
+        except FrameError as exc:
+            diagnostics.append(warning(f"{label}: {exc}"))
+            continue
+        binding = match_frame(source, tokens, folded)
+        if binding is None:
+            continue
+        shown = binding
+        if glosses is not None:
+            shown = SlotBinding({
+                letter: tuple(f"{t}{{={glosses[t.lower()]}}}" if t.lower() in glosses else t
+                              for t in span)
+                for letter, span in binding.bindings.items()
+            })
+        try:
+            output = render_target(target, shown, optional_policy)
+        except TransferError as exc:
+            diagnostics.append(warning(f"{label}: {exc}"))
+            continue
+        matches.append(TransferMatch(label, output, binding))
+        diagnostics.append(info(f"matched {label}"))
+    if not matches:
+        diagnostics.append(info("no frame matched the sentence"))
+    return matches, diagnostics
+
+
+# sentence words whose folds collide, share a first two letters or differ only in case
+_WORDS = ["I", "go", "Goes", "going", "gone", "good", "to", "tos", "t", "school", "Schools",
+          "\u0130s", "i\u0307s", "\u00df", "\u1e9ees"]
+_MALFORMED = ["", " \t ", "A goes A", "[] to", "B [] C B", "A [] A"]
+
+
+@st.composite
+def _frame_pairs(draw):
+    """A source and a target frame; one pair in three has a malformed side."""
+    letters = iter("ABC")
+    source = []
+    kinds = st.lists(st.sampled_from(["slot", "word", "optional"]), min_size=1, max_size=4)
+    for kind in draw(kinds):
+        token = next(letters, None) if kind == "slot" else None
+        if token is None:
+            token = draw(st.sampled_from(["[to]", "[go]"] if kind == "optional" else _WORDS))
+        source.append(token)
+    target = draw(st.lists(st.sampled_from(["A", "B", "C", "[ko]", "jAtA", "hai"]), min_size=1,
+                           max_size=4, unique=True))
+    pair = [" ".join(source), " ".join(target)]
+    if draw(st.integers(0, 2)) == 0:
+        pair[draw(st.integers(0, 1))] = draw(st.sampled_from(_MALFORMED))
+    return tuple(pair)
+
+
+@st.composite
+def _sentences(draw, frames):
+    """Random words, or a source frame with its slots filled, so that some pairs match."""
+    words = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=2)
+    if not frames or draw(st.booleans()):
+        return " ".join(draw(words))
+    out = []
+    for token in draw(st.sampled_from(frames))[0].split():
+        if token in ("A", "B", "C"):
+            out += draw(words)
+        elif token[0] != "[":
+            out.append(token)
+        elif token != "[]" and draw(st.booleans()):
+            out.append(token[1:-1])
+    return " ".join(out) + draw(st.sampled_from(["", ".", "?"]))
+
+
+_SCHOOL = [("A goes to B", "A B [ko] jAtA hai")]
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(_frame_pairs(), max_size=8).flatmap(
+        lambda frames: st.tuples(st.just(frames), _sentences(frames))
+    ),
+    st.sampled_from(["include", "drop", "bracket"]),
+    st.sampled_from([None, {"go": "jAnA", "school": "pAThaSAlA", "\u00df": "x"}]),
+)
+@example((_SCHOOL, "I go to school."), "bracket", {"school": "pAThaSAlA"})
+@example(
+    (
+        [("A A", "A"), ("A to B", "[] B"), ("   ", "A"), ("A goes B", "A C"), ("A", "B A")]
+        + _SCHOOL + [("A", "A B"), ("[] A", "A A")],
+        "I go to school",
+    ),
+    "drop",
+    None,
+)
+def test_transfer_pairs_matches_parsing_every_pair(case, policy, glosses):
+    frames, sentence = case
+    pairs = [(f"pair {k}", source, target) for k, (source, target) in enumerate(frames)]
+    expected = _reference_transfer_pairs(pairs, sentence, policy, glosses)
+    assert transfer_pairs(pairs, sentence, policy, glosses) == expected
+
+
+def test_only_frames_whose_literals_all_occur_are_parsed(monkeypatch):
+    parsed = []
+
+    def counted(text, side):
+        parsed.append(text)
+        return parse_frame(text, side)
+
+    monkeypatch.setattr(transfer, "parse_frame", counted)
+    pairs = [(f"pair {k}", f"A w{k} B", "A B hai") for k in range(200)]
+    pairs += [("school", "A goes [into] to B", "A B [ko] jAtA hai"), ("bad", "A A", "A")]
+    matches, diags = transfer_pairs(pairs, "I go to school.")
+    assert [m.output for m in matches] == ["I school ko jAtA hai"]
+    assert [d.render() for d in diags] == [
+        "info: matched school", "warning: bad: duplicate slot letter 'A'"
+    ]
+    assert parsed == ["A goes [into] to B", "A B [ko] jAtA hai"]
