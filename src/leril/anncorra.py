@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
@@ -65,8 +64,7 @@ class EmitError(LerilError):
     """A tree that the linear notation cannot express."""
 
 
-@dataclass(frozen=True)
-class TagDef:
+class TagDef(NamedTuple):
     code: str
     category: str  # "relation" | "node"
     verbal: bool = False
@@ -167,8 +165,7 @@ def load_tagset(config: str) -> TagRegistry:
     return TagRegistry(tags)
 
 
-@dataclass(frozen=True)
-class AnnToken:
+class AnnToken(NamedTuple):
     surface: str
     rel_tag: str | None = None
     self_index: str | None = None
@@ -183,8 +180,7 @@ class DepNode(NamedTuple):
     parent: int | None = None  # position of the head; None at the root
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """Bracketed token span, half-open over token positions."""
 
     start: int

@@ -3,8 +3,9 @@
 Machine output (parsed documents, exports, converted notation) goes to
 stdout; diagnostics and progress go to stderr so pipelines stay clean.
 Exit codes: 0 clean, 1 warnings under --strict, 2 errors, 3 usage or I/O
-failure. The LERIL_TAGSET environment variable names a default tagset
-file; --tagset overrides it. A store's own tagset.cfg comes after both.
+failure, 4 internal error (an exception leril does not expect). The
+LERIL_TAGSET environment variable names a default tagset file; --tagset
+overrides it. A store's own tagset.cfg comes after both.
 
 Start-up cost: each run imports only the layer modules its command calls.
 Every ``_cmd_*`` function imports its layers in its own body and calls them
@@ -74,37 +75,38 @@ _JSON_SCALARS = {
     float: float.__repr__,
     bool: lambda value: "true" if value else "false",
     type(None): lambda _value: "null",
-    dict: lambda _value: "{}",
-    list: lambda _value: "[]",
 }
 
 
 def _dump_json(doc) -> str:
-    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``.
+    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``,
+    with each NamedTuple written as the object of its fields.
 
-    ``doc`` holds dicts with str keys, lists, str, int, finite float, bool
-    and None, matched by exact type. With ``indent`` set, json.dumps runs
-    its pure-Python encoder, which recurses once per nesting level; this
-    loop keeps the open containers on a stack instead, so no document is
-    too deep to print.
+    ``doc`` holds dicts with str keys, lists, tuples, NamedTuples, str, int,
+    finite float, bool and None, matched by exact type; a plain tuple is an
+    array. With ``indent`` set, json.dumps runs its pure-Python encoder,
+    which recurses once per nesting level; this loop keeps the open
+    containers on a stack instead, so no document is too deep to print.
     """
     out: list[str] = []
     stack: list = []  # open containers, innermost last: (members left, their indent, closing text)
     value, indent = doc, "\n"
     while True:
         kind = type(value)
-        if kind is dict and value:
-            out.append("{")
-            members = ((_json_string(key) + ": ", item) for key, item in sorted(value.items()))
-            stack.append((members, indent + "  ", indent + "}"))
-            sep = ""
-        elif kind is list and value:
+        scalar = _JSON_SCALARS.get(kind)
+        if scalar is not None:
+            out.append(scalar(value))
+            sep = ","
+        elif kind is list or kind is tuple:
             out.append("[")
             stack.append((zip(repeat(""), value), indent + "  ", indent + "]"))
             sep = ""
-        else:
-            out.append(_JSON_SCALARS[kind](value))
-            sep = ","
+        else:  # a dict, or a NamedTuple: the object of its fields
+            pairs = value.items() if kind is dict else zip(kind._fields, value)
+            out.append("{")
+            members = ((_json_string(key) + ": ", item) for key, item in sorted(pairs))
+            stack.append((members, indent + "  ", indent + "}"))
+            sep = ""
         while stack:
             members, indent, closing = stack[-1]
             member = next(members, None)
@@ -113,7 +115,7 @@ def _dump_json(doc) -> str:
                 out.append(sep + indent + key)
                 break
             stack.pop()
-            out.append(closing)
+            out.append(closing if sep else closing[-1])  # an empty one closes on its line
             sep = ","
         else:
             return "".join(out) + "\n"
@@ -140,7 +142,7 @@ def _cmd_dict_parse(args):
 
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     if args.format == "interchange":
-        _print(_dump_json(dict_model.to_interchange(dictionary)))
+        _print(_dump_json({"format": "shabdaanjali", "entries": dictionary.entries}))
     else:
         _print(dict_model.emit_dictionary(dictionary))
     return diags
@@ -151,11 +153,10 @@ def _cmd_dict_lookup(args):
 
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
     entries = dict_model.lookup(dictionary, args.headword, args.pos)
-    result = dict_model.Dictionary(tuple(entries))
     if args.format == "interchange":
-        _print(_dump_json(dict_model.to_interchange(result)))
+        _print(_dump_json({"format": "shabdaanjali", "entries": entries}))
     else:
-        _print(dict_model.emit_dictionary(result))
+        _print(dict_model.emit_dictionary(dict_model.Dictionary(tuple(entries))))
     if not entries:
         diags.append(info(f"no entry for {args.headword!r}"))
     return diags
@@ -179,7 +180,7 @@ def _cmd_tlg_parse(args):
 
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     if args.format == "interchange":
-        _print(_dump_json(translexgram.to_interchange(records)))
+        _print(_dump_json({"format": "translexgram", "records": records}))
     else:
         _print(translexgram.emit_tlg(records))
     return diags
@@ -287,8 +288,7 @@ def _cmd_sutra_parse_thread(args):
     from . import shabdasutra
 
     threads, diags = shabdasutra.parse_thread_file(_read_text(args.file))
-    doc = {"threads": [shabdasutra.thread_to_interchange(t) for t in threads]}
-    _print(_dump_json(doc))
+    _print(_dump_json({"threads": threads}))
     return diags
 
 
@@ -400,13 +400,7 @@ def _cmd_corpus_stats(args):
 
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
         stats = store.stats()
-    doc = {
-        "sentences": stats.sentences,
-        "relation_counts": stats.relation_counts,
-        "node_counts": stats.node_counts,
-        "average_depth": stats.average_depth,
-    }
-    _print(_dump_json(doc))
+    _print(_dump_json(stats))
     return store.diagnostics
 
 

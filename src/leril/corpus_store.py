@@ -60,9 +60,9 @@ import json
 import os
 from collections import Counter
 from itertools import accumulate, chain
-from dataclasses import dataclass
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
+from typing import NamedTuple
 
 from .anncorra import DepTree, TagRegistry, default_registry, iter_sentences
 from .anncorra import load_tagset, parse_sentence
@@ -86,8 +86,7 @@ class StoreLockedError(CorpusError):
     """Another writer holds the store lock."""
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     sentences: int
     relation_counts: dict[str, int]
     node_counts: dict[str, int]
@@ -95,11 +94,7 @@ class CorpusStats:
 
 
 class _DataFile:
-    """One data file: its records' columns and what its next sidecar covers.
-
-    A plain class, not a dataclass: every corpus command imports this
-    module, and a dataclass of this size costs 1.5 ms to create.
-    """
+    """One data file: its records' columns and what its next sidecar covers."""
 
     prefix = memoryview(b"")  # the bytes the sidecar covered at open, not copied
     unread = 0  # records of the prefix, whose lines and trees stay on disk

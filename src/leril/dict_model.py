@@ -24,7 +24,7 @@ lines will be misread; hand-authored data does not normally contain them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, LerilError, error, info, split_lines, warning
 
@@ -37,42 +37,39 @@ class GlossParseError(LerilError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class GlossComponent:
+class GlossComponent(NamedTuple):
     """One unit of a gloss; ``joined`` marks units tied by ``~``."""
 
     alternatives: tuple[str, ...]
     joined: bool = False
 
 
-@dataclass(frozen=True)
-class GlossExpr:
+class GlossExpr(NamedTuple):
     components: tuple[GlossComponent, ...]
     derivation: str | None = None
     context: str | None = None
 
 
-@dataclass(frozen=True)
-class Sense:
+class Sense(NamedTuple):
     number: int
     gloss: GlossExpr
     examples: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class DictEntry:
+class DictEntry(NamedTuple):
     headword: str
     pos: str
     senses: tuple[Sense, ...] = ()
 
 
-@dataclass(frozen=True)
-class Dictionary:
+class Dictionary(NamedTuple):
     """Parsed dictionary; immutable and safe for concurrent readers."""
 
     entries: tuple[DictEntry, ...] = ()
 
 
+# Builds a named tuple from its field tuple, skipping the Python-level __new__.
+_tuple_new = tuple.__new__
 _HEADWORD_RE = re.compile(r'^\s*"([^"]+)"\s*,\s*"([^"]*)"\s*,?\s*$')
 _SENSE_RE = re.compile(r'^\s*--\s*"(\d+)\.(.*)"\s*$')
 
@@ -156,55 +153,6 @@ def emit_gloss(gloss: GlossExpr) -> str:
     return text
 
 
-class _EntryBuilder:
-    def __init__(self, headword: str, pos: str, line: int):
-        self.headword = headword
-        self.pos = pos
-        self.line = line
-        self.senses: list[Sense] = []
-        self.pending: tuple[int, GlossExpr, int, list[str]] | None = None
-
-    def start_sense(self, number: int, gloss: GlossExpr, line: int) -> None:
-        self.flush_sense()
-        self.pending = (number, gloss, line, [])
-
-    def add_example(self, text: str) -> bool:
-        if self.pending is None:
-            return False
-        self.pending[3].append(text)
-        return True
-
-    def flush_sense(self) -> None:
-        if self.pending is not None:
-            number, gloss, _line, examples = self.pending
-            self.senses.append(Sense(number, gloss, tuple(examples)))
-            self.pending = None
-
-    def finish(self, diagnostics: list[Diagnostic]) -> DictEntry:
-        self.flush_sense()
-        numbers = [s.number for s in self.senses]
-        if not numbers:
-            diagnostics.append(
-                warning(f"entry '{self.headword}' has no senses", line=self.line)
-            )
-        elif numbers != list(range(1, len(numbers) + 1)):
-            diagnostics.append(
-                warning(
-                    f"non-consecutive sense numbers in entry '{self.headword}'",
-                    line=self.line,
-                )
-            )
-        for sense in self.senses:
-            if not sense.examples:
-                diagnostics.append(
-                    warning(
-                        f"sense {sense.number} of '{self.headword}' has no example sentences",
-                        line=self.line,
-                    )
-                )
-        return DictEntry(self.headword, self.pos, tuple(self.senses))
-
-
 def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
     """Parse dictionary text into a :class:`Dictionary` plus diagnostics.
 
@@ -214,15 +162,9 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
     diagnostics: list[Diagnostic] = []
     entries: list[DictEntry] = []
     entry_lines: list[int] = []
-    current: _EntryBuilder | None = None
+    # The open entry, as (headword, pos, senses), each sense (number, gloss, examples).
+    current: tuple[str, str, list[tuple]] | None = None
     saw_content = False
-
-    def flush_entry() -> None:
-        nonlocal current
-        if current is not None:
-            entries.append(current.finish(diagnostics))
-            entry_lines.append(current.line)
-            current = None
 
     for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
@@ -232,8 +174,10 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
 
         m = _HEADWORD_RE.match(line)
         if m:
-            flush_entry()
-            current = _EntryBuilder(m.group(1), m.group(2), lineno)
+            if current is not None:
+                _close_entry(current, entry_lines[-1], entries, diagnostics)
+            current = (m.group(1), m.group(2), [])
+            entry_lines.append(lineno)
             continue
 
         if line.startswith("--"):
@@ -255,7 +199,7 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
             except GlossParseError as exc:
                 diagnostics.append(error(str(exc), line=lineno, column=exc.position))
                 continue
-            current.start_sense(number, gloss, lineno)
+            current[2].append((number, gloss, []))
             continue
 
         if current is None:
@@ -263,13 +207,15 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
                 diagnostics.append(error("malformed headword line", line=lineno))
             else:
                 diagnostics.append(error("content before any headword line", line=lineno))
-            continue
-        if not current.add_example(line):
+        elif current[2]:
+            current[2][-1][2].append(line)
+        else:
             diagnostics.append(
                 warning("text before the first sense is ignored", line=lineno)
             )
 
-    flush_entry()
+    if current is not None:
+        _close_entry(current, entry_lines[-1], entries, diagnostics)
 
     if not saw_content:
         diagnostics.append(info("empty input: no dictionary entries"))
@@ -286,6 +232,31 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
             )
         seen.add(key)
     return Dictionary(tuple(entries)), diagnostics
+
+
+def _close_entry(
+    entry: tuple[str, str, list[tuple]],
+    line: int,
+    entries: list[DictEntry],
+    diagnostics: list[Diagnostic],
+) -> None:
+    """Check the open ``entry`` read from ``line`` and append it, frozen."""
+    headword, pos, senses = entry
+    numbers = [sense[0] for sense in senses]
+    if not numbers:
+        diagnostics.append(warning(f"entry '{headword}' has no senses", line=line))
+    elif numbers != list(range(1, len(numbers) + 1)):
+        diagnostics.append(
+            warning(f"non-consecutive sense numbers in entry '{headword}'", line=line)
+        )
+    frozen = []
+    for number, gloss, examples in senses:
+        if not examples:
+            diagnostics.append(
+                warning(f"sense {number} of '{headword}' has no example sentences", line=line)
+            )
+        frozen.append(_tuple_new(Sense, (number, gloss, tuple(examples))))
+    entries.append(_tuple_new(DictEntry, (headword, pos, tuple(frozen))))
 
 
 def lookup(dictionary: Dictionary, headword: str, pos: str | None = None) -> list[DictEntry]:
@@ -312,32 +283,3 @@ def emit_dictionary(dictionary: Dictionary) -> str:
             lines.extend(sense.examples)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
-
-
-def to_interchange(dictionary: Dictionary) -> dict:
-    """JSON-shaped export of a dictionary."""
-    return {
-        "format": "shabdaanjali",
-        "entries": [
-            {
-                "headword": e.headword,
-                "pos": e.pos,
-                "senses": [
-                    {
-                        "number": s.number,
-                        "gloss": {
-                            "components": [
-                                {"alternatives": list(c.alternatives), "joined": c.joined}
-                                for c in s.gloss.components
-                            ],
-                            "derivation": s.gloss.derivation,
-                            "context": s.gloss.context,
-                        },
-                        "examples": list(s.examples),
-                    }
-                    for s in e.senses
-                ],
-            }
-            for e in dictionary.entries
-        ],
-    }

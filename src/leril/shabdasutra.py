@@ -318,12 +318,3 @@ def formula_to_interchange(formula: SutraFormula) -> dict:
     for head, turn_count in zip(heads[-2::-1], turns[::-1]):
         doc = {"head": head, "derivation": {"turn_count": turn_count, "source": doc}}
     return doc
-
-
-def thread_to_interchange(thread: SenseThread) -> dict:
-    return {
-        "stages": [
-            {"label": st.label, "gloss": st.gloss, "examples": list(st.examples)}
-            for st in thread.stages
-        ]
-    }

@@ -19,7 +19,7 @@ later value winning. A line without ``::`` continues the previous field
 value, joined with a single space (long translations wrap this way in
 hand-authored files). ``TR_ENG_INFLNCE`` is accepted as a spelling variant
 of ``TR_ENG-INFLNC`` with a warning. Unknown fields are kept verbatim in
-the meaning's ``extras`` list.
+the meaning's ``extras``.
 
 A field line that is present but empty parses to ``""``; an absent field
 is ``None``. Emission writes empty fields as bare ``FIELD::`` lines, which
@@ -34,40 +34,37 @@ that is none of the known fields.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .diagnostics import Diagnostic, error, info, split_lines, warning
-from .transfer import FrameError, parse_frame
+# private names, so that bench/tracing.py does not record a layer call per frame pair
+from .transfer import _SLOTS, _frame_error, _tuple_new
 
 if TYPE_CHECKING:  # pragma: no cover
     from .dict_model import DictEntry
 
 
-@dataclass
-class TlgMeaning:
+class TlgMeaning(NamedTuple):
     number: int
     gloss: str = ""
     gloss_other: str | None = None
     eng_exp: str | None = None
-    tr_nat: list[str] = field(default_factory=list)
+    tr_nat: tuple[str, ...] = ()
     tr_eng_influence: str | None = None
     frame_e: str | None = None
     frame_i: str | None = None
     err: str | None = None
     comment: str | None = None
-    extras: list[tuple[str, str]] = field(default_factory=list)
+    extras: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass
-class TlgRecord:
+class TlgRecord(NamedTuple):
     headword: str
     pos: str = ""
-    meanings: list[TlgMeaning] = field(default_factory=list)
+    meanings: tuple[TlgMeaning, ...] = ()
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class ParallelPair(NamedTuple):
     """One aligned sentence pair extracted from a record."""
 
     english: str
@@ -82,15 +79,18 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 _MEANING_VALUE_RE = re.compile(r"^(\d+)\s*::\s*(.*)$")
 _HEADWORD_VALUE_RE = re.compile(r'^"([^"]*)"\s*,\s*"([^"]*)"$')
 
+# A meaning is read as a list in field order, so a field is an index into it.
+_FIELD = TlgMeaning._fields.index
+_GLOSS, _TR_NAT, _EXTRAS = _FIELD("gloss"), _FIELD("tr_nat"), _FIELD("extras")
 # Meaning-level single-valued fields, in canonical emission order.
 _SINGLE_FIELDS = {
-    "MEANING_OTH": "gloss_other",
-    "ENG_EXP": "eng_exp",
-    "TR_ENG-INFLNC": "tr_eng_influence",
-    "FRAME_E": "frame_e",
-    "FRAME_I": "frame_i",
-    "ERR": "err",
-    "COMNT": "comment",
+    "MEANING_OTH": _FIELD("gloss_other"),
+    "ENG_EXP": _FIELD("eng_exp"),
+    "TR_ENG-INFLNC": _FIELD("tr_eng_influence"),
+    "FRAME_E": _FIELD("frame_e"),
+    "FRAME_I": _FIELD("frame_i"),
+    "ERR": _FIELD("err"),
+    "COMNT": _FIELD("comment"),
 }
 _FIELD_ALIASES = {"TR_ENG_INFLNCE": "TR_ENG-INFLNC"}
 # Names known to match _NAME_RE, which the reader then does not run.
@@ -107,12 +107,14 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
     """Parse TLG text into records plus diagnostics; never raises."""
     records: list[TlgRecord] = []
     diagnostics: list[Diagnostic] = []
-    record: TlgRecord | None = None
+    # The open record, as (headword, pos, meanings), and its open meaning, a
+    # list in TlgMeaning field order; both are frozen when the record closes.
+    record: tuple[str, str, list[list]] | None = None
     record_line = 0
-    meaning: TlgMeaning | None = None
-    # Continuation target: an attribute of ``meaning``, where "tr_nat" and
-    # "extras" stand for the last entry of that list.
-    last: str | None = None
+    meaning: list | None = None
+    # Continuation target: an index into ``meaning``, where _TR_NAT and
+    # _EXTRAS stand for the last entry of that list.
+    last: int | None = None
     skipping = False
     saw_content = False
     name_match = _NAME_RE.fullmatch
@@ -144,18 +146,18 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                     warning(f"field name {name} accepted as {canonical}", line=lineno, field=name)
                 )
                 name = canonical
-            attr = _SINGLE_FIELDS.get(name)
-            if attr is not None:
-                if getattr(meaning, attr) is not None:
+            at = _SINGLE_FIELDS.get(name)
+            if at is not None:
+                if meaning[at] is not None:
                     diagnostics.append(
                         warning(
-                            f"duplicate {name} in meaning {meaning.number}; later value wins",
+                            f"duplicate {name} in meaning {meaning[0]}; later value wins",
                             line=lineno,
                             field=name,
                         )
                     )
-                setattr(meaning, attr, value)
-                last = attr
+                meaning[at] = value
+                last = at
                 continue
 
         if name == "HEADWORD":
@@ -170,7 +172,7 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
                 )
                 skipping = True
                 continue
-            record = TlgRecord(hv.group(1), hv.group(2))
+            record = (hv.group(1), hv.group(2), [])
             record_line = lineno
             skipping = False
             continue
@@ -192,9 +194,11 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
             if number is None:
                 diagnostics.append(error("malformed MEANING line", line=lineno, field="MEANING"))
                 continue
-            meaning = TlgMeaning(number=number, gloss=_unquote(mv.group(2)))
-            record.meanings.append(meaning)
-            last = "gloss"
+            meaning = [  # TlgMeaning(number, gloss), with lists for tr_nat and extras
+                number, _unquote(mv.group(2)), None, None, [], None, None, None, None, None, []
+            ]
+            record[2].append(meaning)
+            last = _GLOSS
             continue
 
         if record is None:
@@ -210,8 +214,8 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
 
         if name == "TR_NAT":
             if value:
-                meaning.tr_nat.append(value)
-                last = "tr_nat"
+                meaning[_TR_NAT].append(value)
+                last = _TR_NAT
             else:
                 diagnostics.append(
                     warning("empty TR_NAT value ignored", line=lineno, field="TR_NAT")
@@ -220,8 +224,8 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
             continue
 
         diagnostics.append(warning(f"unknown field {name}", line=lineno, field=name))
-        meaning.extras.append((name, value))
-        last = "extras"
+        meaning[_EXTRAS].append((name, value))
+        last = _EXTRAS
 
     if record is not None:
         _close_record(record, record_line, records, diagnostics)
@@ -231,28 +235,36 @@ def parse_tlg(text: str) -> tuple[list[TlgRecord], list[Diagnostic]]:
 
 
 def _close_record(
-    record: TlgRecord, line: int, records: list[TlgRecord], diagnostics: list[Diagnostic]
+    record: tuple[str, str, list[list]],
+    line: int,
+    records: list[TlgRecord],
+    diagnostics: list[Diagnostic],
 ) -> None:
-    numbers = [m.number for m in record.meanings]
+    """Check the open ``record`` read from ``line`` and append it, frozen."""
+    headword, pos, meanings = record
+    numbers = [m[0] for m in meanings]
     if not numbers:
-        diagnostics.append(warning(f"record '{record.headword}' has no meanings", line=line))
+        diagnostics.append(warning(f"record '{headword}' has no meanings", line=line))
     elif numbers != list(range(1, len(numbers) + 1)):
         diagnostics.append(
-            warning(f"non-consecutive meaning numbers in record '{record.headword}'", line=line)
+            warning(f"non-consecutive meaning numbers in record '{headword}'", line=line)
         )
-    records.append(record)
+    for m in meanings:
+        m[_TR_NAT], m[_EXTRAS] = tuple(m[_TR_NAT]), tuple(m[_EXTRAS])
+    frozen = tuple([_tuple_new(TlgMeaning, m) for m in meanings])
+    records.append(_tuple_new(TlgRecord, (headword, pos, frozen)))
 
 
-def _extend(meaning: TlgMeaning, attr: str, text: str) -> None:
+def _extend(meaning: list, at: int, text: str) -> None:
     """Join a continuation line onto the field value it continues."""
-    if attr == "tr_nat":
-        meaning.tr_nat[-1] = f"{meaning.tr_nat[-1]} {text}"
-    elif attr == "extras":
-        name, value = meaning.extras[-1]
-        meaning.extras[-1] = (name, f"{value} {text}" if value else text)
+    if at == _TR_NAT:
+        meaning[_TR_NAT][-1] += f" {text}"
+    elif at == _EXTRAS:
+        name, value = meaning[_EXTRAS][-1]
+        meaning[_EXTRAS][-1] = (name, f"{value} {text}" if value else text)
     else:
-        current = getattr(meaning, attr)
-        setattr(meaning, attr, f"{current} {text}" if current else text)
+        current = meaning[at]
+        meaning[at] = f"{current} {text}" if current else text
 
 
 def validate_tlg(record: TlgRecord, policy: str = "lenient") -> list[Diagnostic]:
@@ -291,13 +303,12 @@ def validate_tlg(record: TlgRecord, policy: str = "lenient") -> list[Diagnostic]
                 )
             )
         else:
-            try:
-                src = parse_frame(frame_e, "source")
-                tgt = parse_frame(frame_i, "target")
-            except FrameError as exc:
-                diagnostics.append(warning(f"meaning {m.number}: unparseable frame: {exc}"))
+            src, tgt = frame_e.split(), frame_i.split()
+            message = _frame_error(src) or _frame_error(tgt)
+            if message is not None:
+                diagnostics.append(warning(f"meaning {m.number}: unparseable frame: {message}"))
             else:
-                for letter in sorted(set(tgt.slots) - set(src.slots)):
+                for letter in sorted(_SLOTS.keys() & set(tgt) - set(src)):
                     diagnostics.append(
                         warning(
                             f"meaning {m.number}: slot {letter} unbound in source frame",
@@ -347,7 +358,7 @@ def seed_from_dictionary(entry: DictEntry) -> tuple[TlgRecord, list[Diagnostic]]
                 comment="",
             )
         )
-    return TlgRecord(entry.headword, entry.pos, meanings), diagnostics
+    return TlgRecord(entry.headword, entry.pos, tuple(meanings)), diagnostics
 
 
 def _field_line(name: str, value: str) -> str:
@@ -401,33 +412,3 @@ def pairs_to_tsv(pairs: list[ParallelPair]) -> str:
         f"{p.english}\t{p.translation}\t{p.headword}\t{p.sense_number}" for p in pairs
     ]
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def to_interchange(records: list[TlgRecord]) -> dict:
-    """JSON-shaped export mirroring the record structure."""
-    return {
-        "format": "translexgram",
-        "records": [
-            {
-                "headword": r.headword,
-                "pos": r.pos,
-                "meanings": [
-                    {
-                        "number": m.number,
-                        "gloss": m.gloss,
-                        "gloss_other": m.gloss_other,
-                        "eng_exp": m.eng_exp,
-                        "tr_nat": list(m.tr_nat),
-                        "tr_eng_influence": m.tr_eng_influence,
-                        "frame_e": m.frame_e,
-                        "frame_i": m.frame_i,
-                        "err": m.err,
-                        "comment": m.comment,
-                        "extras": [[n, v] for n, v in m.extras],
-                    }
-                    for m in r.meanings
-                ],
-            }
-            for r in records
-        ],
-    }

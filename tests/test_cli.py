@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -787,6 +788,8 @@ class TestImports:
             (["transfer", "I go to school.", "--lexicon", GO_TLG], "transfer translexgram"),
             (["tlg", "seed", "--dict", GO_DICT], "dict_model transfer translexgram"),
             (["dict", "lookup", GO_DICT, "go"], "dict_model"),
+            (["dict", "parse", GO_DICT], "dict_model"),
+            (["tlg", "validate", GO_TLG], "transfer translexgram"),
             (["sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"],
              "shabdasutra"),
             (["anncorra", "convert", "--minimize", SENTENCES], "anncorra"),
@@ -795,9 +798,10 @@ class TestImports:
         ids=lambda value: " ".join(value[:2]) if isinstance(value, list) else None,
     )
     def test_command_imports_only_its_layers(self, store, argv, layers):
-        out = _fresh_python(_IMPORTS_AFTER_RUN, *(arg.format(store=store) for arg in argv))
+        code = _IMPORTS_AFTER_RUN + 'print("dataclasses" in sys.modules)'
+        out = _fresh_python(code, *(arg.format(store=store) for arg in argv))
         modules = sorted(f"leril.{name}" for name in ["cli", "diagnostics", *layers.split()])
-        assert out.split() == ["0", *modules]
+        assert out.split() == ["0", *modules, "False"]  # and no dataclasses
 
     def test_literal_frame_transfer_leaves_the_json_decoder_unloaded(self):
         loaded = _IMPORTS_AFTER_RUN + (
@@ -829,21 +833,47 @@ class TestImports:
         ]
 
 
+class _Fields(NamedTuple):  # declared out of key order
+    zeta: object
+    alpha: object
+    mid: object = None
+
+
+class _NoFields(NamedTuple):
+    pass
+
+
 _odd_text = st.text(alphabet='aZ"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600')
 _json_docs = st.recursive(
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats(allow_nan=False, allow_infinity=False)
-    | _odd_text,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_odd_text, inner, max_size=4),
+    | _odd_text
+    | st.just(_NoFields()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_odd_text, inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.builds(_Fields, inner, inner, inner),
     max_leaves=20,
 )
 
 
+def _plain(value):
+    """``value`` with each NamedTuple as the dict of its fields and each tuple a list."""
+    if hasattr(value, "_asdict"):
+        return {key: _plain(item) for key, item in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
+
+
 @given(_json_docs)
 def test_dump_json_matches_json_dumps(doc):
-    assert _dump_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    expected = json.dumps(_plain(doc), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert _dump_json(doc) == expected
 
 
 def test_dump_json_of_2000_nested_containers():

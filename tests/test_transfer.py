@@ -350,7 +350,9 @@ class TestTransferSentence:
         assert diags == ["info: no frame matched the sentence"]
 
     def test_half_frame_pair_warns(self, go_records):
-        go_records[0].meanings[0].frame_i = ""
+        record = go_records[0]
+        first = record.meanings[0]._replace(frame_i="")
+        go_records[0] = record._replace(meanings=(first, *record.meanings[1:]))
         matches, diags = self._transfer(go_records, "I go to school.")
         assert matches == []
         assert diags == [

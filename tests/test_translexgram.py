@@ -1,3 +1,4 @@
+import json
 import re
 from unittest import mock
 
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leril import translexgram
+from leril.cli import _dump_json
 from leril.diagnostics import Severity, has_errors
 from leril.dict_model import parse_dictionary
 from leril.translexgram import (
@@ -15,7 +17,6 @@ from leril.translexgram import (
     pairs_to_tsv,
     parse_tlg,
     seed_from_dictionary,
-    to_interchange,
     validate_tlg,
 )
 
@@ -31,7 +32,7 @@ class TestParseTlg:
         m1, m2 = record.meanings
         assert m1.gloss == "jAnA"
         assert m1.eng_exp == "I go to school."
-        assert m1.tr_nat == ["maiM skUla jAtA hUM."]
+        assert m1.tr_nat == ("maiM skUla jAtA hUM.",)
         assert m1.frame_e == "A goes to B"
         assert m1.frame_i == "A B [ko] jAtA hai"
         assert m1.err == "" and m1.comment == "" and m1.tr_eng_influence == ""
@@ -40,7 +41,7 @@ class TestParseTlg:
 
     def test_continuation_line_joins_with_space(self, go_tlg_text):
         records, _ = parse_tlg(go_tlg_text)
-        assert records[0].meanings[1].tr_nat == ["ye kapaDe usa sUtakesa meM rakhe jAyeMge"]
+        assert records[0].meanings[1].tr_nat == ("ye kapaDe usa sUtakesa meM rakhe jAyeMge",)
 
     def test_empty_input(self):
         records, diags = parse_tlg("")
@@ -56,10 +57,10 @@ class TestParseTlg:
             "TR_NAT:: maiM calA jAtA hUM.\n"
         )
         records, _ = parse_tlg(text)
-        assert records[0].meanings[0].tr_nat == [
+        assert records[0].meanings[0].tr_nat == (
             "maiM jAtA hUM.",
             "maiM calA jAtA hUM.",
-        ]
+        )
 
     def test_meaning_before_headword_is_error(self):
         records, diags = parse_tlg('MEANING::1::"jAnA"\n')
@@ -78,7 +79,7 @@ class TestParseTlg:
     def test_unknown_field_preserved_with_warning(self):
         text = 'HEADWORD::"go","V"\nMEANING::1::"jAnA"\nNOTE:: keep me\n'
         records, diags = parse_tlg(text)
-        assert records[0].meanings[0].extras == [("NOTE", "keep me")]
+        assert records[0].meanings[0].extras == (("NOTE", "keep me"),)
         assert any("unknown field NOTE" in d.message for d in diags)
 
     def test_spelling_variant_accepted_with_warning(self):
@@ -94,9 +95,8 @@ class TestValidate:
         assert validate_tlg(records[0]) == []
 
     def test_empty_tr_nat_is_error(self):
-        record = TlgRecord(
-            "go", "V", [TlgMeaning(1, gloss="jAnA", eng_exp="I go.", frame_e="A goes", frame_i="A jAtA hai")]
-        )
+        meaning = TlgMeaning(1, gloss="jAnA", eng_exp="I go.", frame_e="A goes", frame_i="A jAtA hai")
+        record = TlgRecord("go", "V", (meaning,))
         diags = validate_tlg(record)
         errors = [d for d in diags if d.severity == Severity.ERROR]
         assert len(errors) == 1
@@ -106,16 +106,16 @@ class TestValidate:
         record = TlgRecord(
             "go",
             "V",
-            [
+            (
                 TlgMeaning(
                     1,
                     gloss="jAnA",
                     eng_exp="I go.",
-                    tr_nat=["maiM jAtA hUM."],
+                    tr_nat=("maiM jAtA hUM.",),
                     frame_e="A goes",
                     frame_i="A B meM jAtA hai",
-                )
-            ],
+                ),
+            ),
         )
         diags = validate_tlg(record)
         assert any("slot B unbound in source frame" in d.message for d in diags)
@@ -138,7 +138,7 @@ class TestSeed:
         assert record.meanings[0].eng_exp == "I go to school."
         assert record.meanings[0].gloss == "jAnA"
         assert record.meanings[4].gloss == "ho~jAnA{sthiti}"
-        assert all(m.tr_nat == [] for m in record.meanings)
+        assert all(m.tr_nat == () for m in record.meanings)
         assert all(m.frame_e == "" and m.frame_i == "" for m in record.meanings)
 
     def test_sense_without_example_warns(self, go_dict_text):
@@ -194,7 +194,7 @@ class TestParallelCorpus:
 
     def test_two_tr_nat_share_english_side(self):
         record = TlgRecord(
-            "go", "V", [TlgMeaning(1, eng_exp="I go.", tr_nat=["a", "b"])]
+            "go", "V", (TlgMeaning(1, eng_exp="I go.", tr_nat=("a", "b")),)
         )
         pairs = extract_parallel_corpus([record])
         assert [(p.english, p.translation) for p in pairs] == [("I go.", "a"), ("I go.", "b")]
@@ -233,16 +233,16 @@ def _records(draw):
                 gloss=draw(_value),
                 gloss_other=draw(_opt),
                 eng_exp=draw(_opt),
-                tr_nat=draw(st.lists(_value.filter(bool), max_size=3)),
+                tr_nat=tuple(draw(st.lists(_value.filter(bool), max_size=3))),
                 tr_eng_influence=draw(_opt),
                 frame_e=draw(_opt),
                 frame_i=draw(_opt),
                 err=draw(_opt),
                 comment=draw(_opt),
-                extras=[("X_FIELD", draw(_value))] if draw(st.booleans()) else [],
+                extras=(("X_FIELD", draw(_value)),) if draw(st.booleans()) else (),
             )
         )
-    return TlgRecord(draw(_word_text), draw(_word_text), meanings)
+    return TlgRecord(draw(_word_text), draw(_word_text), tuple(meanings))
 
 
 @given(st.lists(_records(), max_size=3))
@@ -253,8 +253,15 @@ def test_emit_parse_round_trip(records):
 
 def test_interchange_shape(go_tlg_text):
     records, _ = parse_tlg(go_tlg_text)
-    doc = to_interchange(records)
-    assert doc["records"][0]["meanings"][0]["tr_nat"] == ["maiM skUla jAtA hUM."]
+    assert records[0].meanings[0].tr_nat == ("maiM skUla jAtA hUM.",)
+    assert records[0].meanings[1].frame_i == "A B meM rakhA_jAtA_hai"
+    # the interchange document's keys are the field names
+    doc = json.loads(_dump_json({"format": "translexgram", "records": records}))
+    meaning = doc["records"][0]["meanings"][0]
+    assert list(doc["records"][0]) == ["headword", "meanings", "pos"]
+    assert list(meaning) == sorted(TlgMeaning._fields)
+    assert meaning["tr_nat"] == ["maiM skUla jAtA hUM."]
+    assert meaning["extras"] == []
     assert doc["records"][0]["meanings"][1]["frame_i"] == "A B meM rakhA_jAtA_hai"
 
 
@@ -309,7 +316,7 @@ def test_line_reader_matches_the_lazy_field_pattern(lines):
             reference.append("")
     records, diags = parse_tlg("\n".join(reference))
     got, got_diags = parse_tlg(source)
-    assert to_interchange(got) == _fill(to_interchange(records), texts)
+    assert got == _fill(records, texts)
     assert got_diags == diags
 
 
@@ -317,10 +324,11 @@ def _fill(value, texts):
     """``value`` with each placeholder replaced by the text it stands for."""
     if isinstance(value, str):
         return _PLACEHOLDER_RE.sub(lambda p: texts[int(p.group(1))], value)
-    if isinstance(value, dict):
-        return {key: _fill(item, texts) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_fill(item, texts) for item in value]
+    if isinstance(value, (list, tuple)):
+        filled = [_fill(item, texts) for item in value]
+        if hasattr(value, "_fields"):  # a NamedTuple
+            return type(value)(*filled)
+        return type(value)(filled)
     return value
 
 
@@ -333,9 +341,9 @@ def _name_pattern_calls(text: str) -> int:
 
 def test_known_field_names_skip_the_name_pattern(go_tlg_text):
     meaning = TlgMeaning(
-        1, "g", "o", "I go.", ["a", "b"], "", "A goes to B", "A B jAtA hai", "", "c"
+        1, "g", "o", "I go.", ("a", "b"), "", "A goes to B", "A B jAtA hai", "", "c"
     )
-    lexicon = emit_tlg([TlgRecord(f"w{k}", "V", [meaning, meaning]) for k in range(200)])
+    lexicon = emit_tlg([TlgRecord(f"w{k}", "V", (meaning, meaning)) for k in range(200)])
     assert all(f"\n{name}::" in lexicon for name in translexgram._SINGLE_FIELDS)
     assert _name_pattern_calls(go_tlg_text) == 0
     assert _name_pattern_calls(lexicon) == 0
