@@ -28,9 +28,10 @@ the expression rejects, to name the error and its column.
 A tree is its nodes and groups: each node holds its surface, its tags and
 the position of its head, so the nodes form one parent array. Default
 attachment and the tree checks are linear in sentence length: two sweeps
-give every token's nearest verbal token and one walk over the parent
-links finds any cycle. Group-head lookups cost the summed length of the
-groups, which is the sentence length times the bracket nesting depth.
+give every token's nearest verbal token, and one walk over the parent
+links gives every node's depth and finds any cycle. Group-head lookups
+cost the summed length of the groups, which is the sentence length times
+the bracket nesting depth.
 
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
@@ -196,6 +197,11 @@ class DepTree(NamedTuple):
     def root(self) -> int:
         """Position of the one node without a parent."""
         return next(p for p, node in enumerate(self.nodes) if node.parent is None)
+
+    @property
+    def depth(self) -> int:
+        """Edges from the root down to the deepest node."""
+        return max(_depths([node.parent for node in self.nodes]))
 
 
 _TAG = r"[A-Za-z][A-Za-z0-9]*"
@@ -389,28 +395,27 @@ def _nearest_verbal_table(verbal: list[bool]) -> list[int | None]:
     return table
 
 
-def _has_cycle(parents: list[int | None]) -> bool:
-    """Whether following parent links from some node comes back to a node.
+def _depths(parents: Sequence[int | None]) -> list[int] | None:
+    """Each node's depth (edges from the root), or None when following the
+    parent links from some node comes back to a node.
 
-    Three-colour walk, linear in the node count: each node is entered once,
-    and a walk stops at a node already known to end outside any cycle. A
-    parent that is None or out of range ends the walk.
+    One walk, linear in the node count: each node is entered once, and a
+    walk stops at a node whose depth is known; -1 marks the current path.
     """
-    n = len(parents)
-    UNSEEN, ON_PATH, DONE = 0, 1, 2
-    state = [UNSEEN] * n
-    for start in range(n):
-        path = []
-        p = start
-        while p is not None and 0 <= p < n and state[p] == UNSEEN:
-            state[p] = ON_PATH
+    depths: list[int | None] = [None] * len(parents)
+    for start in range(len(parents)):
+        path, p = [], start
+        while p is not None and depths[p] is None:
+            depths[p] = -1
             path.append(p)
             p = parents[p]
-        if p is not None and 0 <= p < n and state[p] == ON_PATH:
-            return True
-        for q in path:
-            state[q] = DONE
-    return False
+        if p is not None and depths[p] == -1:
+            return None
+        depth = -1 if p is None else depths[p]
+        for q in reversed(path):
+            depth += 1
+            depths[q] = depth
+    return depths
 
 
 def _is_bare(token: AnnToken | DepNode) -> bool:
@@ -508,7 +513,7 @@ def resolve(
     if failed:
         return None, diagnostics
 
-    if _has_cycle(parents):
+    if _depths(parents) is None:
         diagnostics.append(error("cycle in parent references"))
         return None, diagnostics
 

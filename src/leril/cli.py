@@ -255,20 +255,15 @@ def _cmd_anncorra_convert(args):
 
     registry = _load_registry(args) or anncorra.default_registry()
     diags: list[Diagnostic] = []
-    out_lines = []
-    for lineno, raw in enumerate(split_lines(_read_text(args.file)), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            out_lines.append(raw)
-            continue
-        tree, tree_diags = anncorra.parse_sentence(stripped, registry)
+    text = _read_text(args.file)
+    out_lines = split_lines(text)  # blank, comment and unparsable lines are kept as they are
+    for _id, lineno, line in anncorra.iter_sentences(text):
+        tree, tree_diags = anncorra.parse_sentence(line, registry)
         diags.extend(_with_line(tree_diags, lineno))
-        if tree is None:
-            out_lines.append(raw)  # an unparsable line is kept as it is
-        elif args.minimize:
-            out_lines.append(anncorra.emit_minimal(tree, registry))
-        else:
-            out_lines.append(anncorra.emit_explicit(tree))
+        if tree is not None and args.minimize:
+            out_lines[lineno - 1] = anncorra.emit_minimal(tree, registry)
+        elif tree is not None:
+            out_lines[lineno - 1] = anncorra.emit_explicit(tree)
     _print("\n".join(out_lines))
     return diags
 

@@ -30,7 +30,10 @@ checks the crc32 and decodes the rows, which ``query_by_relation`` and
 ``stats`` read, and the last checkpoint; ``export`` reads the prefix's
 lines unparsed, and the interchange export also decodes the tree block.
 Lines without the rows' ids, or a block without one rooted tree per row,
-fail it with "does not describe". When the data file no longer holds the
+fail it with "does not describe". A writer, which rewrites the sidecar,
+first reads the prefix's lines the same way and keeps the rows only when
+their ids match, so rows naming wrong ids are rebuilt by the next writer;
+it does not check the tree block. When the data file no longer holds the
 covered prefix (it was cut back, as by a restore from an earlier copy, or
 edited), the open decodes every checkpoint and keeps the records up to the
 last one whose prefix still matches its crc32; it parses only what
@@ -75,11 +78,7 @@ _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class CorpusError(LerilError):
-    """Store-level failure; ``diagnostics`` carries parse details if any."""
-
-    def __init__(self, message: str, diagnostics: list[Diagnostic] | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or []
+    """Store-level failure; a rejected sentence's message holds its diagnostics."""
 
 
 class StoreLockedError(CorpusError):
@@ -225,11 +224,18 @@ class CorpusStore:
         f = self._files[path.stem] = _DataFile(path, path.stem)
         covered = 0
         sidecar = _read_sidecar(path, data, self._tagset)
-        # with an id another data file holds, the full parse names the duplicate
-        if sidecar is not None and self._rows.keys().isdisjoint(row[0] for row in sidecar[1]):
+        view = memoryview(data)
+        ids = [row[0] for row in sidecar[1]] if sidecar is not None else []
+        if (
+            sidecar is not None
+            # with an id another data file holds, the full parse names the duplicate
+            and self._rows.keys().isdisjoint(ids)
+            # a writer, about to rewrite the sidecar, keeps no rows whose ids the prefix lacks
+            and (self.mode == "r" or _read_prefix(view[: sidecar[0][0]], f.language)[0] == ids)
+        ):
             point, rows, f.body, f.trees_body, f.marks_body, f.stale = sidecar
             covered, f.crc, f.lines, f.auto = point
-            f.prefix, f.rows, f.unread = memoryview(data)[:covered], rows, len(rows)
+            f.prefix, f.rows, f.unread = view[:covered], rows, len(rows)
             for row in rows:
                 self._rows[row[0]] = row
 
@@ -259,9 +265,7 @@ class CorpusStore:
                 tree, _ = self._parse(sentence_id, line)
             except CorpusError as exc:
                 if last_raw is None or lineno != len(parts):
-                    raise CorpusError(
-                        f"{path}:{f.lines + lineno}: {exc}", exc.diagnostics
-                    ) from None
+                    raise CorpusError(f"{path}:{f.lines + lineno}: {exc}") from None
                 torn = (len(data) - len(last_raw.encode("utf-8")), str(exc))
                 parts.pop()
                 break
@@ -297,7 +301,7 @@ class CorpusStore:
     def _index(self, f: _DataFile, sentence_id: str, line: str, tree: DepTree) -> None:
         nodes = tree.nodes
         rels, tags = [node.rel_tag for node in nodes], [node.node_tag for node in nodes]
-        row = self._rows[sentence_id] = [sentence_id, rels, tags, _tree_depth(tree)]
+        row = self._rows[sentence_id] = [sentence_id, rels, tags, tree.depth]
         f.rows.append(row)
         f.raws.append(line)
         groups = [[group.start, group.stop, group.tag] for group in tree.groups]
@@ -310,8 +314,7 @@ class CorpusStore:
         if tree is None or has_errors(diagnostics):
             raise CorpusError(
                 f"sentence '{sentence_id}' rejected: "
-                + "; ".join(d.render() for d in diagnostics),
-                diagnostics,
+                + "; ".join(d.render() for d in diagnostics)
             )
         return tree, diagnostics
 
@@ -393,16 +396,13 @@ class CorpusStore:
         canonical = self.registry.canonical_relation(rel_tag)
         if canonical is None:
             return [], [warning(f"unknown relation tag '{rel_tag}'")]
-        folded = canonical.lower()
-        rows = self._rows.values()
-        tags = set(chain.from_iterable(rels for _id, rels, _nodes, _depth in rows))
-        wanted = {tag for tag in tags if tag is not None and tag.lower() == folded}
+        # rows hold registry casing for every known tag
         hits = [
             (sentence_id, position)
-            for sentence_id, rels, _nodes, _depth in rows
-            if not wanted.isdisjoint(rels)
+            for sentence_id, rels, _nodes, _depth in self._rows.values()
+            if canonical in rels
             for position, rel in enumerate(rels)
-            if rel in wanted
+            if rel == canonical
         ]
         return hits, []
 
@@ -607,18 +607,25 @@ def _not_described(f: _DataFile) -> CorpusError:
     return CorpusError(f"{_sidecar_path(f.path)} does not describe {f.path}")
 
 
+def _read_prefix(prefix, language: str) -> tuple[list[str], list[str]]:
+    """The ids and sentence lines of the records of a covered prefix, read
+    unparsed."""
+    ids, raws, auto = [], [], 0
+    for sentence_id, _lineno, line in iter_sentences(str(prefix, "utf-8")):
+        if sentence_id is None:
+            auto += 1
+            sentence_id = f"{language}-{auto}"
+        ids.append(sentence_id)
+        raws.append(line)
+    return ids, raws
+
+
 def _lines(f: _DataFile) -> list[str]:
     """The sentence lines of the records of ``f``; those of the covered
     prefix are read unparsed and must carry the ids of the sidecar's rows."""
     if not f.unread:
         return f.raws
-    ids, raws, auto = [], [], 0
-    for sentence_id, _lineno, line in iter_sentences(str(f.prefix, "utf-8")):
-        if sentence_id is None:
-            auto += 1
-            sentence_id = f"{f.language}-{auto}"
-        ids.append(sentence_id)
-        raws.append(line)
+    ids, raws = _read_prefix(f.prefix, f.language)
     if ids != [row[0] for row in f.rows[: f.unread]]:
         raise _not_described(f)
     return raws + f.raws
@@ -707,17 +714,3 @@ def _interchange(f: _DataFile) -> list[str]:
         )
     return records
 
-
-def _tree_depth(tree: DepTree) -> int:
-    # edges from the root down; a node's depth is its parent's plus one
-    depths: list[int | None] = [None] * len(tree.nodes)
-    for start in range(len(depths)):
-        path, p = [], start
-        while p is not None and depths[p] is None:
-            path.append(p)
-            p = tree.nodes[p].parent
-        depth = -1 if p is None else depths[p]
-        for q in reversed(path):
-            depth += 1
-            depths[q] = depth
-    return max(depths)

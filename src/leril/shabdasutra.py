@@ -195,23 +195,6 @@ def _parse_stage(part: str) -> ThreadStage:
     return ThreadStage(label, gloss, examples)
 
 
-def emit_thread(thread: SenseThread) -> str:
-    """Canonical text of a thread, one line, examples individually quoted.
-
-    Round-trips exactly for parsed threads; examples must stay comma-free
-    since commas act as example separators on re-parse.
-    """
-    parts = []
-    for stage in thread.stages:
-        text = stage.label
-        if stage.gloss is not None:
-            text += f"({stage.gloss})"
-        if stage.examples:
-            text += " eg: " + ", ".join(f'"{e}"' for e in stage.examples)
-        parts.append(text)
-    return " --> ".join(parts)
-
-
 def load_aliases(text: str) -> dict[str, set[str]]:
     """Read alias lines ``label TAB alias``; ``#`` comments are skipped."""
     aliases: dict[str, set[str]] = {}

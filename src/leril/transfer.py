@@ -37,7 +37,7 @@ distinct literal is folded at most once per transfer, and not at all when
 no fold of the sentence starts with its first two lowercased characters
 (a fold keeps them). Parsing looks each token up in one table of the 26
 slot elements, which every frame shares, and builds elements as named
-tuples.
+tuples; a parsed frame is the tuple of its elements.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class TransferError(LerilError):
 class FrameElement(NamedTuple):
     kind: str  # "slot" | "literal" | "optional"
     value: str
-
-
-class Frame(NamedTuple):
-    side: str  # "source" | "target"
-    elements: tuple[FrameElement, ...]
-
-    @property
-    def slots(self) -> list[str]:
-        return [el.value for el in self.elements if el.kind == "slot"]
 
 
 class SlotBinding(NamedTuple):
@@ -104,10 +95,9 @@ def _frame_error(tokens: list[str]) -> str | None:
     return None
 
 
-def parse_frame(text: str, side: str = "source") -> Frame:
-    """Parse a frame pattern. Slot letters must be unique within a frame."""
-    if side not in ("source", "target"):
-        raise ValueError(f"unknown frame side: {side!r}")
+def parse_frame(text: str) -> tuple[FrameElement, ...]:
+    """Parse a frame pattern into its elements. Slot letters must be unique
+    within a frame."""
     tokens = text.split()
     message = _frame_error(tokens)
     if message is not None:
@@ -121,7 +111,7 @@ def parse_frame(text: str, side: str = "source") -> Frame:
             elements.append(_tuple_new(FrameElement, ("optional", token[1:-1])))
         else:
             elements.append(_tuple_new(FrameElement, ("literal", token)))
-    return _tuple_new(Frame, (side, tuple(elements)))
+    return tuple(elements)
 
 
 _FOLD_SUFFIXES = ("es", "ed", "ing", "s")
@@ -156,9 +146,9 @@ def tokenize_sentence(sentence: str) -> list[str]:
 
 
 def match_frame(
-    frame: Frame, sentence: list[str], folded: list[str] | None = None
+    frame: tuple[FrameElement, ...], sentence: list[str], folded: list[str] | None = None
 ) -> SlotBinding | None:
-    """Match a source frame against tokenized sentence text.
+    """Match the elements of a source frame against tokenized sentence text.
 
     ``folded`` holds ``inflection_fold`` of each sentence token; a caller
     that tries many frames on one sentence folds it once and passes it.
@@ -166,9 +156,8 @@ def match_frame(
     """
     if folded is None:
         folded = [inflection_fold(token) for token in sentence]
-    elements = frame.elements
     folds: list[str | None] = []
-    for el in elements:
+    for el in frame:
         if el.kind == "slot":
             folds.append(None)
             continue
@@ -177,12 +166,12 @@ def match_frame(
             return None
         folds.append(fold)
 
-    # rest[e][t]: elements[e:] consume exactly sentence[t:]. Rows are built
+    # rest[e][t]: frame[e:] consumes exactly sentence[t:]. Rows are built
     # from the last element back; a slot's row is true before the last true
     # position of the row after it, since its span may end at any later one.
     n = len(sentence)
     rest = [[False] * n + [True]]
-    for el, fold in zip(reversed(elements), reversed(folds)):
+    for el, fold in zip(reversed(frame), reversed(folds)):
         after = rest[-1]
         if fold is None:
             last = n - after[::-1].index(True)
@@ -202,7 +191,7 @@ def match_frame(
     # matches after it, a slot takes the shortest span that lets the rest match.
     bindings: dict[str, tuple[str, ...]] = {}
     t = 0
-    for el, fold, after in zip(elements, folds, rest[1:]):
+    for el, fold, after in zip(frame, folds, rest[1:]):
         if fold is None:
             end = after.index(True, t + 1)
             bindings[el.value] = tuple(sentence[t:end])
@@ -213,9 +202,9 @@ def match_frame(
 
 
 def render_target(
-    frame: Frame, binding: SlotBinding, optional_policy: str = "include"
+    frame: tuple[FrameElement, ...], binding: SlotBinding, optional_policy: str = "include"
 ) -> str:
-    """Substitute captured spans into a target frame.
+    """Substitute captured spans into the elements of a target frame.
 
     ``optional_policy`` controls ``[tok]`` elements: "include" emits the
     bare token, "drop" omits it, "bracket" keeps it bracketed.
@@ -223,7 +212,7 @@ def render_target(
     if optional_policy not in OPTIONAL_POLICIES:
         raise ValueError(f"unknown optional-literal policy: {optional_policy!r}")
     out: list[str] = []
-    for el in frame.elements:
+    for el in frame:
         if el.kind == "slot":
             span = binding.bindings.get(el.value)
             if not span:
@@ -329,8 +318,8 @@ def transfer_pairs(
                     absent.add(token)
         if not absent.isdisjoint(source_tokens):
             continue
-        source = parse_frame(frame_e, "source")
-        target = parse_frame(frame_i, "target")
+        source = parse_frame(frame_e)
+        target = parse_frame(frame_i)
         binding = match_frame(source, tokens, folded)
         if binding is None:
             continue

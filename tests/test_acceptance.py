@@ -178,7 +178,7 @@ def test_criterion_8_slot_recovery_brute_force():
             for b_span in spans:
                 planted = {"A": a_span, "B": b_span}
                 sentence = []
-                for el in frame.elements:
+                for el in frame:
                     if el.kind == "slot":
                         sentence.extend(planted[el.value])
                     else:

@@ -15,6 +15,7 @@ from leril.anncorra import (
     AnnToken,
     TagRegistry,
     TagsetError,
+    _depths,
     _nearest_verbal_table,
     _walk_token,
     default_registry,
@@ -447,6 +448,36 @@ def test_nearest_verbal_table_matches_definition(verbal):
         for p in range(len(verbal))
     ]
     assert _nearest_verbal_table(verbal) == expected
+
+
+def _walked_depths(parents):
+    """Steps from each node to a root, walking its links one at a time;
+    None when a walk comes back to a node it passed."""
+    depths = []
+    for p in range(len(parents)):
+        passed = set()
+        while parents[p] is not None:
+            if p in passed:
+                return None
+            passed.add(p)
+            p = parents[p]
+        depths.append(len(passed))
+    return depths
+
+
+_parent_arrays = st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.none() | st.integers(0, max(n - 1, 0)), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parent_arrays)
+@example([0])
+@example([1, 0])
+@example([None, 2, 3, 1])
+@example([1, 2, None, 2, 3])
+def test_depths_match_a_walk_to_the_root(parents):
+    assert _depths(parents) == _walked_depths(parents)
 
 
 LONG = 5000

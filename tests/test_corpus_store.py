@@ -57,8 +57,7 @@ class TestAdd:
     def test_unparseable_line_rejected_with_diagnostics(self, store):
         with pytest.raises(CorpusError) as exc:
             store.add_sentence("bad", "a/k1->q piyA::v:i", "hin")
-        assert exc.value.diagnostics
-        assert any(d.severity == Severity.ERROR for d in exc.value.diagnostics)
+        assert str(exc.value) == "sentence 'bad' rejected: error: undefined index label 'q'"
         assert "bad" not in store
 
     def test_read_only_store_rejects_writes(self, tmp_path, explicit_line):
@@ -735,6 +734,20 @@ class TestSidecar:
         assert (code, out) == (3, "")
         sidecar, data = store_dir / "hin.anncorra.idx", store_dir / "hin.anncorra"
         assert err == f"error: {sidecar} does not describe {data}\n"
+
+    def test_sidecar_naming_other_ids_is_rebuilt_by_the_next_writer(
+        self, capsys, store_dir, monkeypatch
+    ):
+        def rename(header, rows, trees):
+            rows[0][0] = "renamed"
+
+        _rewrite_sidecar(store_dir / "hin.anncorra.idx", rename)
+        assert _cli_add(capsys, store_dir, "# late\nraama/k1 gayA::v\n")[0] == 0
+        calls = _count_parses(monkeypatch)
+        seen = self._same_as_without_sidecar(capsys, store_dir)
+        assert len(calls) == 6 * 13  # only the reads without the sidecar parse
+        assert [code for code, _, _ in seen] == [0] * 6
+        assert "s0\t0" in seen[1][1] and "renamed" not in "".join(out for _, out, _ in seen)
 
     def test_id_held_by_another_data_file(self, capsys, store_dir, tmp_path):
         other = tmp_path / "other"

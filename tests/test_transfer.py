@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from leril import transfer
 from leril.diagnostics import info, warning
 from leril.transfer import (
-    Frame,
     FrameElement,
     FrameError,
     SlotBinding,
@@ -28,8 +27,7 @@ from leril.translexgram import parse_tlg
 
 class TestParseFrame:
     def test_source_frame(self):
-        frame = parse_frame("A goes to B", "source")
-        assert frame.elements == (
+        assert parse_frame("A goes to B") == (
             FrameElement("slot", "A"),
             FrameElement("literal", "goes"),
             FrameElement("literal", "to"),
@@ -37,8 +35,7 @@ class TestParseFrame:
         )
 
     def test_target_frame_with_optional(self):
-        frame = parse_frame("A B [ko] jAtA hai", "target")
-        assert frame.elements == (
+        assert parse_frame("A B [ko] jAtA hai") == (
             FrameElement("slot", "A"),
             FrameElement("slot", "B"),
             FrameElement("optional", "ko"),
@@ -47,11 +44,11 @@ class TestParseFrame:
         )
 
     def test_single_slot(self):
-        assert parse_frame("A").elements == (FrameElement("slot", "A"),)
+        assert parse_frame("A") == (FrameElement("slot", "A"),)
 
     def test_multiword_literal(self):
-        frame = parse_frame("A B meM rakhA_jAtA_hai", "target")
-        assert frame.elements[-1] == FrameElement("literal", "rakhA_jAtA_hai")
+        frame = parse_frame("A B meM rakhA_jAtA_hai")
+        assert frame[-1] == FrameElement("literal", "rakhA_jAtA_hai")
 
     def test_duplicate_slot_is_error(self):
         with pytest.raises(FrameError):
@@ -62,8 +59,8 @@ class TestParseFrame:
             parse_frame("   ")
 
     def test_elements_compare_and_hash_by_kind_and_value(self):
-        first = parse_frame("A to [B]").elements
-        second = parse_frame("A to [B]", "target").elements
+        first = parse_frame("A to [B]")
+        second = parse_frame(" A  to [B] ")
         assert first == second and hash(first) == hash(second)
         assert {first[0], FrameElement("slot", "A")} == {FrameElement("slot", "A")}
         assert FrameElement("slot", "A") != FrameElement("literal", "A")
@@ -112,16 +109,14 @@ _frame_text = st.builds(
 
 
 @settings(max_examples=400)
-@given(_frame_text, st.sampled_from(["source", "target"]))
-def test_parse_frame_matches_reference_walk(text, side):
+@given(_frame_text)
+def test_parse_frame_matches_reference_walk(text):
     expected = _outcome(_reference_parse_frame, text)
-    frame = _outcome(lambda t: parse_frame(t, side), text)
+    frame = _outcome(parse_frame, text)
     if isinstance(expected, str):
         assert frame == expected
     else:
-        assert frame.side == side
-        assert frame.elements == tuple(FrameElement(kind, value) for kind, value in expected)
-        assert frame.slots == [value for kind, value in expected if kind == "slot"]
+        assert frame == tuple(FrameElement(kind, value) for kind, value in expected)
 
 
 @settings(max_examples=400)
@@ -252,12 +247,12 @@ def _widths(kinds: list[str], n: int):
                 yield (width,) + rest
 
 
-def _reference_match(frame: Frame, sentence: list[str]):
+def _reference_match(frame: tuple[FrameElement, ...], sentence: list[str]):
     """Brute force: the first width assignment, in leftmost-shortest order,
     whose literals fold onto the tokens they cover."""
-    for widths in _widths([el.kind for el in frame.elements], len(sentence)):
+    for widths in _widths([el.kind for el in frame], len(sentence)):
         binding, start = {}, 0
-        for el, width in zip(frame.elements, widths):
+        for el, width in zip(frame, widths):
             if el.kind == "slot":
                 binding[el.value] = tuple(sentence[start : start + width])
             elif width and inflection_fold(el.value) != inflection_fold(sentence[start]):
@@ -276,7 +271,7 @@ def _frames(draw):
     for kind in draw(kinds):
         value = next(letters) if kind == "slot" else draw(st.sampled_from(_COLLIDING))
         elements.append(FrameElement(kind, value))
-    return Frame("source", tuple(elements))
+    return tuple(elements)
 
 
 @settings(max_examples=400)
@@ -290,22 +285,22 @@ def test_match_frame_agrees_with_brute_force(frame, sentence):
 
 class TestRenderTarget:
     def test_include_policy(self):
-        frame = parse_frame("A B [ko] jAtA hai", "target")
+        frame = parse_frame("A B [ko] jAtA hai")
         binding = SlotBinding({"A": ("I",), "B": ("school",)})
         assert render_target(frame, binding) == "I school ko jAtA hai"
 
     def test_bracket_policy(self):
-        frame = parse_frame("A B [ko] jAtA hai", "target")
+        frame = parse_frame("A B [ko] jAtA hai")
         binding = SlotBinding({"A": ("I",), "B": ("school",)})
         assert render_target(frame, binding, "bracket") == "I school [ko] jAtA hai"
 
     def test_drop_policy(self):
-        frame = parse_frame("A B [ko] jAtA hai", "target")
+        frame = parse_frame("A B [ko] jAtA hai")
         binding = SlotBinding({"A": ("I",), "B": ("school",)})
         assert render_target(frame, binding, "drop") == "I school jAtA hai"
 
     def test_multiword_literal_stays_joined(self):
-        frame = parse_frame("A B meM rakhA_jAtA_hai", "target")
+        frame = parse_frame("A B meM rakhA_jAtA_hai")
         binding = SlotBinding({"A": ("These", "clothes"), "B": ("that", "suitcase")})
         assert (
             render_target(frame, binding)
@@ -313,7 +308,7 @@ class TestRenderTarget:
         )
 
     def test_unbound_slot_names_the_letter(self):
-        frame = parse_frame("A B jAtA hai", "target")
+        frame = parse_frame("A B jAtA hai")
         with pytest.raises(TransferError, match="slot B"):
             render_target(frame, SlotBinding({"A": ("I",)}))
 
@@ -374,9 +369,11 @@ class TestTransferSentence:
         assert matches[0].binding == SlotBinding({"A": ("Go",), "B": ("go",)})
 
 
-def _render_source(frame: Frame, binding: dict[str, tuple[str, ...]]) -> list[str]:
+def _render_source(
+    frame: tuple[FrameElement, ...], binding: dict[str, tuple[str, ...]]
+) -> list[str]:
     tokens = []
-    for el in frame.elements:
+    for el in frame:
         if el.kind == "slot":
             tokens.extend(binding[el.value])
         else:
@@ -409,7 +406,7 @@ def test_slot_recovery_brute_force(pattern):
     st.sampled_from(["include", "drop", "bracket"]),
 )
 def test_render_token_count(a_span, b_span, policy):
-    frame = parse_frame("A B [ko] jAtA hai", "target")
+    frame = parse_frame("A B [ko] jAtA hai")
     binding = SlotBinding({"A": tuple(a_span), "B": tuple(b_span)})
     rendered = render_target(frame, binding, policy).split()
     literal_count = 2 + (0 if policy == "drop" else 1)
@@ -424,8 +421,8 @@ def _reference_transfer_pairs(pairs, sentence, optional_policy="include", glosse
     for label, frame_e, frame_i in pairs:
         try:
             source, target = (
-                Frame(side, tuple(FrameElement(*el) for el in _reference_parse_frame(text)))
-                for side, text in (("source", frame_e), ("target", frame_i))
+                tuple(FrameElement(*el) for el in _reference_parse_frame(text))
+                for text in (frame_e, frame_i)
             )
         except FrameError as exc:
             diagnostics.append(warning(f"{label}: {exc}"))
@@ -525,9 +522,9 @@ def test_transfer_pairs_matches_parsing_every_pair(case, policy, glosses):
 def test_only_frames_whose_literals_all_occur_are_parsed(monkeypatch):
     parsed = []
 
-    def counted(text, side):
+    def counted(text):
         parsed.append(text)
-        return parse_frame(text, side)
+        return parse_frame(text)
 
     monkeypatch.setattr(transfer, "parse_frame", counted)
     pairs = [(f"pair {k}", f"A w{k} B", "A B hai") for k in range(200)]
