@@ -106,6 +106,11 @@ def _inputs(tmp: Path) -> dict[str, Path]:
         "u2028.anncorra": "rAma_ne/k1 piyA::v\n".encode(),
         "deep.anncorra": b"[" * 300 + b"x/k1 y::v" + b"]<s>" * 300 + b"\n",
         "deep.formula": b"a[" * 300 + b"b" + b"]" * 300 + b"\n",
+        # malformed glosses, some on indented sense lines: each error's column is in its line
+        "glosses.dict": (
+            b'"go", "V",\n--"1.ab[<x"\nI go.\n  --"2.c//d"\n\t-- "3.x{}"\n--"4.jAnA"\n'
+            b'I go to school.\n --  "5.a~" \n--"6.x[<y][<z]"\n--"7.x]"\n'
+        ),
         "frames.tlg": b'HEADWORD::"x","V"\nMEANING::1::"y"\nFRAME_E:: []\nFRAME_I:: [[\n',
         # padded names and values, names that are not names, an alias, duplicate
         # single fields, continuations after every kind of field, a skipped record

@@ -22,6 +22,7 @@ import argparse
 import os
 import sys
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -84,41 +85,57 @@ def _dump_json(doc) -> str:
 
     ``doc`` holds dicts with str keys, lists, tuples, NamedTuples, str, int,
     finite float, bool and None, matched by exact type; a plain tuple is an
-    array. With ``indent`` set, json.dumps runs its pure-Python encoder,
-    which recurses once per nesting level; this loop keeps the open
-    containers on a stack instead, so no document is too deep to print.
+    array. json.dumps with ``indent`` recurses once per nesting level; this
+    loop keeps the open containers on a stack, so no document is too deep.
+    Scalars, empty containers and arrays of only str are written as they are met.
     """
     out: list[str] = []
-    stack: list = []  # open containers, innermost last: (members left, their indent, closing text)
-    value, indent = doc, "\n"
-    while True:
-        kind = type(value)
-        scalar = _JSON_SCALARS.get(kind)
-        if scalar is not None:
-            out.append(scalar(value))
-            sep = ","
-        elif kind is list or kind is tuple:
-            out.append("[")
-            stack.append((zip(repeat(""), value), indent + "  ", indent + "]"))
-            sep = ""
-        else:  # a dict, or a NamedTuple: the object of its fields
-            pairs = value.items() if kind is dict else zip(kind._fields, value)
-            out.append("{")
-            members = ((_json_string(key) + ": ", item) for key, item in sorted(pairs))
-            stack.append((members, indent + "  ", indent + "}"))
-            sep = ""
-        while stack:
-            members, indent, closing = stack[-1]
-            member = next(members, None)
-            if member is not None:
-                key, value = member
-                out.append(sep + indent + key)
+    write = out.append
+    # each NamedTuple class met, sorted once a call: its quoted keys in order, and a getter of
+    # its fields in that order (None when it is the field order)
+    orders: dict = {}
+    # open containers, innermost last: (members left, their indent, closing text); the
+    # document is the member of a root whose indent adds a newline that the end cuts
+    stack: list = [(iter((("", doc),)), "\n", "\n")]
+    sep = ""
+    while stack:
+        members, indent, closing = stack[-1]
+        for key, value in members:
+            kind = type(value)
+            scalar = _JSON_SCALARS.get(kind)
+            if scalar is not None:
+                write(f"{sep}{indent}{key}{scalar(value)}")
+            elif not value:
+                write(f"{sep}{indent}{key}{'[]' if kind is list or kind is tuple else '{}'}")
+            elif (kind is list or kind is tuple) and {*map(type, value)} == {str}:
+                items = f",{indent}  ".join(map(_json_string, value))
+                write(f"{sep}{indent}{key}[{indent}  {items}{indent}]")
+            else:
                 break
-            stack.pop()
-            out.append(closing if sep else closing[-1])  # an empty one closes on its line
             sep = ","
         else:
-            return "".join(out) + "\n"
+            stack.pop()
+            write(closing)
+            sep = ","
+            continue
+        if kind is list or kind is tuple:
+            brackets, fields = "[]", zip(repeat(""), value)
+        elif kind is dict:
+            brackets = "{}"
+            fields = ((_json_string(k) + ": ", v) for k, v in sorted(value.items()))
+        else:  # a NamedTuple: the object of its fields
+            order = orders.get(kind)
+            if order is None:
+                ranked = sorted(range(len(value)), key=kind._fields.__getitem__)
+                keys = [_json_string(kind._fields[k]) + ": " for k in ranked]
+                getter = None if ranked == sorted(ranked) else itemgetter(*ranked)
+                order = orders[kind] = keys, getter
+            keys, getter = order
+            brackets, fields = "{}", zip(keys, value if getter is None else getter(value))
+        write(f"{sep}{indent}{key}{brackets[0]}")
+        stack.append((fields, indent + "  ", indent + brackets[1]))
+        sep = ""
+    return "".join(out)[1:]
 
 
 def _load_registry(args) -> TagRegistry | None:
@@ -137,28 +154,19 @@ def _print(text: str) -> None:
 # ---------------------------------------------------------------- dict
 
 
-def _cmd_dict_parse(args):
+def _cmd_dict_parse(args):  # also ``dict emit``, and ``dict lookup`` of one headword
     from . import dict_model
 
     dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
+    if args.subcommand == "lookup":
+        entries = dict_model.lookup(dictionary, args.headword, args.pos)
+        dictionary = dict_model.Dictionary(tuple(entries))
+        if not entries:
+            diags.append(info(f"no entry for {args.headword!r}"))
     if args.format == "interchange":
         _print(_dump_json({"format": "shabdaanjali", "entries": dictionary.entries}))
     else:
         _print(dict_model.emit_dictionary(dictionary))
-    return diags
-
-
-def _cmd_dict_lookup(args):
-    from . import dict_model
-
-    dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
-    entries = dict_model.lookup(dictionary, args.headword, args.pos)
-    if args.format == "interchange":
-        _print(_dump_json({"format": "shabdaanjali", "entries": entries}))
-    else:
-        _print(dict_model.emit_dictionary(dict_model.Dictionary(tuple(entries))))
-    if not entries:
-        diags.append(info(f"no entry for {args.headword!r}"))
     return diags
 
 
@@ -390,20 +398,12 @@ def _cmd_corpus_query(args):
     return store.diagnostics + diags
 
 
-def _cmd_corpus_stats(args):
+def _cmd_corpus_read(args):  # ``corpus stats`` and ``corpus export``
     from . import corpus_store
 
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
-        stats = store.stats()
-    _print(_dump_json(stats))
-    return store.diagnostics
-
-
-def _cmd_corpus_export(args):
-    from . import corpus_store
-
-    with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
-        _print(store.export(args.format))
+        stats = args.subcommand == "stats"
+        _print(_dump_json(store.stats()) if stats else store.export(args.format))
     return store.diagnostics
 
 
@@ -427,7 +427,7 @@ def _fill_dict(p_dict: argparse.ArgumentParser) -> None:
     p = _command(dict_sub.add_parser("emit"), _cmd_dict_parse)  # parse --format text
     p.add_argument("file")
     p.set_defaults(format="text")
-    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_lookup)
+    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_parse)
     p.add_argument("file")
     p.add_argument("headword")
     p.add_argument("--pos")
@@ -508,9 +508,9 @@ def _fill_corpus(p_corpus: argparse.ArgumentParser) -> None:
     p = _command(corpus_sub.add_parser("query"), _cmd_corpus_query, tagset=True)
     p.add_argument("tag")
     p.add_argument("--store", required=True)
-    p = _command(corpus_sub.add_parser("stats"), _cmd_corpus_stats, tagset=True)
+    p = _command(corpus_sub.add_parser("stats"), _cmd_corpus_read, tagset=True)
     p.add_argument("--store", required=True)
-    p = _command(corpus_sub.add_parser("export"), _cmd_corpus_export, tagset=True)
+    p = _command(corpus_sub.add_parser("export"), _cmd_corpus_read, tagset=True)
     p.add_argument("--store", required=True)
     p.add_argument("--format", choices=["linear", "interchange"], default="linear")
 

@@ -70,8 +70,10 @@ class Dictionary(NamedTuple):
 
 # Builds a named tuple from its field tuple, skipping the Python-level __new__.
 _tuple_new = tuple.__new__
-_HEADWORD_RE = re.compile(r'^\s*"([^"]+)"\s*,\s*"([^"]*)"\s*,?\s*$')
-_SENSE_RE = re.compile(r'^\s*--\s*"(\d+)\.(.*)"\s*$')
+# Matched against lines stripped with str.strip, which strips what \s matches.
+_HEADWORD_RE = re.compile(r'"([^"]+)"\s*,\s*"([^"]*)"\s*,?$')
+_SENSE_RE = re.compile(r'--\s*"(\d+)\.(.*)"$')
+_BRACKET_RE = re.compile(r"[\[\]{}]")  # the first one ends the body of a gloss
 
 
 def parse_gloss(gloss: str) -> GlossExpr:
@@ -85,27 +87,24 @@ def parse_gloss(gloss: str) -> GlossExpr:
         raise GlossParseError("gloss has no components", position=1)
     components = []
     offset = 0
-    for k, chunk in enumerate(body.split("~")):
+    for chunk in body.split("~"):
         if not chunk:
             raise GlossParseError("empty gloss component", position=offset + 1)
-        alternatives = chunk.split("/")
-        if any(not alt for alt in alternatives):
+        alternatives = tuple(chunk.split("/"))
+        if "" in alternatives:
             raise GlossParseError("empty gloss alternative", position=offset + 1)
-        components.append(GlossComponent(tuple(alternatives), joined=k > 0))
+        components.append(_tuple_new(GlossComponent, (alternatives, offset > 0)))
         offset += len(chunk) + 1
-    return GlossExpr(tuple(components), derivation, context)
+    return _tuple_new(GlossExpr, (tuple(components), derivation, context))
 
 
 def _split_annotations(text: str) -> tuple[str, str | None, str | None]:
-    body_end = None
-    for i, ch in enumerate(text):
-        if ch in "[{":
-            body_end = i
-            break
-        if ch in "]}":
-            raise GlossParseError(f"unbalanced '{ch}'", position=i + 1)
-    if body_end is None:
+    first = _BRACKET_RE.search(text)
+    if first is None:
         return text, None, None
+    body_end = first.start()
+    if first.group() in "]}":
+        raise GlossParseError(f"unbalanced '{first.group()}'", position=body_end + 1)
 
     derivation = context = None
     pos = body_end
@@ -172,8 +171,7 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
             continue
         saw_content = True
 
-        m = _HEADWORD_RE.match(line)
-        if m:
+        if line[0] == '"' and (m := _HEADWORD_RE.match(line)):
             if current is not None:
                 _close_entry(current, entry_lines[-1], entries, diagnostics)
             current = (m.group(1), m.group(2), [])
@@ -196,8 +194,9 @@ def parse_dictionary(text: str) -> tuple[Dictionary, list[Diagnostic]]:
                 continue
             try:
                 gloss = parse_gloss(sm.group(2))
-            except GlossParseError as exc:
-                diagnostics.append(error(str(exc), line=lineno, column=exc.position))
+            except GlossParseError as exc:  # its position counts from the opening of the gloss
+                column = len(raw) - len(raw.lstrip()) + sm.start(2) + exc.position
+                diagnostics.append(error(str(exc), line=lineno, column=column))
                 continue
             current[2].append((number, gloss, []))
             continue

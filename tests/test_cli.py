@@ -7,7 +7,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import leril
@@ -871,6 +871,13 @@ def _plain(value):
 
 
 @given(_json_docs)
+@example(["a", 'q"\\', ""])  # an array of only str
+@example(("x", "\u2028"))
+@example(["a", 1, "b"])  # str first, then not
+@example(_Fields(["a", "b"], ("c",), {"k": ["d"]}))  # str arrays as members, indented
+@example(_Fields(_Fields("a", None, 1.5), [], ()))  # a NamedTuple nested in one, empty arrays
+@example(_Fields({}, {"k": []}, _NoFields()))  # empty objects as field values
+@example([_Fields(1, 2, 3), _Fields("z", "a", "m")])  # field order is not key order
 def test_dump_json_matches_json_dumps(doc):
     expected = json.dumps(_plain(doc), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     assert _dump_json(doc) == expected

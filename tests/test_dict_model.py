@@ -51,10 +51,31 @@ class TestParseGloss:
         assert a == b
         assert a.derivation == "y" and a.context == "z"
 
-    @pytest.mark.parametrize("bad", ["x[<y", "x{z", "x]", "x}", "x[y]", "x[<]", "~x", "a//b"])
-    def test_malformed_glosses_raise(self, bad):
-        with pytest.raises(GlossParseError):
+    @pytest.mark.parametrize(
+        "bad, message, position",
+        [
+            pytest.param(bad, message, position, id=bad)
+            for bad, message, position in [
+                ("x[<y", "unbalanced '['", 2),
+                ("x{z", "unbalanced '{'", 2),
+                ("x]", "unbalanced ']'", 2),
+                ("x}", "unbalanced '}'", 2),
+                ("x[y]", "expected '<' after '['", 3),
+                ("x[<]", "empty derivation annotation", 2),
+                ("~x", "empty gloss component", 1),
+                ("a//b", "empty gloss alternative", 1),
+                ("x{}", "empty context annotation", 2),
+                ("a~", "empty gloss component", 3),
+                ("x[<y][<z]", "duplicate derivation annotation", 6),
+                ("x{a}{b}", "duplicate context annotation", 5),
+                ("x[<y]z", "unexpected text after annotations: 'z'", 6),
+            ]
+        ],
+    )
+    def test_malformed_glosses_raise(self, bad, message, position):
+        with pytest.raises(GlossParseError) as exc:
             parse_gloss(bad)
+        assert (str(exc.value), exc.value.position) == (message, position)
 
     def test_error_names_position(self):
         with pytest.raises(GlossParseError) as exc:
@@ -147,6 +168,15 @@ class TestParseDictionary:
         text = '"go", "V",\n--"1.jAnA"\n'
         _, diags = parse_dictionary(text)
         assert any("no example" in d.message for d in diags)
+
+    def test_gloss_error_columns_count_from_the_line(self):
+        text = '"go", "V",\n--"1.ab[<x"\n  --"2.c//d"\n\t-- "3.x{}"\n--"4.ok"\nGo.\n'
+        _, diags = parse_dictionary(text)
+        assert [(d.message, d.line, d.column) for d in diags if d.severity == Severity.ERROR] == [
+            ("unbalanced '['", 2, 8),
+            ("empty gloss alternative", 3, 8),
+            ("empty context annotation", 4, 9),
+        ]
 
 
 class TestLookup:
