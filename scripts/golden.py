@@ -131,6 +131,14 @@ def _inputs(tmp: Path) -> dict[str, Path]:
         ]).encode(),
         **_breaks(),
         "mixed_frames.tlg": _mixed_frames(),
+        # one line per error the token walk names ("empty token" aside: no line
+        # holds an empty token), some in brackets, some after an unknown tag
+        "tokens.anncorra": (
+            b"rAma_ne/k1 a]b piyA::v\n[/k1 piyA::v]<s>\nx/ piyA::v\nx/k9: piyA::v\n"
+            b"[[x::v:]<s> a/k1]<s> piyA::v\nx/Q7-> piyA::v\nx->i piyA::v\nx/zz x:: piyA::v\n"
+            b"[x/k1:i::v:j piyA::v]<s>\nx:y piyA::v\npiyA::v:i->j\nx::zz:I piyA::v\n"
+            b"[a[b piyA::v]<s>]<s>\na<b c>d x/k1:A piyA::v\nx/ y/k1-> /k1 piyA::v\n"
+        ),
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"
@@ -381,8 +389,8 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
 
     scenarios = []
     for source in ("sentences.anncorra", "mixed.anncorra", "cr.anncorra", "bom.anncorra",
-                   "deep.anncorra", "breaks.anncorra", "empty.txt", "not-utf8.txt", "missing",
-                   "go.dict"):
+                   "deep.anncorra", "breaks.anncorra", "tokens.anncorra", "empty.txt",
+                   "not-utf8.txt", "missing", "go.dict"):
         # a store is made first, so that the reads after an add that fails on
         # its input read one
         unreadable = source in ("missing", "not-utf8.txt")

@@ -219,21 +219,19 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _col(column: int | None, offset: int) -> int:
-    return (column or 1) + offset
-
-
 def parse_token(
     token: str,
     registry: TagRegistry,
     *,
     diagnostics: list[Diagnostic] | None = None,
-    column: int | None = None,
+    column: int = 1,
 ) -> AnnToken:
     """Parse a single whitespace-free token.
 
-    Unknown tags parse successfully with a warning appended to
-    ``diagnostics``; structural problems raise AnnCorraParseError.
+    ``column`` is the 1-based column of the token's first character in its
+    line; warnings and errors count their columns from it. Unknown tags
+    parse successfully with a warning appended to ``diagnostics``;
+    structural problems raise AnnCorraParseError.
     """
     m = _TOKEN_RE.fullmatch(token)
     if m is None:
@@ -241,26 +239,25 @@ def parse_token(
     return _token_from_match(m, registry, diagnostics, column)
 
 
+def _unknown(kind: str, raw: str, column: int, diagnostics: list[Diagnostic] | None) -> str:
+    """Warn that the ``kind`` tag ``raw`` at ``column`` is unknown; keep it as written."""
+    if diagnostics is not None:
+        diagnostics.append(warning(f"unknown {kind} tag '{raw}'", column=column))
+    return raw
+
+
 def _token_from_match(
-    m: re.Match, registry: TagRegistry, diagnostics: list[Diagnostic] | None, column: int | None
+    m: re.Match, registry: TagRegistry, diagnostics: list[Diagnostic] | None, column: int
 ) -> AnnToken:
     surface, rel_tag, rel_self, parent_ref, node_tag, node_self = m.groups()
     if rel_tag is not None:
-        canonical = registry.canonical_relation(rel_tag)
-        if canonical is not None:
-            rel_tag = canonical
-        elif diagnostics is not None:
-            diagnostics.append(
-                warning(f"unknown relation tag '{rel_tag}'", column=_col(column, m.start("rel")))
-            )
+        rel_tag = registry.canonical_relation(rel_tag) or _unknown(
+            "relation", rel_tag, column + m.start("rel"), diagnostics
+        )
     if node_tag is not None:
-        canonical = registry.canonical_node(node_tag)
-        if canonical is not None:
-            node_tag = canonical
-        elif diagnostics is not None:
-            diagnostics.append(
-                warning(f"unknown node tag '{node_tag}'", column=_col(column, m.start("node")))
-            )
+        node_tag = registry.canonical_node(node_tag) or _unknown(
+            "node", node_tag, column + m.start("node"), diagnostics
+        )
     return AnnToken(surface, rel_tag, rel_self or node_self, parent_ref, node_tag)
 
 
@@ -269,7 +266,7 @@ def _walk_token(
     registry: TagRegistry,
     *,
     diagnostics: list[Diagnostic] | None = None,
-    column: int | None = None,
+    column: int = 1,
 ) -> AnnToken:
     """The character walk that defines the token grammar and its errors.
 
@@ -277,97 +274,54 @@ def _walk_token(
     raises the error with its column; tests check that both accept the
     same tokens with the same result.
     """
+
+    def take(pattern: re.Pattern, at: int, message: str) -> tuple[str, int]:
+        """The tag or label at ``at`` and the index after it, else the error there."""
+        m = pattern.match(token, at)
+        if m is None:
+            raise AnnCorraParseError(message, column=column + at)
+        return m.group(), m.end()
+
     if not token:
         raise AnnCorraParseError("empty token", column=column)
-    n = len(token)
     i = 0
-    while i < n:
-        ch = token[i]
-        if ch in "/:":
-            break
-        if ch == "-" and token.startswith("->", i):
-            break
-        if ch in "[]<>":
+    while i < len(token) and token[i] not in "/:" and not token.startswith("->", i):
+        if token[i] in "[]<>":
             raise AnnCorraParseError(
-                f"stray {ch!r} inside token {token!r}", column=_col(column, i)
+                f"stray {token[i]!r} inside token {token!r}", column=column + i
             )
         i += 1
     surface = token[:i]
     if not surface:
-        raise AnnCorraParseError(
-            f"token {token!r} has no surface text", column=_col(column, 0)
-        )
+        raise AnnCorraParseError(f"token {token!r} has no surface text", column=column)
 
     rel_tag = node_tag = self_index = parent_ref = None
 
-    if i < n and token[i] == "/":
-        i += 1
-        m = _TAG_RE.match(token, i)
-        if m is None:
-            raise AnnCorraParseError("missing relation tag after '/'", column=_col(column, i))
-        raw = m.group()
-        i = m.end()
-        rel_tag = registry.canonical_relation(raw)
-        if rel_tag is None:
-            rel_tag = raw
-            if diagnostics is not None:
-                diagnostics.append(
-                    warning(f"unknown relation tag '{raw}'", column=_col(column, i - len(raw)))
-                )
-        if i < n and token[i] == ":" and not token.startswith("::", i):
-            i += 1
-            m = _LABEL_RE.match(token, i)
-            if m is None:
-                raise AnnCorraParseError(
-                    "empty or invalid index after ':'", column=_col(column, i)
-                )
-            self_index = m.group()
-            i = m.end()
-        if token.startswith("->", i):
-            i += 2
-            m = _LABEL_RE.match(token, i)
-            if m is None:
-                raise AnnCorraParseError(
-                    "empty or invalid index after '->'", column=_col(column, i)
-                )
-            parent_ref = m.group()
-            i = m.end()
-    elif token.startswith("->", i):
-        raise AnnCorraParseError(
-            "'->' without a preceding relation tag", column=_col(column, i)
+    if token.startswith("/", i):
+        raw, i = take(_TAG_RE, i + 1, "missing relation tag after '/'")
+        rel_tag = registry.canonical_relation(raw) or _unknown(
+            "relation", raw, column + i - len(raw), diagnostics
         )
+        if token.startswith(":", i) and not token.startswith("::", i):
+            self_index, i = take(_LABEL_RE, i + 1, "empty or invalid index after ':'")
+        if token.startswith("->", i):
+            parent_ref, i = take(_LABEL_RE, i + 2, "empty or invalid index after '->'")
+    elif token.startswith("->", i):
+        raise AnnCorraParseError("'->' without a preceding relation tag", column=column + i)
 
     if token.startswith("::", i):
-        i += 2
-        m = _TAG_RE.match(token, i)
-        if m is None:
-            raise AnnCorraParseError("missing node tag after '::'", column=_col(column, i))
-        raw = m.group()
-        i = m.end()
-        node_tag = registry.canonical_node(raw)
-        if node_tag is None:
-            node_tag = raw
-            if diagnostics is not None:
-                diagnostics.append(
-                    warning(f"unknown node tag '{raw}'", column=_col(column, i - len(raw)))
-                )
-        if i < n and token[i] == ":" and not token.startswith("::", i):
+        raw, i = take(_TAG_RE, i + 2, "missing node tag after '::'")
+        node_tag = registry.canonical_node(raw) or _unknown(
+            "node", raw, column + i - len(raw), diagnostics
+        )
+        if token.startswith(":", i) and not token.startswith("::", i):
             if self_index is not None:
-                raise AnnCorraParseError(
-                    "duplicate self index on token", column=_col(column, i)
-                )
-            i += 1
-            m = _LABEL_RE.match(token, i)
-            if m is None:
-                raise AnnCorraParseError(
-                    "empty or invalid index after ':'", column=_col(column, i)
-                )
-            self_index = m.group()
-            i = m.end()
+                raise AnnCorraParseError("duplicate self index on token", column=column + i)
+            self_index, i = take(_LABEL_RE, i + 1, "empty or invalid index after ':'")
 
-    if i != n:
+    if i != len(token):
         raise AnnCorraParseError(
-            f"unexpected text {token[i:]!r} in token {token!r}", column=_col(column, i)
+            f"unexpected text {token[i:]!r} in token {token!r}", column=column + i
         )
     return AnnToken(surface, rel_tag, self_index, parent_ref, node_tag)
 
@@ -602,11 +556,8 @@ def parse_sentence(
                 diagnostics.append(error("empty group tag", column=column))
                 failed = True
                 continue
-            if (
-                registry.canonical_relation(tag) is None
-                and registry.canonical_node(tag) is None
-            ):
-                diagnostics.append(warning(f"unknown group tag '{tag}'", column=column))
+            if not (registry.canonical_relation(tag) or registry.canonical_node(tag)):
+                _unknown("group", tag, column, diagnostics)
             groups.append(Group(start, len(tokens), tag))
 
     if stack:

@@ -74,6 +74,8 @@ _tuple_new = tuple.__new__
 _HEADWORD_RE = re.compile(r'"([^"]+)"\s*,\s*"([^"]*)"\s*,?$')
 _SENSE_RE = re.compile(r'--\s*"(\d+)\.(.*)"$')
 _BRACKET_RE = re.compile(r"[\[\]{}]")  # the first one ends the body of a gloss
+# An annotation's opening character -> its name, the text that opens it, its closer.
+_ANNOTATIONS = {"[": ("derivation", "[<", "]"), "{": ("context", "{", "}")}
 
 
 def parse_gloss(gloss: str) -> GlossExpr:
@@ -91,8 +93,9 @@ def parse_gloss(gloss: str) -> GlossExpr:
         if not chunk:
             raise GlossParseError("empty gloss component", position=offset + 1)
         alternatives = tuple(chunk.split("/"))
-        if "" in alternatives:
-            raise GlossParseError("empty gloss alternative", position=offset + 1)
+        if "" in alternatives:  # it starts after its '/', or at a leading one
+            position = offset + f"/{chunk}/".find("//") + 1
+            raise GlossParseError("empty gloss alternative", position=position)
         components.append(_tuple_new(GlossComponent, (alternatives, offset > 0)))
         offset += len(chunk) + 1
     return _tuple_new(GlossExpr, (tuple(components), derivation, context))
@@ -106,40 +109,27 @@ def _split_annotations(text: str) -> tuple[str, str | None, str | None]:
     if first.group() in "]}":
         raise GlossParseError(f"unbalanced '{first.group()}'", position=body_end + 1)
 
-    derivation = context = None
+    values: dict[str, str] = {}
     pos = body_end
     while pos < len(text):
-        ch = text[pos]
-        if ch == "[":
-            end = text.find("]", pos)
-            if end < 0:
-                raise GlossParseError("unbalanced '['", position=pos + 1)
-            inner = text[pos + 1 : end]
-            if not inner.startswith("<"):
-                raise GlossParseError("expected '<' after '['", position=pos + 2)
-            value = inner[1:].strip()
-            if not value:
-                raise GlossParseError("empty derivation annotation", position=pos + 1)
-            if derivation is not None:
-                raise GlossParseError("duplicate derivation annotation", position=pos + 1)
-            derivation = value
-            pos = end + 1
-        elif ch == "{":
-            end = text.find("}", pos)
-            if end < 0:
-                raise GlossParseError("unbalanced '{'", position=pos + 1)
-            value = text[pos + 1 : end].strip()
-            if not value:
-                raise GlossParseError("empty context annotation", position=pos + 1)
-            if context is not None:
-                raise GlossParseError("duplicate context annotation", position=pos + 1)
-            context = value
-            pos = end + 1
-        else:
+        if text[pos] not in _ANNOTATIONS:
             raise GlossParseError(
                 f"unexpected text after annotations: {text[pos:]!r}", position=pos + 1
             )
-    return text[:body_end], derivation, context
+        name, opening, closer = _ANNOTATIONS[text[pos]]
+        end = text.find(closer, pos)
+        if end < 0:
+            raise GlossParseError(f"unbalanced '{text[pos]}'", position=pos + 1)
+        if not text.startswith(opening, pos):
+            raise GlossParseError("expected '<' after '['", position=pos + 2)
+        value = text[pos + len(opening) : end].strip()
+        if not value:
+            raise GlossParseError(f"empty {name} annotation", position=pos + 1)
+        if name in values:
+            raise GlossParseError(f"duplicate {name} annotation", position=pos + 1)
+        values[name] = value
+        pos = end + 1
+    return text[:body_end], values.get("derivation"), values.get("context")
 
 
 def emit_gloss(gloss: GlossExpr) -> str:

@@ -63,6 +63,7 @@ class SenseThread(NamedTuple):
 
 
 _BRACKET_RE = re.compile(r"[\[\]]")
+_PAREN_RE = re.compile(r"[()]")
 _HEAD_END_RE = re.compile(r"[\[\]<~]")
 _TURNS_RE = re.compile(r"[~\s]*")
 _OUTSIDE_BRACKETS = {
@@ -78,7 +79,7 @@ def parse_formula(text: str) -> SutraFormula:
     One level at a time, outermost first, so the first error in reading
     order is the one raised.
     """
-    closing = _closing_brackets(text)
+    closing = _closing_brackets(text, _BRACKET_RE)
     heads: list[str] = []
     turn_counts: list[int] = []
     start, stop = 0, len(text)
@@ -112,16 +113,17 @@ def parse_formula(text: str) -> SutraFormula:
         start, stop = k + 1, j
 
 
-def _closing_brackets(text: str) -> dict[int, int]:
-    """Position of each ``[`` that is closed -> position of its ``]``.
+def _closing_brackets(text: str, brackets: re.Pattern) -> dict[int, int]:
+    """Position of each opening bracket that is closed -> position of its
+    closer, for the ``[]`` or ``()`` pair that ``brackets`` matches.
 
     One pass over the brackets, so that no nesting level rescans the rest
-    of the formula for the ``]`` that closes its derivation.
+    of the text for its closer.
     """
     closing: dict[int, int] = {}
     open_positions: list[int] = []
-    for m in _BRACKET_RE.finditer(text):
-        if m.group() == "[":
+    for m in brackets.finditer(text):
+        if m.group() in "[(":
             open_positions.append(m.start())
         elif open_positions:
             closing[open_positions.pop()] = m.start()
@@ -160,16 +162,7 @@ def _parse_stage(part: str) -> ThreadStage:
     gloss = None
     open_idx = head_part.find("(")
     if open_idx >= 0:
-        depth = 0
-        close_idx = None
-        for i in range(open_idx, len(head_part)):
-            if head_part[i] == "(":
-                depth += 1
-            elif head_part[i] == ")":
-                depth -= 1
-                if depth == 0:
-                    close_idx = i
-                    break
+        close_idx = _closing_brackets(head_part, _PAREN_RE).get(open_idx)
         if close_idx is None:
             raise SutraParseError("unbalanced '(' in stage", position=open_idx + 1)
         if head_part[close_idx + 1 :].strip():
@@ -252,8 +245,9 @@ def parse_formula_file(text: str) -> tuple[list[SutraFormula], list[Diagnostic]]
             continue
         try:
             formulas.append(parse_formula(line))
-        except SutraParseError as exc:
-            diagnostics.append(error(str(exc), line=lineno, column=exc.position))
+        except SutraParseError as exc:  # its position counts from the line's first non-blank
+            column = len(raw) - len(raw.lstrip()) + exc.position
+            diagnostics.append(error(str(exc), line=lineno, column=column))
     return formulas, diagnostics
 
 

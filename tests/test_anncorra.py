@@ -125,23 +125,33 @@ class TestParseToken:
         assert parse_token("x::KR", registry).node_tag == "Kr"
 
     @pytest.mark.parametrize(
-        "bad",
+        "bad, message, column, warnings",
         [
-            "x->i",  # arrow without a relation
-            "x/k1:",  # empty self index
-            "x/k1->",  # empty parent index
-            "x/",  # missing relation tag
-            "x::",  # missing node tag
-            "x/k1:A",  # index labels are lowercase
-            "x:y",  # lone ':' outside an annotation
-            "x/k1:i::v:j",  # two self indexes
-            "/k1",  # no surface
-            "piyA::v:i->j",  # arrow after the node part
+            pytest.param(bad, message, column, warnings, id=bad)
+            for bad, message, column, *warnings in [
+                ("x->i", "'->' without a preceding relation tag", 2),  # arrow without a relation
+                ("x/k1:", "empty or invalid index after ':'", 6),  # empty self index
+                ("x/k1->", "empty or invalid index after '->'", 7),  # empty parent index
+                ("x/", "missing relation tag after '/'", 3),
+                ("x::", "missing node tag after '::'", 4),
+                ("x/k1:A", "empty or invalid index after ':'", 6),  # labels are lowercase
+                ("x:y", "unexpected text ':y' in token 'x:y'", 2),  # lone ':' outside a tag
+                ("x/k1:i::v:j", "duplicate self index on token", 10),
+                ("/k1", "token '/k1' has no surface text", 1),
+                ("piyA::v:i->j", "unexpected text '->j' in token 'piyA::v:i->j'", 10),
+                ("a]b", "stray ']' inside token 'a]b'", 2),
+                ("x::v:", "empty or invalid index after ':'", 6),  # node-side index
+                # an unknown tag before the fault is still reported
+                ("x/k9:", "empty or invalid index after ':'", 6, ("unknown relation tag 'k9'", 3)),
+            ]
         ],
     )
-    def test_malformed_tokens(self, registry, bad):
-        with pytest.raises(AnnCorraParseError):
-            parse_token(bad, registry)
+    def test_malformed_tokens(self, registry, bad, message, column, warnings):
+        diags = []
+        with pytest.raises(AnnCorraParseError) as exc:
+            parse_token(bad, registry, diagnostics=diags)
+        assert (str(exc.value), exc.value.column) == (message, column)
+        assert [(d.message, d.column) for d in diags] == warnings
 
 
 # Tokens over the characters the grammar cares about, plus a non-ASCII
@@ -182,11 +192,11 @@ def _token_outcome(parse, token, registry, diagnostics, column):
 
 
 @settings(max_examples=800, deadline=None)
-@given(_tokens, _registries, st.booleans(), st.sampled_from([None, 1, 9]))
+@given(_tokens, _registries, st.booleans(), st.sampled_from([1, 9]))
 @example("a/k1:a->x::v", anncorra.default_registry(), True, 3)
 @example("a/kx:a::x", TagRegistry([]), True, 1)
-@example("x/k1:i::v:j", anncorra.default_registry(), True, None)
-@example("\u00e9-_/V->a", anncorra.default_registry(), False, None)
+@example("x/k1:i::v:j", anncorra.default_registry(), True, 1)
+@example("\u00e9-_/V->a", anncorra.default_registry(), False, 1)
 def test_parse_token_matches_character_walk(token, registry, collect, column):
     # same token, same warnings with the same columns, or the same error
     expected = _token_outcome(_walk_token, token, registry, [] if collect else None, column)

@@ -63,7 +63,7 @@ class TestParseGloss:
                 ("x[y]", "expected '<' after '['", 3),
                 ("x[<]", "empty derivation annotation", 2),
                 ("~x", "empty gloss component", 1),
-                ("a//b", "empty gloss alternative", 1),
+                ("a//b", "empty gloss alternative", 3),
                 ("x{}", "empty context annotation", 2),
                 ("a~", "empty gloss component", 3),
                 ("x[<y][<z]", "duplicate derivation annotation", 6),
@@ -174,7 +174,7 @@ class TestParseDictionary:
         _, diags = parse_dictionary(text)
         assert [(d.message, d.line, d.column) for d in diags if d.severity == Severity.ERROR] == [
             ("unbalanced '['", 2, 8),
-            ("empty gloss alternative", 3, 8),
+            ("empty gloss alternative", 3, 10),
             ("empty context annotation", 4, 9),
         ]
 

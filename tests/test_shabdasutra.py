@@ -96,6 +96,25 @@ class TestParseThread:
         with pytest.raises(SutraParseError):
             parse_thread("a --> --> c")
 
+    @pytest.mark.parametrize(
+        "text, outcome",
+        [
+            # a gloss holds nested parentheses and ends at the ')' that closes its '('
+            ("a (b (c) d) --> e", (ThreadStage("a", "b (c) d"), ThreadStage("e"))),
+            # a ')' before the '(' is label text
+            ("a ) b (c) --> e", (ThreadStage("a ) b", "c"), ThreadStage("e"))),
+            ("a (b (c) --> e", ("unbalanced '(' in stage", 3)),
+            ("a --> b) c", ("unbalanced ')' in stage", None)),
+            ("a (b) c --> e", ("unexpected text after stage gloss", None)),
+        ],
+    )
+    def test_stage_glosses(self, text, outcome):
+        try:
+            result = parse_thread(text).stages
+        except SutraParseError as exc:
+            result = (str(exc), exc.position)
+        assert result == outcome
+
 
 class TestEmit:
     def test_issue_formula_canonical(self):
@@ -203,9 +222,10 @@ class TestFiles:
         assert len(threads[0].stages) == 3
 
     def test_bad_formula_line_reported(self):
-        formulas, diags = parse_formula_file("ok\nbroken[\n")
+        # the column counts from the start of the line, indent included
+        formulas, diags = parse_formula_file("ok\n   broken[\n")
         assert len(formulas) == 1
-        assert diags[0].line == 2
+        assert [(d.message, d.line, d.column) for d in diags] == [("unbalanced '['", 2, 10)]
 
 
 def _derive(head: str, turns: int, source: SutraFormula) -> SutraFormula:
