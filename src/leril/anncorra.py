@@ -35,15 +35,17 @@ the bracket nesting depth.
 
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
-node tag; the ``/`` versus ``::`` position disambiguates. Index labels are
-a serialization artifact and stay on the tokens; a tree holds none, so two
-trees are equal when surfaces, tags, attachments and groups agree.
+node tag; the ``/`` versus ``::`` position disambiguates. Tags are read
+through tables the registry builds once, one lookup per tag, and the
+verbality of a sentence's tokens is computed once, in one pass, by
+``TagRegistry.verbal_flags``. Index labels are a serialization artifact
+and stay on the tokens; a tree holds none, so two trees are equal when
+surfaces, tags, attachments and groups agree.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
@@ -73,44 +75,65 @@ class TagDef(NamedTuple):
 
 
 class TagRegistry:
-    """Tag inventory; lookups fold case, stored codes keep their casing."""
+    """Tag inventory; lookups fold case, stored codes keep their casing.
+
+    Each category has one table, built once, that maps every tag's code and
+    its lowercase to the code. A lookup tries the exact key first and then
+    the lowercase, so a tag in registry casing or in lowercase costs one
+    dict lookup, and any other casing one ``.lower()`` more. The tables map
+    None (no tag) to None, so a token's two tags are two lookups.
+    """
 
     def __init__(self, tags: Iterable[TagDef]):
-        self._relations: dict[str, TagDef] = {}
-        self._nodes: dict[str, TagDef] = {}
+        relations: dict[str, TagDef] = {}
+        nodes: dict[str, TagDef] = {}
         for tag in tags:
             if tag.category == "relation":
-                self._relations[tag.code.lower()] = tag
+                relations[tag.code.lower()] = tag
             elif tag.category == "node":
-                self._nodes[tag.code.lower()] = tag
+                nodes[tag.code.lower()] = tag
             else:
                 raise ValueError(f"unknown tag category: {tag.category!r}")
+        self._tags = [*relations.values(), *nodes.values()]
+        self._relations, self._verbal_relations = self._tables(relations.values())
+        self._nodes, self._verbal_nodes = self._tables(nodes.values())
+
+    @staticmethod
+    def _tables(tags: Iterable[TagDef]) -> tuple[dict[str | None, str | None], set[str]]:
+        """One category's table, and the keys of it that name a verbal tag."""
+        table: dict[str | None, str | None] = {None: None}
+        verbal = set()
+        for tag in tags:
+            for key in (tag.code, tag.code.lower()):
+                table[key] = tag.code
+                if tag.verbal:
+                    verbal.add(key)
+        return table, verbal
 
     def signature(self) -> str:
         """Every tag as parsing sees it (code, category, verbality), in one
         canonical text: two registries read every line alike when their
         signatures are equal."""
-        tags = [*self._relations.values(), *self._nodes.values()]
-        return "\n".join(sorted(f"{t.category}\t{t.code}\t{t.verbal:d}" for t in tags))
+        return "\n".join(sorted(f"{t.category}\t{t.code}\t{t.verbal:d}" for t in self._tags))
 
     def canonical_relation(self, code: str) -> str | None:
-        tag = self._relations.get(code.lower())
-        return tag.code if tag else None
+        return self._relations.get(code) or self._relations.get(code.lower())
 
     def canonical_node(self, code: str) -> str | None:
-        tag = self._nodes.get(code.lower())
-        return tag.code if tag else None
+        return self._nodes.get(code) or self._nodes.get(code.lower())
 
-    def is_verbal(self, rel_tag: str | None, node_tag: str | None) -> bool:
-        if node_tag is not None:
-            tag = self._nodes.get(node_tag.lower())
-            if tag is not None and tag.verbal:
-                return True
-        if rel_tag is not None:
-            tag = self._relations.get(rel_tag.lower())
-            if tag is not None and tag.verbal:
-                return True
-        return False
+    def verbal_flags(self, tokens: Iterable[AnnToken | DepNode]) -> list[bool]:
+        """Whether each token is verbal: its node tag or its relation tag
+        names a verbal tag. A tag the tables miss is folded to lowercase."""
+        relations, nodes = self._relations, self._nodes
+        verbal_relations, verbal_nodes = self._verbal_relations, self._verbal_nodes
+        return [
+            t.node_tag in verbal_nodes
+            or t.rel_tag in verbal_relations
+            or (t.node_tag not in nodes and t.node_tag.lower() in verbal_nodes)
+            or (t.rel_tag not in relations and t.rel_tag.lower() in verbal_relations)
+            for t in tokens
+        ]
 
 
 # The published tag inventory is larger (around 35 tags); the built-in
@@ -412,7 +435,7 @@ def resolve(
                 failed = True
             labels[token.self_index] = p
 
-    verbal = [registry.is_verbal(t.rel_tag, t.node_tag) for t in tokens]
+    verbal = registry.verbal_flags(tokens)
     nearest_verbal = _nearest_verbal_table(verbal)
     parents: list[int | None] = [None] * len(tokens)
     for p, token in enumerate(tokens):
@@ -480,7 +503,10 @@ def resolve(
         diagnostics.append(error(f"multiple roots: {surfaces}"))
         return None, diagnostics
 
-    nodes = [DepNode(t.surface, t.rel_tag, t.node_tag, p) for t, p in zip(tokens, parents)]
+    nodes = [
+        tuple.__new__(DepNode, (surface, rel_tag, node_tag, p))
+        for (surface, rel_tag, _, _, node_tag), p in zip(tokens, parents)
+    ]
     return DepTree(nodes, list(groups)), diagnostics
 
 
@@ -497,15 +523,21 @@ def parse_sentence(
     groups: list[Group] = []
     stack: list[int] = []
     failed = False
+    token_re, relations, nodes = _TOKEN_RE, registry._relations, registry._nodes
 
     for m in _CHUNK_RE.finditer(line):
         chunk = m.group()
-        column = m.start() + 1
-        token_match = _TOKEN_RE.fullmatch(chunk)
+        token_match = token_re.fullmatch(chunk)
         if token_match is not None:  # a well-formed token carries no brackets
-            tokens.append(_token_from_match(token_match, registry, diagnostics, column))
+            surface, rel, rel_self, ref, node, node_self = token_match.groups()
+            if rel in relations and node in nodes:
+                token = (surface, relations[rel], rel_self or node_self, ref, nodes[node])
+                tokens.append(tuple.__new__(AnnToken, token))
+            else:  # a tag in other casing, or unknown and warned about
+                tokens.append(_token_from_match(token_match, registry, diagnostics, m.start() + 1))
             continue
 
+        column = m.start() + 1
         opens = 0
         while chunk.startswith("["):
             opens += 1
@@ -539,8 +571,8 @@ def parse_sentence(
             except AnnCorraParseError as exc:
                 diagnostics.append(error(str(exc), column=exc.column))
                 failed = True
-            else:
-                tokens.append(token)
+                token = None  # still a member of its group; the line fails anyway
+            tokens.append(token)
 
         for tag in reversed(closers):
             if not stack:
@@ -603,11 +635,7 @@ def emit_minimal(tree: DepTree, registry: TagRegistry) -> str:
 
 def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
     nodes = tree.nodes
-    nearest_verbal = (
-        _nearest_verbal_table([registry.is_verbal(n.rel_tag, n.node_tag) for n in nodes])
-        if minimal
-        else None
-    )
+    nearest_verbal = _nearest_verbal_table(registry.verbal_flags(nodes)) if minimal else None
     group_heads = _innermost_group_heads(tree)
 
     keep: dict[int, int] = {}
@@ -631,43 +659,30 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
         labeled.add(root)
     label = {pos: _index_label(k) for k, pos in enumerate(sorted(labeled))}
 
-    opens: dict[int, list[Group]] = defaultdict(list)
-    closes: dict[int, list[Group]] = defaultdict(list)
-    for group in tree.groups:
-        opens[group.start].append(group)
-        closes[group.stop - 1].append(group)
-    for entries in opens.values():
-        entries.sort(key=lambda g: -g.stop)  # outer groups open first
-    for entries in closes.values():
-        entries.sort(key=lambda g: -g.start)  # inner groups close first
+    # the brackets at each position where a group opens or closes
+    opens: dict[int, str] = {}
+    closes: dict[int, str] = {}
+    for group in sorted(tree.groups, key=lambda g: -g.start):  # inner groups close first
+        opens[group.start] = opens.get(group.start, "") + "["
+        closes[group.stop - 1] = closes.get(group.stop - 1, "") + f"]<{group.tag}>"
 
     chunks = []
-    for p, node in enumerate(nodes):
-        bits = [node.surface]
-        lbl = label.get(p)
-        placed = False
-        if node.rel_tag is not None:
-            part = f"/{node.rel_tag}"
-            if lbl is not None:
-                part += f":{lbl}"
-                placed = True
+    for p, (surface, rel_tag, node_tag, _) in enumerate(nodes):
+        text = surface
+        lbl = label.get(p)  # carried by the first tag; None once placed
+        if rel_tag is not None:
+            text += f"/{rel_tag}" if lbl is None else f"/{rel_tag}:{lbl}"
             if p in keep:
-                part += f"->{label[keep[p]]}"
-            bits.append(part)
-        if node.node_tag is not None:
-            part = f"::{node.node_tag}"
-            if lbl is not None and not placed:
-                part += f":{lbl}"
-                placed = True
-            bits.append(part)
-        if lbl is not None and not placed:
-            raise EmitError(
-                f"node '{node.surface}' needs an index label but has no tag to carry it"
-            )
-        text = "".join(bits)
-        prefix = "[" * len(opens.get(p, ()))
-        suffix = "".join(f"]<{g.tag}>" for g in closes.get(p, ()))
-        chunks.append(prefix + text + suffix)
+                text += f"->{label[keep[p]]}"
+            lbl = None
+        if node_tag is not None:
+            text += f"::{node_tag}" if lbl is None else f"::{node_tag}:{lbl}"
+            lbl = None
+        if lbl is not None:
+            raise EmitError(f"node '{surface}' needs an index label but has no tag to carry it")
+        if p in opens or p in closes:
+            text = opens.get(p, "") + text + closes.get(p, "")
+        chunks.append(text)
     return " ".join(chunks)
 
 

@@ -13,6 +13,8 @@ from leril.anncorra import (
     DEFAULT_TAGS,
     AnnCorraParseError,
     AnnToken,
+    DepNode,
+    DepTree,
     TagRegistry,
     TagsetError,
     _depths,
@@ -44,8 +46,10 @@ class TestRegistry:
     def _view(registry, tag):
         """What a registry answers about one tag, through its lookups."""
         if tag.category == "relation":
-            return registry.canonical_relation(tag.code), registry.is_verbal(tag.code, None)
-        return registry.canonical_node(tag.code), registry.is_verbal(None, tag.code)
+            token, canonical = AnnToken("x", rel_tag=tag.code), registry.canonical_relation
+        else:
+            token, canonical = AnnToken("x", node_tag=tag.code), registry.canonical_node
+        return canonical(tag.code), registry.verbal_flags([token]) == [True]
 
     def test_default_contents(self, registry):
         relations = {t.code for t in DEFAULT_TAGS if t.category == "relation"}
@@ -163,8 +167,10 @@ _FRAGMENTS = [
     "a", "k", "k1", "v", "V", "x", "/", ":", "::", "-", ">", "->", "[", "]", "<", "_", "\u00e9"
 ]
 _SURFACES = ["a", "x", "\u00e9", "a-", "_"]
-_REL_PARTS = ["", "/k1", "/kx", "/K1", "/k1:a", "/k1->x", "/k1:x->a", "/k1:b->a"]
-_NODE_PARTS = ["", "::v", "::V", "::x", "::v:a", "::v:x"]
+_REL_PARTS = [
+    "", "/k1", "/kx", "/K1", "/kr", "/KR", "/k1:a", "/k1->x", "/k1:x->a", "/k1:b->a"
+]
+_NODE_PARTS = ["", "::v", "::V", "::x", "::Kr", "::AUX", "::v:a", "::v:x"]
 _BAD_PARTS = [
     "", "a>", "[", "/", "/k1:", "/k1->", "->a", "/k1:A", ":a", "/1", "::", "::v:", "::v->a", "::v::v"
 ]
@@ -179,8 +185,11 @@ _tokens = st.one_of(
         lambda t: t[0][: t[2]] + t[1] + t[0][t[2] :]
     ),
 )
-# The default registry knows k1 and v; an empty one makes every tag unknown.
-_registries = st.sampled_from([anncorra.default_registry(), TagRegistry([])])
+# The default registry knows k1 and v; an empty one makes every tag unknown;
+# the loaded one overrides the verbal relation kr with a nonverbal KR and
+# adds a verbal node tag in mixed case.
+_OVERRIDING = load_tagset("KR\trelation\tnonverbal\naUx\tnode\tverbal\n")
+_registries = st.sampled_from([anncorra.default_registry(), TagRegistry([]), _OVERRIDING])
 
 
 def _token_outcome(parse, token, registry, diagnostics, column):
@@ -328,6 +337,23 @@ class TestResolve:
         assert tree is None
         assert any("multiple roots" in d.message for d in diags)
 
+    def test_tags_in_other_casing_fold_to_the_registry(self, registry):
+        # hand-built tokens and trees need not carry registry casing: V, KR and
+        # kR are verbal in the default registry, KR not where kr is overridden
+        tokens = [
+            AnnToken("a", "K1"), AnnToken("b", None, "i", None, "V"), AnnToken("c", "k2"),
+            AnnToken("d", "KR"), AnnToken("e", "k2", None, "i", "kR"), AnnToken("f", "S"),
+        ]
+        parents = [1, None, 3, 4, 1, 4]
+        for reg, expected in ((registry, parents), (_OVERRIDING, [1, None, 1, 4, 1, 4])):
+            tree, diags = resolve(tokens, reg)
+            assert diags == []
+            assert [n.parent for n in tree.nodes] == expected
+        nodes = [DepNode(t.surface, t.rel_tag, t.node_tag, p) for t, p in zip(tokens, parents)]
+        tree = DepTree(nodes, [])
+        assert emit_minimal(tree, registry) == "a/K1 b::V:i c/k2 d/KR e/k2->i::kR f/S"
+        assert emit_minimal(tree, _OVERRIDING) == "a/K1 b::V:i c/k2->j d/KR:j e/k2::kR f/S"
+
 
 class TestEmit:
     def test_explicit_sentence_round_trips_byte_exactly(self, registry, explicit_line):
@@ -436,6 +462,15 @@ class TestParseSentence:
         emitted = emit_explicit(tree)
         back, _ = parse_sentence(emitted, registry)
         assert back == tree
+
+    def test_failed_token_is_a_member_of_its_group(self, registry):
+        # the group holds a token, so the token's error is the only one
+        for line, column in (("[x::v:]<s> piyA::v", 7), ("[[x::v:]<s> a/k1]<s> piyA::v", 8)):
+            tree, diags = parse_sentence(line, registry)
+            assert tree is None
+            assert [(d.message, d.column) for d in diags] == [
+                ("empty or invalid index after ':'", column)
+            ]
 
     def test_parse_error_reports_column(self, registry):
         tree, diags = parse_sentence("piyA::v:i x/k1->", registry)
