@@ -111,6 +111,12 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             b'"go", "V",\n--"1.ab[<x"\nI go.\n  --"2.c//d"\n\t-- "3.x{}"\n--"4.jAnA"\n'
             b'I go to school.\n --  "5.a~" \n--"6.x[<y][<z]"\n--"7.x]"\n'
         ),
+        # malformed stages, some on indented continuation lines: each error's
+        # column is in the line that holds it
+        "stages.thread": (
+            b"a (b --> c\n\nx\n  -->  b)\t c\n\ny\n-->\tb (c)  d\n\nz --> --> w\n\n"
+            b"ok (fine) eg: one, two\n  --> done\n"
+        ),
         "frames.tlg": b'HEADWORD::"x","V"\nMEANING::1::"y"\nFRAME_E:: []\nFRAME_I:: [[\n',
         # padded names and values, names that are not names, an alias, duplicate
         # single fields, continuations after every kind of field, a skipped record

@@ -10,7 +10,8 @@ overrides it. A store's own tagset.cfg comes after both.
 Start-up cost: each run imports only the layer modules its command calls.
 Every ``_cmd_*`` function imports its layers in its own body and calls them
 through the module (``translexgram.parse_tlg``), and ``build_parser(command)``
-fills in only the invoked command's subcommands and arguments. Outside this
+registers only the invoked command (all six only for ``leril -h``, usage
+errors and the help of a command without a subcommand). Outside this
 module, ``leril.<layer>`` resolves through ``leril.__getattr__``. New
 commands follow the same rule; tests/test_cli.py pins each command's set of
 imported ``leril`` modules.
@@ -410,8 +411,11 @@ def _cmd_corpus_read(args):  # ``corpus stats`` and ``corpus export``
 # ---------------------------------------------------------------- parser
 
 
-def _command(parser: argparse.ArgumentParser, func, tagset: bool = False):
-    """Give ``parser`` the --strict option (and --tagset) and ``func`` to run."""
+def _command(parser: argparse.ArgumentParser, func, *positionals: str, tagset: bool = False):
+    """Give ``parser`` its ``positionals``, the --strict option (and --tagset)
+    and ``func`` to run."""
+    for name in positionals:
+        parser.add_argument(name)
     parser.add_argument("--strict", action="store_true", help="exit 1 when warnings remain")
     if tagset:
         parser.add_argument("--tagset", help="tagset config file (default: $LERIL_TAGSET)")
@@ -421,47 +425,35 @@ def _command(parser: argparse.ArgumentParser, func, tagset: bool = False):
 
 def _fill_dict(p_dict: argparse.ArgumentParser) -> None:
     dict_sub = p_dict.add_subparsers(dest="subcommand")
-    p = _command(dict_sub.add_parser("parse"), _cmd_dict_parse)
-    p.add_argument("file")
+    p = _command(dict_sub.add_parser("parse"), _cmd_dict_parse, "file")
     p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p = _command(dict_sub.add_parser("emit"), _cmd_dict_parse)  # parse --format text
-    p.add_argument("file")
+    p = _command(dict_sub.add_parser("emit"), _cmd_dict_parse, "file")  # parse --format text
     p.set_defaults(format="text")
-    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_parse)
-    p.add_argument("file")
-    p.add_argument("headword")
+    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_parse, "file", "headword")
     p.add_argument("--pos")
     p.add_argument("--format", choices=["interchange", "text"], default="text")
-    p = _command(dict_sub.add_parser("filter"), _cmd_dict_filter)
-    p.add_argument("file")
+    p = _command(dict_sub.add_parser("filter"), _cmd_dict_filter, "file")
     p.add_argument("--wordlist", required=True)
 
 
 def _fill_tlg(p_tlg: argparse.ArgumentParser) -> None:
     tlg_sub = p_tlg.add_subparsers(dest="subcommand")
-    p = _command(tlg_sub.add_parser("parse"), _cmd_tlg_parse)
-    p.add_argument("file")
+    p = _command(tlg_sub.add_parser("parse"), _cmd_tlg_parse, "file")
     p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p = _command(tlg_sub.add_parser("validate"), _cmd_tlg_validate)
-    p.add_argument("file")
+    _command(tlg_sub.add_parser("validate"), _cmd_tlg_validate, "file")
     p = _command(tlg_sub.add_parser("seed"), _cmd_tlg_seed)
     p.add_argument("--dict", required=True)
     p.add_argument("--headword")
-    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_parse)  # parse --format text
-    p.add_argument("file")
+    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_parse, "file")  # parse --format text
     p.set_defaults(format="text")
-    p = _command(tlg_sub.add_parser("corpus"), _cmd_tlg_corpus)
-    p.add_argument("file")
+    _command(tlg_sub.add_parser("corpus"), _cmd_tlg_corpus, "file")
 
 
 def _fill_anncorra(p_ann: argparse.ArgumentParser) -> None:
     ann_sub = p_ann.add_subparsers(dest="subcommand")
-    p = _command(ann_sub.add_parser("parse"), _cmd_anncorra_parse, tagset=True)
-    p.add_argument("file")
-    p = _command(ann_sub.add_parser("check"), _cmd_anncorra_parse, tagset=True)
-    p.add_argument("file")
-    p = _command(ann_sub.add_parser("convert"), _cmd_anncorra_convert, tagset=True)
-    p.add_argument("file")
+    _command(ann_sub.add_parser("parse"), _cmd_anncorra_parse, "file", tagset=True)
+    _command(ann_sub.add_parser("check"), _cmd_anncorra_parse, "file", tagset=True)
+    p = _command(ann_sub.add_parser("convert"), _cmd_anncorra_convert, "file", tagset=True)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--explicit", action="store_true", help="write all references (default)")
     mode.add_argument("--minimize", action="store_true", help="drop recoverable references")
@@ -469,21 +461,16 @@ def _fill_anncorra(p_ann: argparse.ArgumentParser) -> None:
 
 def _fill_sutra(p_sutra: argparse.ArgumentParser) -> None:
     sutra_sub = p_sutra.add_subparsers(dest="subcommand")
-    p = _command(sutra_sub.add_parser("parse-formula"), _cmd_sutra_parse_formula)
-    p.add_argument("file")
-    p = _command(sutra_sub.add_parser("parse-thread"), _cmd_sutra_parse_thread)
-    p.add_argument("file")
-    p = _command(sutra_sub.add_parser("check"), _cmd_sutra_check)
-    p.add_argument("formulas")
-    p.add_argument("threads")
+    _command(sutra_sub.add_parser("parse-formula"), _cmd_sutra_parse_formula, "file")
+    _command(sutra_sub.add_parser("parse-thread"), _cmd_sutra_parse_thread, "file")
+    p = _command(sutra_sub.add_parser("check"), _cmd_sutra_check, "formulas", "threads")
     p.add_argument("--alias", help="alias table (label TAB alias)")
 
 
 def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
     from . import transfer
 
-    _command(p_tr, _cmd_transfer)
-    p_tr.add_argument("sentence")
+    _command(p_tr, _cmd_transfer, "sentence")
     p_tr.add_argument("--lexicon")
     p_tr.add_argument("--headword")
     p_tr.add_argument("--sense", type=int)
@@ -501,12 +488,10 @@ def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
 
 def _fill_corpus(p_corpus: argparse.ArgumentParser) -> None:
     corpus_sub = p_corpus.add_subparsers(dest="subcommand")
-    p = _command(corpus_sub.add_parser("add"), _cmd_corpus_add, tagset=True)
-    p.add_argument("file")
+    p = _command(corpus_sub.add_parser("add"), _cmd_corpus_add, "file", tagset=True)
     p.add_argument("--store", required=True)
     p.add_argument("--lang", default="und")
-    p = _command(corpus_sub.add_parser("query"), _cmd_corpus_query, tagset=True)
-    p.add_argument("tag")
+    p = _command(corpus_sub.add_parser("query"), _cmd_corpus_query, "tag", tagset=True)
     p.add_argument("--store", required=True)
     p = _command(corpus_sub.add_parser("stats"), _cmd_corpus_read, tagset=True)
     p.add_argument("--store", required=True)
@@ -527,19 +512,16 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> _ArgumentParser:
-    """The ``leril`` parser, listing every command.
-
-    Only ``command``'s subcommands and arguments are filled in, or every
-    command's when it is None. A command line that starts with ``command``
-    parses the same either way: the top level holds only the command list,
-    and each command's arguments belong to its own subparser.
+    """The ``leril`` parser of ``command`` alone, or of every command when
+    it is None. A command line that starts with ``command`` parses the same
+    either way: the top level holds only the command list, and each
+    command's arguments belong to its own subparser.
     """
     parser = _ArgumentParser(prog="leril", description=_DESCRIPTION)
     top = parser.add_subparsers(dest="command")
     for name, (help_text, fill) in _COMMANDS.items():
-        p = top.add_parser(name, help=help_text)
         if command is None or command == name:
-            fill(p)
+            fill(top.add_parser(name, help=help_text))
     return parser
 
 
@@ -550,8 +532,8 @@ def run(argv: list[str]) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
+    if not hasattr(args, "func"):  # the help of every command
+        build_parser().print_help(sys.stderr)
         return EXIT_USAGE
     try:
         diagnostics = args.func(args) or []

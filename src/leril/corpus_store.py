@@ -18,35 +18,41 @@ writer turned away, and stays in place, empty, when released. Where
 ignore the lock.
 
 Summary sidecar. Beside each data file a writer keeps
-``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a JSON
-header (format version, tag registry digest, byte lengths of the tree and
-checkpoint blocks, and one ``zlib.crc32`` of the three blocks), one row
-line per record, ``[id, relation tags, node tags, depth]``, then the tree
-block, one line per record, ``[surfaces, parents, groups as [start, stop,
-tag]]``, then the checkpoint block, one line per record, ``[end, crc32,
-lines, auto ids]`` of the data file up to the end of that record; the last
-one is the prefix the sidecar covers. Nothing is stored twice. Every open
-checks the crc32 and decodes the rows, which ``query_by_relation`` and
-``stats`` read, and the last checkpoint; ``export`` reads the prefix's
-lines unparsed, and the interchange export also decodes the tree block.
-Lines without the rows' ids, or a block without one rooted tree per row,
-fail it with "does not describe". A writer, which rewrites the sidecar,
-first reads the prefix's lines the same way and keeps the rows only when
-their ids match, so rows naming wrong ids are rebuilt by the next writer;
-it does not check the tree block. When the data file no longer holds the
-covered prefix (it was cut back, as by a restore from an earlier copy, or
-edited), the open decodes every checkpoint and keeps the records up to the
-last one whose prefix still matches its crc32; it parses only what
-follows, and a writer rewrites the sidecar with the kept rows, trees and
-checkpoints. A sidecar that is missing, cannot be read, fails its crc32,
-is of another version (so after an upgrade, until the next writer) or
-registry, or has no matching checkpoint covers nothing, and every record
-is parsed: deleting one is always safe. Only writers write one, at close,
-under the lock, via ``os.replace``, reusing the block bytes they loaded.
-The crc32 notices damage, not forgery (``hashlib`` would map OpenSSL into
-every corpus command, 3.6 MB resident). ``SIDECAR_VERSION`` must change
-with any change to what a line parses to: rows and trees (surfaces,
-parents, groups) are trusted without parsing their lines.
+``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a
+JSON header (format version, tag registry digest, byte lengths of the
+tree and checkpoint blocks, and one ``zlib.crc32`` of the three blocks),
+one row line per record, ``[id, "k1 - k2", "- v -", depth]``, then the
+tree block, one line per record, ``["rAma_ne phala piyA", parents, groups
+as [start, stop, tag]]``, then the checkpoint block, one line per record,
+``[end, crc32, lines, auto ids]`` of the data file up to the end of that
+record; the last one is the prefix the sidecar covers. A row's relation
+tags and node tags, and a tree's surfaces, are one string each, fields
+joined by single spaces and ``-`` for no tag. No field is empty or holds
+a space (a tag matches ``anncorra._TAG``, so it is never ``-`` either,
+and a surface is part of a ``\\S+`` chunk), so a record decodes to a few
+objects, split only when read; memory holds records in the same shape.
+Nothing is stored twice. Every open checks the crc32 and decodes the
+rows, which ``query_by_relation`` and ``stats`` read, and the last
+checkpoint; ``export`` reads the prefix's lines unparsed, and the
+interchange export also decodes the tree block. Lines without the rows'
+ids, or a block without one rooted tree per row, fail it with "does not
+describe". A writer, which rewrites the sidecar, first reads the prefix's
+lines the same way and keeps the rows only when their ids match, so rows
+naming wrong ids are rebuilt by the next writer; it does not check the
+tree block. When the data file no longer holds the covered prefix (it was
+cut back, as by a restore from an earlier copy, or edited), the open
+decodes every checkpoint and keeps the records up to the last one whose
+prefix still matches its crc32; it parses only what follows, and a writer
+rewrites the sidecar with the kept rows, trees and checkpoints. A sidecar
+that is missing, cannot be read, fails its crc32, is of another version
+(so a version-5 one after an upgrade, until the next writer) or registry,
+or has no matching checkpoint covers nothing, and every record is parsed:
+deleting one is always safe. Only writers write one, at close, under the
+lock, via ``os.replace``, reusing the block bytes they loaded. The crc32
+notices damage, not forgery (``hashlib`` would map OpenSSL into every
+corpus command, 3.6 MB resident). ``SIDECAR_VERSION`` must change with
+any change to what a line parses to: rows and trees (surfaces, parents,
+groups) are trusted without parsing their lines.
 
 Torn tail. A writer that dies mid-append can leave the last line of a
 data file unterminated. Such a line is read like any other when it
@@ -62,7 +68,7 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from json.encoder import encode_basestring as _json_string
 from pathlib import Path
 from typing import NamedTuple
@@ -71,9 +77,9 @@ from .anncorra import DepTree, TagRegistry, default_registry, iter_sentences
 from .anncorra import load_tagset, parse_sentence
 from .diagnostics import Diagnostic, LerilError, has_errors, split_lines, utf8_text, warning
 
-SIDECAR_VERSION = 5
+SIDECAR_VERSION = 6
 _HEADER_KEYS = ("version", "tagset", "trees", "marks", "crc")
-_TAG_TYPES = {str, type(None)}
+_NO_TAG = "-"  # the field of a node without the tag: never a tag, as it does not match anncorra._TAG
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -110,8 +116,8 @@ class _DataFile:
     def __init__(self, path: Path, language: str):
         self.path = path
         self.language = language
-        self.rows: list[list] = []  # [id, rels, nodes, depth], in file order
-        # the lines and [surfaces, parents, groups] of the records parsed
+        self.rows: list[list] = []  # [id, rels, nodes, depth], in file order, as stored
+        # the lines and [surfaces, parents, groups] of the records parsed, as stored
         self.raws: list[str] = []
         self.trees: list[list] = []
         self.marks: list[list] = []  # [end, crc, lines, auto] after each of them
@@ -299,13 +305,13 @@ class CorpusStore:
         f.stale = f.stale or last_record > 0
 
     def _index(self, f: _DataFile, sentence_id: str, line: str, tree: DepTree) -> None:
-        nodes = tree.nodes
-        rels, tags = [node.rel_tag for node in nodes], [node.node_tag for node in nodes]
+        surfaces, *columns, parents = zip(*tree.nodes)
+        rels, tags = (" ".join([tag or _NO_TAG for tag in column]) for column in columns)
         row = self._rows[sentence_id] = [sentence_id, rels, tags, tree.depth]
         f.rows.append(row)
         f.raws.append(line)
         groups = [[group.start, group.stop, group.tag] for group in tree.groups]
-        f.trees.append([[node.surface for node in nodes], [node.parent for node in nodes], groups])
+        f.trees.append([" ".join(surfaces), list(parents), groups])
 
     def _parse(self, sentence_id: str, line: str) -> tuple[DepTree, list[Diagnostic]]:
         """The tree of one sentence line and the parse's warnings; rejects a
@@ -396,12 +402,14 @@ class CorpusStore:
         canonical = self.registry.canonical_relation(rel_tag)
         if canonical is None:
             return [], [warning(f"unknown relation tag '{rel_tag}'")]
-        # rows hold registry casing for every known tag
+        if canonical == _NO_TAG:  # a tagset.cfg code, which no stored tag can be
+            return [], []
+        # rows hold registry casing for every known tag; only rows that hold it are split
         hits = [
             (sentence_id, position)
             for sentence_id, rels, _nodes, _depth in self._rows.values()
             if canonical in rels
-            for position, rel in enumerate(rels)
+            for position, rel in enumerate(rels.split(" "))
             if rel == canonical
         ]
         return hits, []
@@ -409,10 +417,11 @@ class CorpusStore:
     def stats(self) -> CorpusStats:
         """Exact counts over current contents, recomputed on every call."""
         rows = self._rows.values()
-        relation_counts = Counter(chain.from_iterable(row[1] for row in rows))
-        node_counts = Counter(chain.from_iterable(row[2] for row in rows))
-        relation_counts.pop(None, None)
-        node_counts.pop(None, None)
+        relation_counts, node_counts = (
+            Counter(" ".join([row[k] for row in rows]).split(" ") if rows else ()) for k in (1, 2)
+        )
+        relation_counts.pop(_NO_TAG, None)
+        node_counts.pop(_NO_TAG, None)
         return CorpusStats(
             sentences=len(rows),
             relation_counts=dict(relation_counts),
@@ -516,9 +525,9 @@ def _json_lines(block) -> list | None:
 
 
 def _decode_rows(body: bytes) -> list[list] | None:
-    """The rows of ``body``; None unless each is [id, rels, nodes, depth],
-    ids unique, rels and nodes of one length. Checked column by column,
-    which keeps the loops in C."""
+    """The rows of ``body``; None unless each is [id, rels, nodes, depth] of
+    types [str, str, str, int], ids unique, rels and nodes with as many fields,
+    none empty. Checked column by column, which keeps the loops in C."""
     rows = _json_lines(body)
     if rows is None or set(map(type, rows)) - {list} or set(map(len, rows)) - {4}:
         return None
@@ -526,13 +535,19 @@ def _decode_rows(body: bytes) -> list[list] | None:
     if not (
         set(map(type, ids)) <= {str}
         and len(set(ids)) == len(ids)
-        and set(map(type, rels)) | set(map(type, nodes)) <= {list}
+        and set(map(type, rels)) | set(map(type, nodes)) <= {str}
         and set(map(type, depths)) <= {int}
-        and list(map(len, rels)) == list(map(len, nodes))
-        and set(map(type, chain.from_iterable(rels + nodes))) <= _TAG_TYPES
+        and list(map(str.count, rels, repeat(" "))) == list(map(str.count, nodes, repeat(" ")))
+        and _no_empty_field(rels + nodes)
     ):
         return None
     return rows
+
+
+def _no_empty_field(column) -> bool:
+    """Whether no string of ``column`` is empty, starts or ends with a space or holds two."""
+    text = "\n".join(["", *column, ""])
+    return not ("\n\n" in text or "\n " in text or " \n" in text or "  " in text)
 
 
 def _are_checkpoints(points: list | None, count: int) -> bool:
@@ -633,23 +648,24 @@ def _lines(f: _DataFile) -> list[str]:
 
 def _trees(f: _DataFile) -> list[list]:
     """The trees of the records of ``f``; those of the covered prefix are
-    decoded from the tree block and must each have a node per tag of its
-    row, one root, parents and groups inside the sentence and typed fields."""
+    decoded from the tree block and must each have a node per field of its
+    row, one root, parents and groups inside the sentence, typed fields."""
     if not f.unread:
         return f.trees
     trees = _json_lines(f.trees_body)
     if trees is None or len(trees) != f.unread or not all(map(_is_tree, f.rows, trees)):
         raise _not_described(f)
+    if not _no_empty_field([tree[0] for tree in trees]):  # surfaces
+        raise _not_described(f)
     return trees + f.trees
 
 
 def _is_tree(row: list, tree) -> bool:
-    if type(tree) is not list or len(tree) != 3 or set(map(type, tree)) != {list}:
+    if type(tree) is not list or list(map(type, tree)) != [str, list, list]:
         return False
-    (surfaces, parents, groups), n = tree, len(row[1])
+    (surfaces, parents, groups), n = tree, len(tree[1])
     return (
-        len(surfaces) == len(parents) == n
-        and set(map(type, surfaces)) <= {str}
+        surfaces.count(" ") + 1 == n == row[1].count(" ") + 1
         and parents.count(None) == 1
         and all(parent is None or type(parent) is int and 0 <= parent < n for parent in parents)
         and all(type(group) is list and len(group) == 3 for group in groups)
@@ -681,14 +697,14 @@ def _interchange(f: _DataFile) -> list[str]:
         sentence_id, rels, tags, _depth = row
         nodes = [
             "          {\n"
-            f'            "node": {"null" if tag is None else _json_string(tag)},\n'
+            f'            "node": {"null" if tag == _NO_TAG else _json_string(tag)},\n'
             f'            "parent": {"null" if parent is None else parent},\n'
             f'            "position": {position},\n'
-            f'            "rel": {"null" if rel is None else _json_string(rel)},\n'
+            f'            "rel": {"null" if rel == _NO_TAG else _json_string(rel)},\n'
             f'            "surface": {_json_string(surface)}\n'
             "          }"
             for position, (surface, rel, tag, parent) in enumerate(
-                zip(surfaces, rels, tags, parents)
+                zip(surfaces.split(" "), rels.split(" "), tags.split(" "), parents)
             )
         ]
         spans = [

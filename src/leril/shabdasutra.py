@@ -138,21 +138,23 @@ def emit_formula(formula: SutraFormula) -> str:
 
 
 _EG_RE = re.compile(r"\beg\s*:")
+_RUN_RE = re.compile(r"\S+")  # str.split and \s both take Unicode whitespace as blank
 
 
 def parse_thread(text: str) -> SenseThread:
-    """Parse a thread; stages split on ``-->``, whitespace is normalized."""
+    """Parse a thread; stages split on ``-->``, whitespace is normalized.
+    An error's position counts in the normalized text."""
     normalized = " ".join(text.split())
-    stages = []
+    stages, start = [], 0  # start: the part's offset in ``normalized``
     for part in normalized.split("-->"):
-        part = part.strip()
-        if not part:
+        if not part.strip():
             raise SutraParseError("empty stage between arrows")
-        stages.append(_parse_stage(part))
+        stages.append(_parse_stage(part, start))
+        start += len(part) + len("-->")
     return SenseThread(tuple(stages))
 
 
-def _parse_stage(part: str) -> ThreadStage:
+def _parse_stage(part: str, start: int) -> ThreadStage:
     m = _EG_RE.search(part)
     if m is not None:
         head_part, eg_part = part[: m.start()], part[m.end() :]
@@ -164,14 +166,15 @@ def _parse_stage(part: str) -> ThreadStage:
     if open_idx >= 0:
         close_idx = _closing_brackets(head_part, _PAREN_RE).get(open_idx)
         if close_idx is None:
-            raise SutraParseError("unbalanced '(' in stage", position=open_idx + 1)
-        if head_part[close_idx + 1 :].strip():
-            raise SutraParseError("unexpected text after stage gloss")
+            raise SutraParseError("unbalanced '(' in stage", start + open_idx + 1)
+        extra = _RUN_RE.search(head_part, close_idx + 1)
+        if extra is not None:
+            raise SutraParseError("unexpected text after stage gloss", start + extra.start() + 1)
         gloss = head_part[open_idx + 1 : close_idx].strip()
         label = head_part[:open_idx].strip()
     else:
         if ")" in head_part:
-            raise SutraParseError("unbalanced ')' in stage")
+            raise SutraParseError("unbalanced ')' in stage", start + head_part.index(")") + 1)
         label = head_part.strip()
 
     if not label:
@@ -255,17 +258,17 @@ def parse_thread_file(text: str) -> tuple[list[SenseThread], list[Diagnostic]]:
     """Threads written one per line or as blocks of ``-->`` continuation lines."""
     threads: list[SenseThread] = []
     diagnostics: list[Diagnostic] = []
-    block: list[str] = []
-    block_line = 0
+    block: list[tuple[int, str]] = []  # the number and text of each line of a thread
 
     def flush() -> None:
         nonlocal block
         if not block:
             return
         try:
-            threads.append(parse_thread(" ".join(block)))
+            threads.append(parse_thread(" ".join(line for _, line in block)))
         except SutraParseError as exc:
-            diagnostics.append(error(str(exc), line=block_line))
+            line, column = _locate(block, exc.position)
+            diagnostics.append(error(str(exc), line=line, column=column))
         block = []
 
     for lineno, raw in enumerate(split_lines(text), 1):
@@ -279,13 +282,25 @@ def parse_thread_file(text: str) -> tuple[list[SenseThread], list[Diagnostic]]:
             if not block:
                 diagnostics.append(error("'-->' continuation without a stage", line=lineno))
                 continue
-            block.append(line)
+            block.append((lineno, raw))
         else:
             flush()
-            block = [line]
-            block_line = lineno
+            block = [(lineno, raw)]
     flush()
     return threads, diagnostics
+
+
+def _locate(block: list[tuple[int, str]], position: int | None) -> tuple[int, int | None]:
+    """The line and column in ``block`` of ``position`` in the text that
+    parse_thread normalizes it to: the runs of non-blanks, single-spaced.
+    Without a position, the thread's first line and no column."""
+    if position is not None:
+        for lineno, raw in block:
+            for run in _RUN_RE.finditer(raw):
+                if position <= len(run.group()):
+                    return lineno, run.start() + position
+                position -= len(run.group()) + 1
+    return block[0][0], None
 
 
 def formula_to_interchange(formula: SutraFormula) -> dict:

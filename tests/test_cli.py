@@ -571,6 +571,10 @@ class TestExitCodes:
     def test_missing_subcommand_prints_help(self, capsys):
         code, _, err = _run(capsys, "dict")
         assert code == 3
+        # the help of every command, though only dict's parser was built for the run
+        listed = err.partition("positional arguments:")[2]
+        for command in ("dict", "tlg", "anncorra", "sutra", "transfer", "corpus"):
+            assert f"\n    {command} " in listed
 
     def test_missing_file_is_io_failure(self, capsys):
         code, _, err = _run(capsys, "dict", "parse", "no/such/file.dict")

@@ -9,7 +9,9 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -481,8 +483,14 @@ def _rewrite_checkpoints(path, edit=None, block=None, fresh_crc=True):
     _store_sidecar(path, header, rows, trees, marks, fresh_crc)
 
 
+# Damage to the row block. POOL[1] is "rAma_ne/k1 phala/k2 piyA::v": its
+# row holds relations "k1 k2 -" and nodes "- - v".
 def _wrong_shape(header, rows, trees):
-    rows[1][1].append("k1")  # one more relation than nodes
+    rows[1][1] += " k1"  # one more relation field than node fields
+
+
+def _node_field_missing(header, rows, trees):
+    rows[1][2] = "- v"  # one node field fewer than relation fields
 
 
 def _row_not_a_list(header, rows, trees):
@@ -498,7 +506,23 @@ def _row_a_number(header, rows, trees):
 
 
 def _tag_not_a_string(header, rows, trees):
-    rows[2][2][0] = 7
+    rows[2][2] = 7
+
+
+def _tags_a_list(header, rows, trees):
+    rows[1][1] = rows[1][1].split(" ")  # a tag column as version 5 wrote it
+
+
+def _leading_space(header, rows, trees):
+    rows[1][1] = " k2 -"  # an empty first field, as many fields as nodes
+
+
+def _trailing_space(header, rows, trees):
+    rows[1][1] = "k1 k2 "
+
+
+def _doubled_space(header, rows, trees):
+    rows[1][2] = "-  v"
 
 
 def _other_version(header, rows, trees):
@@ -565,7 +589,24 @@ def _group_past_the_end(header, rows, trees):
 
 
 def _surface_not_a_string(header, rows, trees):
-    trees[1][0][0] = 7
+    trees[1][0] = 7
+
+
+def _surfaces_a_list(header, rows, trees):
+    trees[1][0] = trees[1][0].split(" ")  # surfaces as version 5 wrote them
+
+
+def _surface_field_count(header, rows, trees):
+    trees[1][0] += " x"  # four surface fields, three parents
+
+
+def _node_more_than_the_row(header, rows, trees):
+    trees[1][0] += " x"  # four surfaces and parents, three fields in the row
+    trees[1][1].append(2)
+
+
+def _empty_surface(header, rows, trees):
+    trees[1][0] = "rAma_ne  piyA"  # three fields, the second empty
 
 
 TREE_DAMAGE = {
@@ -579,6 +620,10 @@ TREE_DAMAGE = {
     "parent-not-an-int": (_parent_not_an_int, None),
     "group-past-the-end": (_group_past_the_end, None),
     "surface-not-a-string": (_surface_not_a_string, None),
+    "surfaces-a-list": (_surfaces_a_list, None),
+    "surface-field-count": (_surface_field_count, None),
+    "node-more-than-the-row": (_node_more_than_the_row, None),
+    "empty-surface": (_empty_surface, None),
 }
 
 
@@ -640,7 +685,8 @@ class TestSidecar:
             lambda p: p.write_bytes(p.read_bytes()[:-1]),
             lambda p: p.write_bytes(b"{not json\n" + p.read_bytes().partition(b"\n")[2]),
             lambda p: p.write_bytes(b'["a header", 1]\n' + p.read_bytes().partition(b"\n")[2]),
-            lambda p: p.write_bytes(p.read_bytes().replace(b'"k2"', b'"k3"', 1)),
+            # the first "k2" is a tag of the row of POOL[1]
+            lambda p: p.write_bytes(p.read_bytes().replace(b"k2", b"k3", 1)),
             lambda p: p.write_bytes(
                 p.read_bytes().replace(b'"version": %d' % SIDECAR_VERSION, b'"version": "3"', 1)
             ),
@@ -651,6 +697,11 @@ class TestSidecar:
             lambda p: _rewrite_sidecar(p, _row_too_long),
             lambda p: _rewrite_sidecar(p, _row_a_number),
             lambda p: _rewrite_sidecar(p, _tag_not_a_string),
+            lambda p: _rewrite_sidecar(p, _node_field_missing),
+            lambda p: _rewrite_sidecar(p, _tags_a_list),
+            lambda p: _rewrite_sidecar(p, _leading_space),
+            lambda p: _rewrite_sidecar(p, _trailing_space),
+            lambda p: _rewrite_sidecar(p, _doubled_space),
             lambda p: _rewrite_sidecar(p, _other_version),
             lambda p: _rewrite_sidecar(p, _missing_key),
             lambda p: _rewrite_sidecar(p, _row_count),
@@ -659,7 +710,8 @@ class TestSidecar:
         ids=[
             "half", "last-byte", "bad-json", "header-not-object", "flipped-tag", "string-version",
             "not-utf8", "empty", "wrong-shape", "row-not-list", "row-too-long", "row-a-number",
-            "tag-not-string", "other-version",
+            "tag-not-string", "node-field-missing", "tags-a-list", "leading-space",
+            "trailing-space", "doubled-space", "other-version",
             "missing-key", "row-count", "duplicate-row",
         ],
     )
@@ -1078,6 +1130,82 @@ def test_sidecar_never_changes_what_readers_see(ops):
             assert _observe(plain).replace("plain", "store") == seen.replace(
                 "plain", "store"
             )
+
+
+# Surfaces with "-" (the sidecar's no-tag field), quotes, backslashes and
+# non-ASCII text; tags in other casing than the registry's, an unknown one,
+# and a tagset.cfg that adds "K4", renames "k1" to "K1" and makes "-" a tag.
+_SURFACE = st.text(alphabet='-"\\\'aé日_.0', min_size=1, max_size=3)
+_DEPENDENT = st.tuples(
+    _SURFACE,
+    st.sampled_from(["k1", "K1", "k2", "k4", "K4", "zz"]),
+    st.sampled_from(["", "::yo", "::YO", "::Zq"]),
+).map(lambda token: "{}/{}{}".format(*token))
+_SENTENCE = st.tuples(
+    st.lists(_DEPENDENT, max_size=4),
+    _SURFACE,
+    st.sampled_from(["v", "V", "vH", "VH"]),
+    st.integers(0, 4),
+)
+_TAGSET = "K4\trelation\tnonverbal\nK1\trelation\tnonverbal\n-\trelation\tnonverbal\n"
+_QUERIED = ("k1", "K1", "k2", "k4", "zz", "-")
+
+
+def _sentence_line(sentence) -> str:
+    dependents, surface, verb, at = sentence
+    tokens = list(dependents)
+    tokens.insert(at % (len(tokens) + 1), f"{surface}::{verb}")
+    return " ".join(tokens)
+
+
+def _reads(path: Path):
+    """Every read of the store, and what they must be, as computed from
+    the trees parsed from its linear export."""
+    with CorpusStore(path) as reader:
+        reference = json.loads(_interchange_reference(reader))["records"]
+        nodes = [(r["id"], node) for r in reference for node in r["tree"]["nodes"]]
+        expected = {}
+        for tag in _QUERIED:
+            canonical = reader.registry.canonical_relation(tag)
+            hits = [(i, node["position"]) for i, node in nodes if node["rel"] == canonical]
+            expected[tag] = hits if canonical is not None else []
+        seen = (
+            {tag: reader.query_by_relation(tag)[0] for tag in _QUERIED},
+            reader.stats(),
+            reader.export("linear"),
+            reader.export("interchange"),
+        )
+        assert seen[0] == expected
+        assert seen[3] == _interchange_reference(reader)
+    counts = [Counter(node[key] for _, node in nodes if node[key]) for key in ("rel", "node")]
+    assert (seen[1].relation_counts, seen[1].node_counts) == tuple(map(dict, counts))
+    return repr(seen).replace(str(path), "STORE")
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_SENTENCE, max_size=6))
+@example([])  # an empty store's stats
+def test_reads_with_and_without_the_sidecar_agree(sentences):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, plain = Path(tmp) / "store", Path(tmp) / "plain"
+        for store in (path, plain):
+            store.mkdir()
+            (store / "tagset.cfg").write_text(_TAGSET, encoding="utf-8")
+        with CorpusStore(path, "rw") as writer:
+            for k, sentence in enumerate(sentences):
+                writer.add_sentence(f"s{k}", _sentence_line(sentence), "hin")
+        if sentences:
+            shutil.copyfile(path / "hin.anncorra", plain / "hin.anncorra")
+            assert list(_sidecars(path)) == ["hin.anncorra.idx"]
+        parsed = []
+        original = corpus_store_module.parse_sentence
+        with mock.patch.object(
+            corpus_store_module, "parse_sentence", lambda *a: parsed.append(a) or original(*a)
+        ):
+            seen = _reads(path)
+            assert parsed == []  # every read used the sidecar
+            assert _reads(plain) == seen
+        assert len(parsed) == len(sentences)
 
 
 # ---------------------------------------------------------------- torn tail

@@ -104,8 +104,11 @@ class TestParseThread:
             # a ')' before the '(' is label text
             ("a ) b (c) --> e", (ThreadStage("a ) b", "c"), ThreadStage("e"))),
             ("a (b (c) --> e", ("unbalanced '(' in stage", 3)),
-            ("a --> b) c", ("unbalanced ')' in stage", None)),
-            ("a (b) c --> e", ("unexpected text after stage gloss", None)),
+            ("a --> b) c", ("unbalanced ')' in stage", 8)),
+            ("a (b) c --> e", ("unexpected text after stage gloss", 7)),
+            # positions count in the whole thread, its blanks collapsed
+            ("a -->  b)\t c", ("unbalanced ')' in stage", 8)),
+            ("a (b)  c --> e", ("unexpected text after stage gloss", 7)),
         ],
     )
     def test_stage_glosses(self, text, outcome):
@@ -220,6 +223,20 @@ class TestFiles:
         assert diags == []
         assert len(threads) == 1
         assert len(threads[0].stages) == 3
+
+    @pytest.mark.parametrize(
+        "text, reported",
+        [
+            ("a (b --> c\n", ("unbalanced '(' in stage", 1, 3)),
+            # the line and column of the continuation line that holds the fault
+            ("x\n\n  a\n  -->  b)\t c\n", ("unbalanced ')' in stage", 4, 9)),
+            ("a\n-->\tb (c)  d\n", ("unexpected text after stage gloss", 2, 12)),
+            ("a --> --> c\n", ("empty stage between arrows", 1, None)),
+        ],
+    )
+    def test_bad_thread_reported_at_its_column(self, text, reported):
+        threads, diags = parse_thread_file(text)
+        assert [(d.message, d.line, d.column) for d in diags] == [reported]
 
     def test_bad_formula_line_reported(self):
         # the column counts from the start of the line, indent included
