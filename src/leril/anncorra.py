@@ -175,8 +175,8 @@ def load_tagset(config: str) -> TagRegistry:
             raise TagsetError(f"line {lineno}: expected tag, category and verbality")
         code, category, verbality = parts[0], parts[1], parts[2]
         description = parts[3] if len(parts) > 3 else ""
-        if not code:
-            raise TagsetError(f"line {lineno}: empty tag code")
+        if not _TAG_RE.fullmatch(code):  # a code no token can carry
+            raise TagsetError(f"line {lineno}: tag code {code!r} does not match {_TAG}")
         if category not in ("relation", "node"):
             raise TagsetError(f"line {lineno}: unknown category {category!r}")
         if verbality not in ("verbal", "nonverbal"):

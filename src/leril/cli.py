@@ -96,7 +96,7 @@ def _dump_json(doc) -> str:
     # its fields in that order (None when it is the field order)
     orders: dict = {}
     # open containers, innermost last: (members left, their indent, closing text); the
-    # document is the member of a root whose indent adds a newline that the end cuts
+    # document is the member of a root whose indent adds a newline, cut from the first piece
     stack: list = [(iter((("", doc),)), "\n", "\n")]
     sep = ""
     while stack:
@@ -136,7 +136,8 @@ def _dump_json(doc) -> str:
         write(f"{sep}{indent}{key}{brackets[0]}")
         stack.append((fields, indent + "  ", indent + brackets[1]))
         sep = ""
-    return "".join(out)[1:]
+    out[0] = out[0][1:]
+    return "".join(out)
 
 
 def _load_registry(args) -> TagRegistry | None:

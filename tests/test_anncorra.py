@@ -98,6 +98,12 @@ class TestRegistry:
             load_tagset("k9\tedge\tnonverbal\tx\n")
         assert "line 1" in str(exc.value)
 
+    @pytest.mark.parametrize("code", ["-", "k 1", "1k", "k-1"])
+    def test_code_no_token_can_carry_is_error(self, code):
+        # "-" is the store's field of a node without a tag; "k 1" holds a space
+        with pytest.raises(TagsetError, match=f"^line 3: tag code '{code}' does not match"):
+            load_tagset(f"# codes\nk9\trelation\tnonverbal\n{code}\trelation\tnonverbal\n")
+
 
 class TestParseToken:
     def test_relation_with_self_and_parent(self, registry):

@@ -314,10 +314,14 @@ def _without_source(store):
     return [{key: value for key, value in r.items() if key != "source"} for r in _records(store)]
 
 
-def _interchange_reference(store, language="hin"):
-    """json.dumps of the export document of a store of one language, its
-    trees parsed from the lines of the linear export."""
+def _interchange_reference(store, languages=None):
+    """json.dumps of the export document of a store, its trees parsed from
+    the lines of the linear export. ``languages`` names the language of each
+    record in export order; every record is ``hin`` when it is None."""
     lines = store.export("linear").split("\n")[:-1]
+    if languages is None:
+        languages = ["hin"] * (len(lines) // 2)
+    assert len(languages) == len(lines) // 2
     records = [
         {
             "id": sentence_id[2:],
@@ -326,7 +330,7 @@ def _interchange_reference(store, language="hin"):
             "raw": raw,
             "tree": to_interchange(parse_sentence(raw, store.registry)[0]),
         }
-        for sentence_id, raw in zip(lines[::2], lines[1::2])
+        for language, sentence_id, raw in zip(languages, lines[::2], lines[1::2])
     ]
     doc = {"format": "anncorra-corpus", "records": records}
     return json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -337,6 +341,35 @@ class TestInterchangeBytes:
 
     def test_empty_store(self, store):
         assert store.export("interchange") == _interchange_reference(store)
+
+    def test_data_files_without_records(self, tmp_path):
+        path = tmp_path / "store"
+        path.mkdir()
+        (path / "hin.anncorra").write_text("# only a comment\n", encoding="utf-8")
+        (path / "urd.anncorra").write_text("", encoding="utf-8")
+        with CorpusStore(path) as store:
+            assert store.export("interchange") == _interchange_reference(store)
+
+    def test_two_languages_in_file_name_order(self, tmp_path):
+        # the records of each data file follow each other, files in name order,
+        # with an empty data file between them
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            for k, line in enumerate([POOL[0], POOL[5], POOL[1]]):
+                writer.add_sentence(f"h{k}", line, "hin")
+            (path / "pan.anncorra").write_text("", encoding="utf-8")
+            for k, line in enumerate(POOL[2:4]):
+                writer.add_sentence(f"u{k}", line, "urd")
+            languages = ["hin"] * 3 + ["urd"] * 2
+            written = writer.export("interchange")
+            assert written == _interchange_reference(writer, languages)
+        with CorpusStore(path) as reader:  # from the sidecars
+            assert [r["id"] for r in _records(reader)] == ["h0", "h1", "h2", "u0", "u1"]
+            assert reader.export("interchange") == written
+        for sidecar in _sidecars(path):
+            (path / sidecar).unlink()
+        with CorpusStore(path) as reader:  # parsed
+            assert reader.export("interchange") == written
 
     def test_random_trees_with_and_without_groups(self, tmp_path):
         rng = random.Random(11)
@@ -1147,7 +1180,7 @@ _SENTENCE = st.tuples(
     st.sampled_from(["v", "V", "vH", "VH"]),
     st.integers(0, 4),
 )
-_TAGSET = "K4\trelation\tnonverbal\nK1\trelation\tnonverbal\n-\trelation\tnonverbal\n"
+_TAGSET = "K4\trelation\tnonverbal\nK1\trelation\tnonverbal\n"
 _QUERIED = ("k1", "K1", "k2", "k4", "zz", "-")
 
 
@@ -1206,6 +1239,129 @@ def test_reads_with_and_without_the_sidecar_agree(sentences):
             assert parsed == []  # every read used the sidecar
             assert _reads(plain) == seen
         assert len(parsed) == len(sentences)
+
+
+# ---------------------------------------------------------------- tree block check
+
+
+def _reference_is_tree(row, tree) -> bool:
+    """The tree block's check of one tree, written per tree: the reference
+    of the column checks."""
+    if type(tree) is not list or list(map(type, tree)) != [str, list, list]:
+        return False
+    (surfaces, parents, groups), n = tree, len(tree[1])
+    return (
+        surfaces.count(" ") + 1 == n == row[1].count(" ") + 1
+        and parents.count(None) == 1
+        and all(parent is None or type(parent) is int and 0 <= parent < n for parent in parents)
+        and all(type(group) is list and len(group) == 3 for group in groups)
+        and all(
+            type(start) is type(stop) is int and type(tag) is str and 0 <= start < stop <= n
+            for start, stop, tag in groups
+        )
+    )
+
+
+def _reference_no_empty_field(column) -> bool:
+    text = "\n".join(["", *column, ""])
+    return not ("\n\n" in text or "\n " in text or " \n" in text or "  " in text)
+
+
+def _a_group(tree):
+    """The last group of ``tree``, one added when it has none."""
+    if not tree[2]:
+        tree[2].append([0, 1, "s"])
+    return tree[2][-1]
+
+
+def _a_parent(draw, tree, value):
+    tree[1][draw(st.integers(0, len(tree[1]) - 1))] = value
+
+
+def _a_field_emptied(draw, tree):
+    fields = tree[0].split(" ")
+    fields[draw(st.integers(0, len(fields) - 1))] = ""
+    tree[0] = " ".join(fields)
+
+
+# Each changes a drawn tree or its row in place and returns None, or returns
+# what the tree block holds instead of the tree.
+TREE_MUTATIONS = {
+    "surface-a-number": lambda draw, row, tree: [7, *tree[1:]],
+    "parents-a-string": lambda draw, row, tree: [tree[0], "0", tree[2]],
+    "groups-an-object": lambda draw, row, tree: [tree[0], tree[1], {}],
+    "tree-an-object": lambda draw, row, tree: {"surface": tree[0]},
+    "tree-of-two": lambda draw, row, tree: tree[:2],
+    "tree-of-four": lambda draw, row, tree: [*tree, []],
+    "parent-bool": lambda draw, row, tree: _a_parent(draw, tree, draw(st.booleans())),
+    "parent-float": lambda draw, row, tree: _a_parent(draw, tree, float(draw(st.integers(0, 1)))),
+    "parent-string": lambda draw, row, tree: _a_parent(draw, tree, "0"),
+    "parent-n": lambda draw, row, tree: _a_parent(draw, tree, len(tree[1])),
+    "parent-minus-one": lambda draw, row, tree: _a_parent(draw, tree, -1),
+    "no-root": lambda draw, row, tree: tree[1].__setitem__(tree[1].index(None), 0),
+    "another-root": lambda draw, row, tree: _a_parent(draw, tree, None),
+    "group-bound-bool": lambda draw, row, tree: _a_group(tree).__setitem__(
+        draw(st.integers(0, 1)), draw(st.booleans())
+    ),
+    "group-bound-float": lambda draw, row, tree: _a_group(tree).__setitem__(
+        draw(st.integers(0, 1)), float(draw(st.integers(0, 2)))
+    ),
+    "group-tag-a-number": lambda draw, row, tree: _a_group(tree).__setitem__(2, 1),
+    "group-of-two": lambda draw, row, tree: _a_group(tree).__delitem__(2),
+    "group-of-four": lambda draw, row, tree: _a_group(tree).append("s"),
+    "group-a-string": lambda draw, row, tree: tree[2].append("0 1 s"),
+    "group-start-at-stop": lambda draw, row, tree: _a_group(tree).__setitem__(0, tree[2][-1][1]),
+    "group-start-negative": lambda draw, row, tree: _a_group(tree).__setitem__(0, -1),
+    "group-stop-past-n": lambda draw, row, tree: _a_group(tree).__setitem__(1, len(tree[1]) + 1),
+    "row-one-field-more": lambda draw, row, tree: row.__setitem__(1, row[1] + " k1"),
+    "surfaces-one-field-more": lambda draw, row, tree: tree.__setitem__(0, tree[0] + " a"),
+    "parents-one-more": lambda draw, row, tree: tree[1].append(0),
+    "surface-field-empty": lambda draw, row, tree: _a_field_emptied(draw, tree),
+}
+
+
+@st.composite
+def _tree_block(draw, mutation):
+    """Rows and the trees of a tree block, valid but for ``mutation`` of one tree."""
+    rows, trees = [], []
+    for k in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 5))
+        root = draw(st.integers(0, n - 1))
+        parents = [None if i == root else draw(st.integers(0, n - 1)) for i in range(n)]
+        groups = []
+        for _ in range(draw(st.integers(0, 2))):
+            start = draw(st.integers(0, n - 1))
+            groups.append([start, draw(st.integers(start + 1, n)), draw(st.sampled_from("sv"))])
+        surfaces = " ".join(draw(st.lists(st.sampled_from(["a", "bb", "-"]), min_size=n, max_size=n)))
+        rows.append([f"s{k}", " ".join(["k1"] * n), " ".join(["-"] * n), 0])
+        trees.append([surfaces, parents, groups])
+    if mutation is not None:
+        k = draw(st.integers(0, len(trees) - 1))
+        changed = TREE_MUTATIONS[mutation](draw, rows[k], trees[k])
+        if changed is not None:
+            trees[k] = changed
+    return rows, trees
+
+
+@pytest.mark.parametrize("mutation", [None, *TREE_MUTATIONS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tree_block_check_agrees_with_the_per_tree_reference(mutation, data):
+    rows, trees = data.draw(_tree_block(mutation))
+    f = corpus_store_module._DataFile(Path("hin.anncorra"), "hin")
+    f.rows, f.unread = rows, len(rows)
+    f.trees_body = "".join(json.dumps(tree) + "\n" for tree in trees).encode("utf-8")
+    decoded = json.loads("[" + ",".join(map(json.dumps, trees)) + "]")
+    accepted = all(map(_reference_is_tree, rows, decoded)) and _reference_no_empty_field(
+        [tree[0] for tree in decoded]
+    )
+    if mutation is None:
+        assert accepted
+    if accepted:
+        assert corpus_store_module._trees(f) == decoded
+    else:
+        with pytest.raises(CorpusError, match="does not describe"):
+            corpus_store_module._trees(f)
 
 
 # ---------------------------------------------------------------- torn tail
