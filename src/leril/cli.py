@@ -9,12 +9,13 @@ overrides it. A store's own tagset.cfg comes after both.
 
 Start-up cost: each run imports only the layer modules its command calls.
 Every ``_cmd_*`` function imports its layers in its own body and calls them
-through the module (``translexgram.parse_tlg``), and ``build_parser(command)``
-registers only the invoked command (all six only for ``leril -h``, usage
-errors and the help of a command without a subcommand). Outside this
-module, ``leril.<layer>`` resolves through ``leril.__getattr__``. New
-commands follow the same rule; tests/test_cli.py pins each command's set of
-imported ``leril`` modules.
+through the module (``translexgram.parse_tlg``), and ``build_parser(command,
+subcommand)`` registers only the invoked command and, one level down, only
+its invoked subcommand (every one where a word names none: ``leril -h``, a
+command's own ``-h``, a missing or unknown name). Outside this module,
+``leril.<layer>`` resolves through ``leril.__getattr__``. New commands follow
+the same rule; tests/test_cli.py pins each command's set of imported
+``leril`` modules.
 """
 
 from __future__ import annotations
@@ -412,60 +413,34 @@ def _cmd_corpus_read(args):  # ``corpus stats`` and ``corpus export``
 # ---------------------------------------------------------------- parser
 
 
-def _command(parser: argparse.ArgumentParser, func, *positionals: str, tagset: bool = False):
-    """Give ``parser`` its ``positionals``, the --strict option (and --tagset)
-    and ``func`` to run."""
+def _command(parser: argparse.ArgumentParser, func, *positionals: str, tagset=False, store=False):
+    """Give ``parser`` its ``positionals``, the --strict option (and --tagset,
+    and --store) and ``func`` to run."""
     for name in positionals:
         parser.add_argument(name)
     parser.add_argument("--strict", action="store_true", help="exit 1 when warnings remain")
     if tagset:
         parser.add_argument("--tagset", help="tagset config file (default: $LERIL_TAGSET)")
+    if store:
+        parser.add_argument("--store", required=True)
     parser.set_defaults(func=func)
     return parser
 
 
-def _fill_dict(p_dict: argparse.ArgumentParser) -> None:
-    dict_sub = p_dict.add_subparsers(dest="subcommand")
-    p = _command(dict_sub.add_parser("parse"), _cmd_dict_parse, "file")
-    p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    p = _command(dict_sub.add_parser("emit"), _cmd_dict_parse, "file")  # parse --format text
-    p.set_defaults(format="text")
-    p = _command(dict_sub.add_parser("lookup"), _cmd_dict_parse, "file", "headword")
-    p.add_argument("--pos")
+def _fill_dict_lookup(p: argparse.ArgumentParser) -> None:
+    _command(p, _cmd_dict_parse, "file", "headword").add_argument("--pos")
     p.add_argument("--format", choices=["interchange", "text"], default="text")
-    p = _command(dict_sub.add_parser("filter"), _cmd_dict_filter, "file")
-    p.add_argument("--wordlist", required=True)
 
 
-def _fill_tlg(p_tlg: argparse.ArgumentParser) -> None:
-    tlg_sub = p_tlg.add_subparsers(dest="subcommand")
-    p = _command(tlg_sub.add_parser("parse"), _cmd_tlg_parse, "file")
-    p.add_argument("--format", choices=["interchange", "text"], default="interchange")
-    _command(tlg_sub.add_parser("validate"), _cmd_tlg_validate, "file")
-    p = _command(tlg_sub.add_parser("seed"), _cmd_tlg_seed)
-    p.add_argument("--dict", required=True)
+def _fill_tlg_seed(p: argparse.ArgumentParser) -> None:
+    _command(p, _cmd_tlg_seed).add_argument("--dict", required=True)
     p.add_argument("--headword")
-    p = _command(tlg_sub.add_parser("emit"), _cmd_tlg_parse, "file")  # parse --format text
-    p.set_defaults(format="text")
-    _command(tlg_sub.add_parser("corpus"), _cmd_tlg_corpus, "file")
 
 
-def _fill_anncorra(p_ann: argparse.ArgumentParser) -> None:
-    ann_sub = p_ann.add_subparsers(dest="subcommand")
-    _command(ann_sub.add_parser("parse"), _cmd_anncorra_parse, "file", tagset=True)
-    _command(ann_sub.add_parser("check"), _cmd_anncorra_parse, "file", tagset=True)
-    p = _command(ann_sub.add_parser("convert"), _cmd_anncorra_convert, "file", tagset=True)
-    mode = p.add_mutually_exclusive_group()
+def _fill_anncorra_convert(p: argparse.ArgumentParser) -> None:
+    mode = _command(p, _cmd_anncorra_convert, "file", tagset=True).add_mutually_exclusive_group()
     mode.add_argument("--explicit", action="store_true", help="write all references (default)")
     mode.add_argument("--minimize", action="store_true", help="drop recoverable references")
-
-
-def _fill_sutra(p_sutra: argparse.ArgumentParser) -> None:
-    sutra_sub = p_sutra.add_subparsers(dest="subcommand")
-    _command(sutra_sub.add_parser("parse-formula"), _cmd_sutra_parse_formula, "file")
-    _command(sutra_sub.add_parser("parse-thread"), _cmd_sutra_parse_thread, "file")
-    p = _command(sutra_sub.add_parser("check"), _cmd_sutra_check, "formulas", "threads")
-    p.add_argument("--alias", help="alias table (label TAB alias)")
 
 
 def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
@@ -487,47 +462,75 @@ def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
     )
 
 
-def _fill_corpus(p_corpus: argparse.ArgumentParser) -> None:
-    corpus_sub = p_corpus.add_subparsers(dest="subcommand")
-    p = _command(corpus_sub.add_parser("add"), _cmd_corpus_add, "file", tagset=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--lang", default="und")
-    p = _command(corpus_sub.add_parser("query"), _cmd_corpus_query, "tag", tagset=True)
-    p.add_argument("--store", required=True)
-    p = _command(corpus_sub.add_parser("stats"), _cmd_corpus_read, tagset=True)
-    p.add_argument("--store", required=True)
-    p = _command(corpus_sub.add_parser("export"), _cmd_corpus_read, tagset=True)
-    p.add_argument("--store", required=True)
-    p.add_argument("--format", choices=["linear", "interchange"], default="linear")
-
-
-# command name: (its line in `leril -h`, the function that adds its subcommands and arguments)
+# command name: (its line in `leril -h`, the function that adds its arguments,
+# or, for a command with subcommands, the function that adds each one's by name)
 _COMMANDS = {
-    "dict": ("Shabdaanjali dictionaries", _fill_dict),
-    "tlg": ("TransLexGram records", _fill_tlg),
-    "anncorra": ("linear dependency notation", _fill_anncorra),
-    "sutra": ("Shabda-Sutra formulas and threads", _fill_sutra),
+    "dict": ("Shabdaanjali dictionaries", {
+        "parse": lambda p: _command(p, _cmd_dict_parse, "file")
+            .add_argument("--format", choices=["interchange", "text"], default="interchange"),
+        "emit": lambda p: _command(p, _cmd_dict_parse, "file").set_defaults(format="text"),
+        "lookup": _fill_dict_lookup,
+        "filter": lambda p: _command(p, _cmd_dict_filter, "file")
+            .add_argument("--wordlist", required=True),
+    }),
+    "tlg": ("TransLexGram records", {
+        "parse": lambda p: _command(p, _cmd_tlg_parse, "file")
+            .add_argument("--format", choices=["interchange", "text"], default="interchange"),
+        "validate": lambda p: _command(p, _cmd_tlg_validate, "file"),
+        "seed": _fill_tlg_seed,
+        "emit": lambda p: _command(p, _cmd_tlg_parse, "file").set_defaults(format="text"),
+        "corpus": lambda p: _command(p, _cmd_tlg_corpus, "file"),
+    }),
+    "anncorra": ("linear dependency notation", {
+        "parse": lambda p: _command(p, _cmd_anncorra_parse, "file", tagset=True),
+        "check": lambda p: _command(p, _cmd_anncorra_parse, "file", tagset=True),
+        "convert": _fill_anncorra_convert,
+    }),
+    "sutra": ("Shabda-Sutra formulas and threads", {
+        "parse-formula": lambda p: _command(p, _cmd_sutra_parse_formula, "file"),
+        "parse-thread": lambda p: _command(p, _cmd_sutra_parse_thread, "file"),
+        "check": lambda p: _command(p, _cmd_sutra_check, "formulas", "threads")
+            .add_argument("--alias", help="alias table (label TAB alias)"),
+    }),
     "transfer": ("frame-based structural transfer", _fill_transfer),
-    "corpus": ("treebank store", _fill_corpus),
+    "corpus": ("treebank store", {
+        "add": lambda p: _command(p, _cmd_corpus_add, "file", tagset=True, store=True)
+            .add_argument("--lang", default="und"),
+        "query": lambda p: _command(p, _cmd_corpus_query, "tag", tagset=True, store=True),
+        "stats": lambda p: _command(p, _cmd_corpus_read, tagset=True, store=True),
+        "export": lambda p: _command(p, _cmd_corpus_read, tagset=True, store=True)
+            .add_argument("--format", choices=["linear", "interchange"], default="linear"),
+    }),
 }
 
 
-def build_parser(command: str | None = None) -> _ArgumentParser:
-    """The ``leril`` parser of ``command`` alone, or of every command when
-    it is None. A command line that starts with ``command`` parses the same
-    either way: the top level holds only the command list, and each
-    command's arguments belong to its own subparser.
+def _named(table: dict, name: str | None):
+    """The items of ``table``: the one of ``name`` alone when it names one."""
+    return [(name, table[name])] if name in table else table.items()
+
+
+def build_parser(command: str | None = None, subcommand: str | None = None) -> _ArgumentParser:
+    """The ``leril`` parser of a command line that starts with ``command``
+    and ``subcommand``. Each level registers the one its word names, or all
+    when the word names none of them (the whole parser for no arguments).
+    The command line parses the same either way: a level holds only the
+    names below it, and each argument belongs to its subcommand's parser.
     """
     parser = _ArgumentParser(prog="leril", description=_DESCRIPTION)
     top = parser.add_subparsers(dest="command")
-    for name, (help_text, fill) in _COMMANDS.items():
-        if command is None or command == name:
-            fill(top.add_parser(name, help=help_text))
+    for name, (help_text, fill) in _named(_COMMANDS, command):
+        p = top.add_parser(name, help=help_text)
+        if isinstance(fill, dict):
+            sub = p.add_subparsers(dest="subcommand")
+            for sub_name, sub_fill in _named(fill, subcommand if name == command else None):
+                sub_fill(sub.add_parser(sub_name))
+        else:
+            fill(p)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    parser = build_parser(*argv[:2])
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

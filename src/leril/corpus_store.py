@@ -164,7 +164,7 @@ class CorpusStore:
             self._acquire_lock()
         self.diagnostics: list[Diagnostic] = []
         self._files: dict[str, _DataFile] = {}  # by language, in file name order
-        self._rows: dict[str, list] = {}  # id to summary row, in store order
+        self._rows: dict[str, list] = {}  # id to summary row, for lookups
         try:
             self._tagset = _crc32(self.registry.signature().encode("utf-8"))
             for data_file in sorted(self.path.glob("*.anncorra")):
@@ -368,8 +368,9 @@ class CorpusStore:
         if diagnostics is not None:
             diagnostics.extend(parse_diags)
         f = self._files.get(language)
-        if f is None:
+        if f is None:  # a new data file, listed in file name order as a reopen lists it
             f = self._files[language] = _DataFile(data_file, language)
+            self._files = dict(sorted(self._files.items(), key=lambda item: item[1].path))
         payload = text.encode("utf-8")
         f.append(payload, f.end + len(f.trailer))
         f.crc = _crc32(f.trailer + payload, f.crc)
@@ -406,7 +407,8 @@ class CorpusStore:
         # rows hold registry casing for every known tag; only rows that hold it are split
         hits = [
             (sentence_id, position)
-            for sentence_id, rels, _nodes, _depth in self._rows.values()
+            for f in self._files.values()
+            for sentence_id, rels, _nodes, _depth in f.rows
             if canonical in rels
             for position, rel in enumerate(rels.split(" "))
             if rel == canonical
@@ -415,7 +417,7 @@ class CorpusStore:
 
     def stats(self) -> CorpusStats:
         """Exact counts over current contents, recomputed on every call."""
-        rows = self._rows.values()
+        rows = list(chain.from_iterable(f.rows for f in self._files.values()))
         relation_counts, node_counts = (
             Counter(" ".join([row[k] for row in rows]).split(" ") if rows else ()) for k in (1, 2)
         )
@@ -549,9 +551,11 @@ def _decode_rows(body: bytes) -> list[list] | None:
 
 
 def _no_empty_field(column) -> bool:
-    """Whether no string of ``column`` is empty, starts or ends with a space or holds two."""
-    text = "\n".join(["", *column, ""])
-    return not ("\n\n" in text or "\n " in text or " \n" in text or "  " in text)
+    """Whether no string of ``column`` is empty, starts or ends with a space,
+    holds two in a row or holds a line break (which no writer writes). With a
+    space around each string, two in a row show exactly the first three."""
+    text = " ".join(["", *column, ""])
+    return not ("  " in text or "\n" in text)
 
 
 def _are_checkpoints(points: list | None, count: int) -> bool:

@@ -750,9 +750,18 @@ class TestParserBuild:
     def test_one_command_parses_like_the_whole_parser(self, capsys, monkeypatch, argv):
         one_command = _outcome(capsys, argv)
         whole = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None: whole())
+        monkeypatch.setattr(cli, "build_parser", lambda command=None, subcommand=None: whole())
         assert _outcome(capsys, argv) == one_command
         assert one_command[:2] in ((3, None), (None, 0))
+
+    def test_a_subcommand_parser_holds_that_subcommand_alone(self):
+        parser = cli.build_parser("corpus", "query")
+        args = parser.parse_args(["corpus", "query", "k1", "--store", "s"])
+        assert args.func is cli._cmd_corpus_query
+        with pytest.raises(cli._UsageError, match=r"choice: 'add' \(choose from '?query'?\)$"):
+            parser.parse_args(["corpus", "add", "f", "--store", "s"])
+        with pytest.raises(cli._UsageError, match=r"choice: 'dict' \(choose from '?corpus'?\)$"):
+            parser.parse_args(["dict", "parse", "f"])
 
 
 # Runs `leril` in-process with argv from the command line, then prints the exit

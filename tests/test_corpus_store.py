@@ -181,6 +181,28 @@ class TestPersistence:
         assert (path / "hin.anncorra").exists()
         assert (path / "tel.anncorra").exists()
 
+    def test_a_new_language_is_listed_in_file_name_order(self, tmp_path, explicit_line):
+        path = tmp_path / "store"
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("u1", explicit_line, "urd")
+        with CorpusStore(path, "rw") as writer:
+            writer.add_sentence("u2", explicit_line, "urd")
+            writer.add_sentence("h1", explicit_line, "hin")
+            # "a-b.anncorra" sorts before "a.anncorra", though "a" sorts before "a-b"
+            writer.add_sentence("a-b1", "phala/k2 KAyA::v:i", "a-b")
+            writer.add_sentence("a1", explicit_line, "a")
+            written = [writer.export(f) for f in ("linear", "interchange")]
+            written.append(writer.query_by_relation("k1"))
+            written_stats = writer.stats()
+        with CorpusStore(path, "r") as reader:
+            read = [reader.export(f) for f in ("linear", "interchange")]
+            read.append(reader.query_by_relation("k1"))
+            assert [r["id"] for r in _records(reader)] == ["a-b1", "a1", "h1", "u1", "u2"]
+            assert list(reader.stats().relation_counts.items()) == list(
+                written_stats.relation_counts.items()
+            )
+        assert written == read
+
     def test_tagset_override_is_picked_up(self, tmp_path):
         path = tmp_path / "store"
         path.mkdir()
@@ -1265,6 +1287,18 @@ def _reference_is_tree(row, tree) -> bool:
 def _reference_no_empty_field(column) -> bool:
     text = "\n".join(["", *column, ""])
     return not ("\n\n" in text or "\n " in text or " \n" in text or "  " in text)
+
+
+_FIELDS = ["", " ", "a", "a b", "a  b", " a", "a ", "\n", "a\n", "\na"]
+
+
+@given(st.lists(st.sampled_from(_FIELDS), max_size=6))
+def test_empty_field_check_rejects_what_the_reference_rejects(column):
+    accepted = corpus_store_module._no_empty_field(column)
+    if not _reference_no_empty_field(column):
+        assert not accepted
+    if not any("\n" in field for field in column):
+        assert accepted == _reference_no_empty_field(column)
 
 
 def _a_group(tree):
