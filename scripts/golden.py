@@ -11,8 +11,9 @@ child process. The cases are:
 
 - every subcommand on ``tests/fixtures/`` and on a few generated inputs
   (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
-  and LF that ``str.splitlines`` breaks at, deep brackets, a missing file,
-  a directory), with and without ``--strict``, plus transfer sentences and
+  and LF that ``str.splitlines`` breaks at, deep brackets, a dictionary
+  with every character JSON escapes, a missing file, a directory), with
+  and without ``--strict``, plus transfer sentences and
   literal frames, transfer over a lexicon that mixes malformed frame pairs
   with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
 - ``-h`` of every command and subcommand, and usage errors;
@@ -136,6 +137,7 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             "FRAME_I:: A B AtA hai", "",
         ]).encode(),
         **_breaks(),
+        "escapes.dict": _escapes(),
         "mixed_frames.tlg": _mixed_frames(),
         # one line per error the token walk names ("empty token" aside: no line
         # holds an empty token), some in brackets, some after an unknown tag
@@ -189,6 +191,26 @@ def _breaks() -> dict[str, bytes]:
                             "a/k1->q piyA::v:i"],
     }
     return {name: ("\n".join(lines) + "\n").encode() for name, lines in files.items()}
+
+
+# what json.dumps escapes, line ends aside, and a few characters it writes as they are
+ESCAPES = (
+    '"\\' + "".join(c for c in map(chr, range(0x20)) if c not in "\n\r")
+    + "\x7f\u2028\u2029\u00e9\U0001f600"
+)
+
+
+def _escapes() -> bytes:
+    """A dictionary with ESCAPES inside every string field of its interchange
+    document (a headword holds no '"', so headwords have only '\\'), an entry
+    without senses, a sense without examples and a gloss with both annotations."""
+    lines = [
+        '"go\\", "V",', f'--"1.ja{ESCAPES}nA"', f"I go{ESCAPES} to school.",
+        f'--"2.rakhA~ja{ESCAPES}nA/x[<ja{ESCAPES}nA]{{sthi{ESCAPES}ti}}"',
+        '"\\", "N",', '"go", "V\\",', '--"1.jAnA{samaya}"',
+        f'--"2.calanA[<x{ESCAPES}]"', "How did the meeting go?", f"And{ESCAPES}then?",
+    ]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def _mixed_frames() -> bytes:

@@ -167,7 +167,7 @@ def _cmd_dict_parse(args):  # also ``dict emit``, and ``dict lookup`` of one hea
         if not entries:
             diags.append(info(f"no entry for {args.headword!r}"))
     if args.format == "interchange":
-        _print(_dump_json({"format": "shabdaanjali", "entries": dictionary.entries}))
+        _print(dict_model.emit_interchange(dictionary))
     else:
         _print(dict_model.emit_dictionary(dictionary))
     return diags

@@ -130,9 +130,21 @@ def _closing_brackets(text: str, brackets: re.Pattern) -> dict[int, int]:
     return closing
 
 
-def emit_formula(formula: SutraFormula) -> str:
-    """Canonical text; ``parse_formula(emit_formula(f)) == f``."""
+def _levels(formula: SutraFormula) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """``formula``'s heads and turns; ValueError unless they make a formula,
+    as one built by hand may not."""
     heads, turns = formula
+    if type(heads) is not tuple or {*map(type, heads)} != {str}:
+        raise ValueError("a formula's heads must be a non-empty tuple of str")
+    if len(turns) != len(heads) - 1:
+        raise ValueError(f"a formula of {len(heads)} heads needs {len(heads) - 1} turn counts")
+    return heads, turns
+
+
+def emit_formula(formula: SutraFormula) -> str:
+    """Canonical text; ``parse_formula(emit_formula(f)) == f``. A formula built
+    by hand that is not one raises ValueError, as in ``formula_to_interchange``."""
+    heads, turns = _levels(formula)
     opening = [f"{head}[{'~' * n}{' ' if n else ''}< " for head, n in zip(heads, turns)]
     return "".join(opening) + heads[-1] + "]" * len(turns)
 
@@ -305,7 +317,7 @@ def _locate(block: list[tuple[int, str]], position: int | None) -> tuple[int, in
 
 def formula_to_interchange(formula: SutraFormula) -> dict:
     """JSON-shaped export of a formula, nested from its innermost source out."""
-    heads, turns = formula
+    heads, turns = _levels(formula)
     doc: dict = {"head": heads[-1], "derivation": None}
     for head, turn_count in zip(heads[-2::-1], turns[::-1]):
         doc = {"head": head, "derivation": {"turn_count": turn_count, "source": doc}}

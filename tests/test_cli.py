@@ -830,6 +830,11 @@ class TestImports:
         )
         assert out.split()[-1] == "False"  # dataclasses
 
+    def test_dict_parse_leaves_the_json_package_unloaded(self):
+        code = _IMPORTS_AFTER_RUN + 'print([m for m in sys.modules if m.startswith("json")])'
+        out = _fresh_python(code, "dict", "parse", GO_DICT)
+        assert out.splitlines()[-1] == "[]"
+
     def test_import_leril_loads_a_layer_on_first_access(self):
         out = _fresh_python(
             "import sys, leril\n"

@@ -1,15 +1,21 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from leril.cli import _dump_json
 from leril.diagnostics import Severity
 from leril.dict_model import (
+    DictEntry,
     Dictionary,
     GlossComponent,
     GlossExpr,
     GlossParseError,
+    Sense,
     emit_dictionary,
     emit_gloss,
+    emit_interchange,
     frequency_filter,
     lookup,
     parse_dictionary,
@@ -237,3 +243,60 @@ class TestEmit:
     def test_context_annotation_verbatim(self, go_dict_text):
         dictionary, _ = parse_dictionary(go_dict_text)
         assert "{sthiti}" in emit_dictionary(dictionary)
+
+
+# Every character JSON escapes, a few it writes as they are, and both kinds of line end.
+_odd_text = st.text(
+    alphabet='aZ"\\/~[{' + "".join(map(chr, range(0x20))) + "\x7f\u00e9\u2028\u2029\U0001f600",
+    max_size=5,
+)
+_entries = st.lists(
+    st.builds(
+        DictEntry,
+        _odd_text,
+        _odd_text,
+        st.lists(
+            st.builds(
+                Sense,
+                st.integers(0, 10**30),
+                st.builds(
+                    GlossExpr,
+                    st.lists(
+                        st.builds(
+                            GlossComponent,
+                            st.lists(_odd_text, min_size=1, max_size=3).map(tuple),
+                            st.booleans(),
+                        ),
+                        min_size=1,
+                        max_size=3,
+                    ).map(tuple),
+                    st.none() | _odd_text,
+                    st.none() | _odd_text,
+                ),
+                st.lists(_odd_text, max_size=3).map(tuple),
+            ),
+            max_size=3,
+        ).map(tuple),
+    ),
+    max_size=4,
+).map(tuple)
+
+
+def _plain(value):
+    """``value`` with each NamedTuple as the dict of its fields and each tuple a list."""
+    if hasattr(value, "_asdict"):
+        return {key: _plain(item) for key, item in value._asdict().items()}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+@given(_entries)
+@example(())
+@example((DictEntry("go", "V"),))  # an entry without senses
+@example((DictEntry("a\\b", "V", (Sense(10**30, GlossExpr((GlossComponent(("x",)),))),)),))
+def test_interchange_is_the_text_json_dumps_writes(entries):
+    plain = {"format": "shabdaanjali", "entries": _plain(entries)}
+    expected = json.dumps(plain, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert _dump_json({"format": "shabdaanjali", "entries": entries}) == expected
+    assert emit_interchange(Dictionary(entries)) == expected

@@ -129,6 +129,23 @@ class TestEmit:
     def test_zero_turn_spacing(self):
         assert emit_formula(parse_formula("a[< b]")) == "a[< b]"
 
+    @pytest.mark.parametrize(
+        "formula, message",
+        [
+            (SutraFormula("jAnA"), "heads must be a non-empty tuple of str"),
+            (SutraFormula(()), "heads must be a non-empty tuple of str"),
+            (SutraFormula(("a", 1)), "heads must be a non-empty tuple of str"),
+            (SutraFormula(["a", "b"], (1,)), "heads must be a non-empty tuple of str"),
+            (SutraFormula(("a", "b")), "a formula of 2 heads needs 1 turn counts"),
+            (SutraFormula(("a",), (1,)), "a formula of 1 heads needs 0 turn counts"),
+        ],
+    )
+    def test_a_hand_built_formula_that_is_not_one_is_refused(self, formula, message):
+        with pytest.raises(ValueError, match=message):
+            emit_formula(formula)
+        with pytest.raises(ValueError, match=message):
+            formula_to_interchange(formula)
+
     def test_thread_round_trip(self):
         thread = parse_thread(ISSUE_THREAD)
         assert parse_thread(_thread_text(thread)) == thread
