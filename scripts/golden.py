@@ -12,7 +12,8 @@ child process. The cases are:
 - every subcommand on ``tests/fixtures/`` and on a few generated inputs
   (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
   and LF that ``str.splitlines`` breaks at, deep brackets, a dictionary
-  with every character JSON escapes, a missing file, a directory), with
+  with every character JSON escapes, a lexicon record without meanings,
+  a missing file, a directory), with
   and without ``--strict``, plus transfer sentences and
   literal frames, transfer over a lexicon that mixes malformed frame pairs
   with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
@@ -119,6 +120,8 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             b"ok (fine) eg: one, two\n  --> done\n"
         ),
         "frames.tlg": b'HEADWORD::"x","V"\nMEANING::1::"y"\nFRAME_E:: []\nFRAME_I:: [[\n',
+        # a record without meanings, then a complete one
+        "no-meanings.tlg": b'HEADWORD::"go","V"\n' + (FIXTURES / "go.tlg").read_bytes(),
         # padded names and values, names that are not names, an alias, duplicate
         # single fields, continuations after every kind of field, a skipped record
         "fields.tlg": "\n".join([

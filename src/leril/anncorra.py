@@ -48,7 +48,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
+from .diagnostics import Diagnostic, LerilError, error, json_string, split_lines, warning
 
 
 class AnnCorraParseError(LerilError):
@@ -226,8 +226,17 @@ class DepTree(NamedTuple):
         """Edges from the root down to the deepest node."""
         return max(_depths([node.parent for node in self.nodes]))
 
+    @property
+    def columns(self) -> tuple[str, str, str, list[int | None]]:
+        """Surfaces, relation tags and node tags, each joined by single spaces with
+        ``NO_TAG`` for no tag (a parsed tree's fields hold no space), and the parents."""
+        surfaces, rels, tags, parents = zip(*self.nodes)
+        rels, tags = (" ".join([tag or NO_TAG for tag in column]) for column in (rels, tags))
+        return " ".join(surfaces), rels, tags, list(parents)
+
 
 _TAG = r"[A-Za-z][A-Za-z0-9]*"
+NO_TAG = "-"  # a column's field for no tag: never a tag, as it does not match _TAG
 _LABEL = r"[a-z][0-9]*"
 _TAG_RE = re.compile(_TAG)
 _LABEL_RE = re.compile(_LABEL)
@@ -703,22 +712,48 @@ def _innermost_group_heads(tree: DepTree) -> dict[int, int | None]:
     return {p: heads[group] for p, group in innermost.items()}
 
 
-def to_interchange(tree: DepTree) -> dict:
-    """JSON-shaped export of one tree."""
-    return {
-        "nodes": [
-            {
-                "position": p,
-                "surface": n.surface,
-                "rel": n.rel_tag,
-                "node": n.node_tag,
-                "parent": n.parent,
-            }
-            for p, n in enumerate(tree.nodes)
-        ],
-        "root": tree.root,
-        "groups": [{"start": g.start, "stop": g.stop, "tag": g.tag} for g in tree.groups],
-    }
+def emit_interchange(form: str, key: str, fields: Sequence[str], records: Iterable) -> str:
+    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"`` of
+    ``{"format": form, key: [record, ...]}``, as one list of pieces joined once. A record is
+    ``(values, *DepTree.columns, groups)``: the tuple of the JSON texts of ``fields``, which
+    sort before ``"tree"``, then its tree's columns and (start, stop, tag) groups. A tree is
+    ``{"groups": [{"start", "stop", "tag"}], "nodes": [{"node", "parent", "position",
+    "rel", "surface"}], "root"}``, no tag null; ``key`` sorts after ``"format"``."""
+    head = ",\n    {\n" + "".join(f"      {json_string(name)}: %s,\n" for name in fields)
+    out = [f'{{\n  "format": {json_string(form)},\n  {json_string(key)}: [']
+    for values, surfaces, rels, tags, parents, groups in records:
+        nodes = [
+            "          {\n"
+            f'            "node": {"null" if tag == NO_TAG else json_string(tag)},\n'
+            f'            "parent": {"null" if parent is None else parent},\n'
+            f'            "position": {position},\n'
+            f'            "rel": {"null" if rel == NO_TAG else json_string(rel)},\n'
+            f'            "surface": {json_string(surface)}\n'
+            "          }"
+            for position, surface, rel, tag, parent in zip(
+                range(len(parents)), surfaces.split(" "), rels.split(" "), tags.split(" "), parents
+            )
+        ]
+        spans = [
+            "          {\n"
+            f'            "start": {start},\n'
+            f'            "stop": {stop},\n'
+            f'            "tag": {json_string(tag)}\n'
+            "          }"
+            for start, stop, tag in groups
+        ]
+        out += (
+            head % values,
+            '      "tree": {\n        "groups": '
+            + ("[\n" + ",\n".join(spans) + "\n        ]" if spans else "[]"),
+            ',\n        "nodes": [\n',
+            ",\n".join(nodes),
+            f'\n        ],\n        "root": {parents.index(None)}\n      }}\n    }}',
+        )
+    if len(out) > 1:
+        out[1] = out[1][1:]  # no comma before the first record
+    out.append("\n  ]\n}\n" if len(out) > 1 else "]\n}\n")
+    return "".join(out)
 
 
 def iter_sentences(text: str) -> Iterator[tuple[str | None, int, str]]:

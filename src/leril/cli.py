@@ -34,15 +34,11 @@ from .diagnostics import (
     Severity,
     error,
     info,
+    json_string,
     split_lines,
     utf8_text,
     worst_severity,
 )
-
-try:  # the C function of json.encoder, without loading the json package
-    from _json import encode_basestring as _json_string
-except ImportError:  # pragma: no cover - an interpreter without the accelerator
-    from json.encoder import encode_basestring as _json_string
 
 if TYPE_CHECKING:  # pragma: no cover
     from .anncorra import TagRegistry
@@ -73,7 +69,7 @@ def _read_text(path: str) -> str:
 
 
 _JSON_SCALARS = {
-    str: _json_string,
+    str: json_string,
     int: int.__repr__,
     float: float.__repr__,
     bool: lambda value: "true" if value else "false",
@@ -110,7 +106,7 @@ def _dump_json(doc) -> str:
             elif not value:
                 write(f"{sep}{indent}{key}{'[]' if kind is list or kind is tuple else '{}'}")
             elif (kind is list or kind is tuple) and {*map(type, value)} == {str}:
-                items = f",{indent}  ".join(map(_json_string, value))
+                items = f",{indent}  ".join(map(json_string, value))
                 write(f"{sep}{indent}{key}[{indent}  {items}{indent}]")
             else:
                 break
@@ -124,12 +120,12 @@ def _dump_json(doc) -> str:
             brackets, fields = "[]", zip(repeat(""), value)
         elif kind is dict:
             brackets = "{}"
-            fields = ((_json_string(k) + ": ", v) for k, v in sorted(value.items()))
+            fields = ((json_string(k) + ": ", v) for k, v in sorted(value.items()))
         else:  # a NamedTuple: the object of its fields
             order = orders.get(kind)
             if order is None:
                 ranked = sorted(range(len(value)), key=kind._fields.__getitem__)
-                keys = [_json_string(kind._fields[k]) + ": " for k in ranked]
+                keys = [json_string(kind._fields[k]) + ": " for k in ranked]
                 getter = None if ranked == sorted(ranked) else itemgetter(*ranked)
                 order = orders[kind] = keys, getter
             keys, getter = order
@@ -253,11 +249,10 @@ def _cmd_anncorra_parse(args):  # also ``anncorra check``, which prints no docum
         tree, tree_diags = anncorra.parse_sentence(line, registry)
         diags.extend(_with_line(tree_diags, lineno))
         if tree is not None and args.subcommand == "parse":
-            sentences.append(
-                {"id": sentence_id, "line": lineno, "tree": anncorra.to_interchange(tree)}
-            )
+            values = ("null" if sentence_id is None else json_string(sentence_id), str(lineno))
+            sentences.append((values, *tree.columns, tree.groups))
     if args.subcommand == "parse":
-        _print(_dump_json({"format": "anncorra", "sentences": sentences}))
+        _print(anncorra.emit_interchange("anncorra", "sentences", ("id", "line"), sentences))
     return diags
 
 
@@ -356,7 +351,7 @@ def _cmd_transfer(args):
     diags.extend(match_diags)
     blocks = []
     for match in matches:
-        bindings = sorted(match.binding.bindings.items())
+        bindings = sorted(match.binding.items())
         table = [f"{letter}\t{' '.join(span)}" for letter, span in bindings]
         blocks.append("\n".join([match.output] + table))
     _print("\n\n".join(blocks))

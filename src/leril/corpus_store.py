@@ -26,15 +26,16 @@ tree block, one line per record, ``["rAma_ne phala piyA", parents, groups
 as [start, stop, tag]]``, then the checkpoint block, one line per record,
 ``[end, crc32, lines, auto ids]`` of the data file up to the end of that
 record; the last one is the prefix the sidecar covers. A row's relation
-tags and node tags, and a tree's surfaces, are one string each, fields
-joined by single spaces and ``-`` for no tag. No field is empty or holds
-a space (a tag matches ``anncorra._TAG``, so it is never ``-`` either,
-and a surface is part of a ``\\S+`` chunk), so a record decodes to a few
-objects, split only when read; memory holds records in the same shape.
+tags and node tags, and a tree's surfaces, are the columns of
+``anncorra.DepTree.columns``: one string each, fields joined by single
+spaces and ``-`` for no tag. No field is empty or holds a space, so a
+record decodes to a few objects, split only when read; memory holds
+records in the same shape.
 Nothing is stored twice. Every open checks the crc32 and decodes the
 rows, which ``query_by_relation`` and ``stats`` read, and the last
 checkpoint; ``export`` reads the prefix's lines unparsed, and the interchange
-export also decodes the tree block, checked by column like the rows. Lines
+export also decodes the tree block, checked by column like the rows, and
+hands the columns to ``anncorra.emit_interchange``. Lines
 without the rows' ids, or a block without one rooted tree per row, fail it
 with "does not describe". A writer, which rewrites the sidecar, first reads
 the prefix's lines the same way and keeps the rows only when their ids match,
@@ -69,18 +70,17 @@ import json
 import os
 from collections import Counter
 from itertools import accumulate, chain, repeat
-from json.encoder import encode_basestring as _json_string
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .anncorra import DepTree, TagRegistry, default_registry, iter_sentences
-from .anncorra import load_tagset, parse_sentence
-from .diagnostics import Diagnostic, LerilError, has_errors, split_lines, utf8_text, warning
+from .anncorra import NO_TAG, DepTree, TagRegistry, default_registry, emit_interchange
+from .anncorra import iter_sentences, load_tagset, parse_sentence
+from .diagnostics import Diagnostic, LerilError, has_errors, json_string, split_lines
+from .diagnostics import utf8_text, warning
 
 SIDECAR_VERSION = 6
 _HEADER_KEYS = ("version", "tagset", "trees", "marks", "crc")
-_NO_TAG = "-"  # the field of a node without the tag: never a tag, as it does not match anncorra._TAG
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
@@ -306,13 +306,11 @@ class CorpusStore:
         f.stale = f.stale or last_record > 0
 
     def _index(self, f: _DataFile, sentence_id: str, line: str, tree: DepTree) -> None:
-        surfaces, *columns, parents = zip(*tree.nodes)
-        rels, tags = (" ".join([tag or _NO_TAG for tag in column]) for column in columns)
+        surfaces, rels, tags, parents = tree.columns
         row = self._rows[sentence_id] = [sentence_id, rels, tags, tree.depth]
         f.rows.append(row)
         f.raws.append(line)
-        groups = [[group.start, group.stop, group.tag] for group in tree.groups]
-        f.trees.append([" ".join(surfaces), list(parents), groups])
+        f.trees.append([surfaces, parents, [list(group) for group in tree.groups]])
 
     def _parse(self, sentence_id: str, line: str) -> tuple[DepTree, list[Diagnostic]]:
         """The tree of one sentence line and the parse's warnings; rejects a
@@ -421,8 +419,8 @@ class CorpusStore:
         relation_counts, node_counts = (
             Counter(" ".join([row[k] for row in rows]).split(" ") if rows else ()) for k in (1, 2)
         )
-        relation_counts.pop(_NO_TAG, None)
-        node_counts.pop(_NO_TAG, None)
+        relation_counts.pop(NO_TAG, None)
+        node_counts.pop(NO_TAG, None)
         return CorpusStats(
             sentences=len(rows),
             relation_counts=dict(relation_counts),
@@ -439,13 +437,10 @@ class CorpusStore:
                 for row, raw in zip(f.rows, _lines(f))
             )
         if format == "interchange":
-            out = ['{\n  "format": "anncorra-corpus",\n  "records": [']
-            for f in self._files.values():
-                _interchange(f, out)
-            if len(out) > 1:
-                out[1] = out[1][1:]  # no comma before the first record
-            out.append("\n  ]\n}\n" if len(out) > 1 else "]\n}\n")
-            return "".join(out)
+            records = chain.from_iterable(map(_interchange, self._files.values()))
+            return emit_interchange(
+                "anncorra-corpus", "records", ("id", "language", "raw", "source"), records
+            )
         raise ValueError(f"unknown export format: {format!r}")
 
 
@@ -697,48 +692,10 @@ def _are_trees(rows: list[list], trees: list) -> bool:
     )
 
 
-def _interchange(f: _DataFile, out: list[str]) -> None:
-    """Append the interchange records of ``f`` to ``out``, each after a comma.
-
-    The export is the text of json.dumps(doc, ensure_ascii=False, indent=2,
-    sort_keys=True) + "\n" for doc = {"format": "anncorra-corpus",
-    "records": [{"id", "language", "source", "raw", "tree":
-    anncorra.to_interchange(tree)}, ...]}, written from the columns with no
-    tree built, as one list of pieces that the export joins once: a
-    record's head, its groups, its nodes and its tail.
-    """
-    language, source = _json_string(f.language), _json_string(str(f.path))
+def _interchange(f: _DataFile) -> Iterator[tuple]:
+    """The export records of ``f`` as ``anncorra.emit_interchange`` reads
+    them, from the columns with no tree built."""
+    language, source = json_string(f.language), json_string(str(f.path))
     for row, raw, (surfaces, parents, groups) in zip(f.rows, _lines(f), _trees(f)):
-        sentence_id, rels, tags, _depth = row
-        nodes = [
-            "          {\n"
-            f'            "node": {"null" if tag == _NO_TAG else _json_string(tag)},\n'
-            f'            "parent": {"null" if parent is None else parent},\n'
-            f'            "position": {position},\n'
-            f'            "rel": {"null" if rel == _NO_TAG else _json_string(rel)},\n'
-            f'            "surface": {_json_string(surface)}\n'
-            "          }"
-            for position, (surface, rel, tag, parent) in enumerate(
-                zip(surfaces.split(" "), rels.split(" "), tags.split(" "), parents)
-            )
-        ]
-        spans = [
-            "          {\n"
-            f'            "start": {start},\n'
-            f'            "stop": {stop},\n'
-            f'            "tag": {_json_string(tag)}\n'
-            "          }"
-            for start, stop, tag in groups
-        ]
-        out += (
-            ",\n    {\n"
-            f'      "id": {_json_string(sentence_id)},\n'
-            f'      "language": {language},\n'
-            f'      "raw": {_json_string(raw)},\n'
-            f'      "source": {source},\n'
-            '      "tree": {\n'
-            '        "groups": ' + ("[\n" + ",\n".join(spans) + "\n        ]" if spans else "[]"),
-            ',\n        "nodes": [\n',
-            ",\n".join(nodes),
-            f'\n        ],\n        "root": {parents.index(None)}\n      }}\n    }}',
-        )
+        values = (json_string(row[0]), language, json_string(raw), source)
+        yield values, surfaces, row[1], row[2], parents, groups

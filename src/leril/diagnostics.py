@@ -1,10 +1,16 @@
-"""Shared diagnostic records, the package-wide error base class, and how
-input text is read: UTF-8, in lines ended by ``\\n``, ``\\r\\n`` or ``\\r``."""
+"""Shared diagnostic records, the package-wide error base class, how input
+text is read (UTF-8, in lines ended by ``\\n``, ``\\r\\n`` or ``\\r``) and
+how output strings are written in JSON."""
 
 from __future__ import annotations
 
 import enum
 from typing import Iterable, NamedTuple
+
+try:  # the C function of json.encoder, without loading the json package
+    from _json import encode_basestring as json_string
+except ImportError:  # pragma: no cover - an interpreter without the accelerator
+    from json.encoder import encode_basestring as json_string
 
 
 class LerilError(Exception):

@@ -23,8 +23,8 @@ lines will be misread; hand-authored data does not normally contain them.
 A dictionary has two layouts, both written here: the text form
 (``emit_dictionary``) and the interchange JSON (``emit_interchange``). The
 JSON is written with one f-string per gloss component, sense and entry, and
-its strings are escaped by the C encoder of ``json.encoder`` without loading
-the ``json`` package. Cost, on the 1.2 MB ``dict parse`` document of the
+its strings are escaped by ``diagnostics.json_string``, which loads no
+``json`` package. Cost, on the 1.2 MB ``dict parse`` document of the
 benchmark lexicon (min of 15 in-process runs, 2-CPU machine): about 10 ms,
 against 20 ms for the generic ``cli._dump_json``, which is the reference
 the writer is tested against; ``parse_dictionary`` takes about 9 ms.
@@ -35,12 +35,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, LerilError, error, info, split_lines, warning
-
-try:  # the C function of json.encoder, without loading the json package
-    from _json import encode_basestring as _json_string
-except ImportError:  # pragma: no cover - an interpreter without the accelerator
-    from json.encoder import encode_basestring as _json_string
+from .diagnostics import Diagnostic, LerilError, error, info, json_string, split_lines, warning
 
 
 class GlossParseError(LerilError):
@@ -308,19 +303,19 @@ def emit_interchange(dictionary: Dictionary) -> str:
         written = []
         for number, (components, derivation, context), examples in senses:
             units = [
-                f'{{{d8}"alternatives": {_array(map(_json_string, alternatives), d8)},'
+                f'{{{d8}"alternatives": {_array(map(json_string, alternatives), d8)},'
                 f'{d8}"joined": {"true" if joined else "false"}{d7}}}'
                 for alternatives, joined in components
             ]
             written.append(
-                f'{{{d5}"examples": {_array(map(_json_string, examples), d5)},'
+                f'{{{d5}"examples": {_array(map(json_string, examples), d5)},'
                 f'{d5}"gloss": {{{d6}"components": {_array(units, d6)},'
-                f'{d6}"context": {"null" if context is None else _json_string(context)},'
-                f'{d6}"derivation": {"null" if derivation is None else _json_string(derivation)}'
+                f'{d6}"context": {"null" if context is None else json_string(context)},'
+                f'{d6}"derivation": {"null" if derivation is None else json_string(derivation)}'
                 f'{d5}}},{d5}"number": {number}{d4}}}'
             )
         entries.append(
-            f'{{{d3}"headword": {_json_string(headword)},{d3}"pos": {_json_string(pos)},'
+            f'{{{d3}"headword": {json_string(headword)},{d3}"pos": {json_string(pos)},'
             f'{d3}"senses": {_array(written, d3)}{d2}}}'
         )
     return f'{{{d1}"entries": {_array(entries, d1)},{d1}"format": "shabdaanjali"\n}}\n'

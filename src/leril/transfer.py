@@ -64,10 +64,6 @@ class FrameElement(NamedTuple):
     value: str
 
 
-class SlotBinding(NamedTuple):
-    bindings: Mapping[str, tuple[str, ...]]
-
-
 OPTIONAL_POLICIES = ("include", "drop", "bracket")
 
 
@@ -147,12 +143,13 @@ def tokenize_sentence(sentence: str) -> list[str]:
 
 def match_frame(
     frame: tuple[FrameElement, ...], sentence: list[str], folded: list[str] | None = None
-) -> SlotBinding | None:
+) -> dict[str, tuple[str, ...]] | None:
     """Match the elements of a source frame against tokenized sentence text.
 
     ``folded`` holds ``inflection_fold`` of each sentence token; a caller
     that tries many frames on one sentence folds it once and passes it.
-    Returns the slot binding, or None when no assignment exists.
+    Returns the binding, each slot letter to its span of tokens, or None
+    when no assignment exists; a frame of only literals binds ``{}``.
     """
     if folded is None:
         folded = [inflection_fold(token) for token in sentence]
@@ -198,11 +195,13 @@ def match_frame(
             t = end
         elif el.kind == "literal" or (t < n and folded[t] == fold and after[t + 1]):
             t += 1
-    return SlotBinding(bindings)
+    return bindings
 
 
 def render_target(
-    frame: tuple[FrameElement, ...], binding: SlotBinding, optional_policy: str = "include"
+    frame: tuple[FrameElement, ...],
+    binding: Mapping[str, Sequence[str]],
+    optional_policy: str = "include",
 ) -> str:
     """Substitute captured spans into the elements of a target frame.
 
@@ -214,7 +213,7 @@ def render_target(
     out: list[str] = []
     for el in frame:
         if el.kind == "slot":
-            span = binding.bindings.get(el.value)
+            span = binding.get(el.value)
             if not span:
                 raise TransferError(f"slot {el.value} is unbound")
             out.extend(span)
@@ -275,7 +274,7 @@ def gloss_index(records: Sequence[TlgRecord]) -> dict[str, str]:
 class TransferMatch(NamedTuple):
     label: str
     output: str
-    binding: SlotBinding
+    binding: dict[str, tuple[str, ...]]
 
 
 def transfer_pairs(
@@ -325,15 +324,13 @@ def transfer_pairs(
             continue
         shown = binding
         if glosses is not None:
-            shown = SlotBinding(
-                {
-                    letter: tuple(
-                        f"{tok}{{={glosses[tok.lower()]}}}" if tok.lower() in glosses else tok
-                        for tok in span
-                    )
-                    for letter, span in binding.bindings.items()
-                }
-            )
+            shown = {
+                letter: [
+                    f"{tok}{{={glosses[tok.lower()]}}}" if tok.lower() in glosses else tok
+                    for tok in span
+                ]
+                for letter, span in binding.items()
+            }
         try:
             output = render_target(target, shown, optional_policy)
         except TransferError as exc:

@@ -273,13 +273,12 @@ def validate_tlg(record: TlgRecord, policy: str = "lenient") -> list[Diagnostic]
     Errors: a meaning without an English example or without any natural
     translation. Warnings: an empty or half-empty frame pair, target-frame
     slots that the source frame never binds, and (strict policy only) a
-    TR_ENG-INFLNC line that is present but empty.
+    TR_ENG-INFLNC line that is present but empty. A record without meanings
+    passes: ``parse_tlg`` warns about it, with its line.
     """
     if policy not in ("strict", "lenient"):
         raise ValueError(f"unknown validation policy: {policy!r}")
     diagnostics: list[Diagnostic] = []
-    if not record.meanings:
-        diagnostics.append(warning(f"record '{record.headword}' has no meanings"))
     for m in record.meanings:
         if not m.eng_exp:
             diagnostics.append(

@@ -185,7 +185,7 @@ def test_criterion_8_slot_recovery_brute_force():
                         sentence.append(el.value)
                 binding = match_frame(frame, sentence)
                 cases += 1
-                if binding is None or binding.bindings != planted:
+                if binding is None or binding != planted:
                     mismatches += 1
     assert cases == 2 * len(spans) * len(spans)
     assert mismatches == 0

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from unittest import mock
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treegen import children, enumerate_trees, make_tree, random_tree
+from treegen import children, enumerate_trees, make_tree, random_tree, to_interchange
 
 from leril import anncorra
 from leril.anncorra import (
@@ -27,7 +28,6 @@ from leril.anncorra import (
     parse_sentence,
     parse_token,
     resolve,
-    to_interchange,
 )
 from leril.diagnostics import Severity, has_errors
 
@@ -573,9 +573,22 @@ def test_round_trip_property(seed, n):
     assert back == tree
 
 
-def test_interchange_shape(registry, explicit_line):
+def test_columns(registry, explicit_line):
     tree, _ = parse_sentence(explicit_line, registry)
-    doc = to_interchange(tree)
+    assert tree.columns == (
+        "rAma_ne phala kATakara pAnI piyA", "k1 k2 kr k2 -", "- - - - v", [4, 2, 4, 4, None]
+    )
+
+
+def test_interchange_shape(registry, explicit_line):
+    tree, _ = parse_sentence("[" + explicit_line + "]<s>", registry)
+    records = [(('"s1"', "7"), *tree.columns, tree.groups)]
+    text = anncorra.emit_interchange("anncorra", "sentences", ("id", "line"), records)
+    sentence = {"id": "s1", "line": 7, "tree": to_interchange(tree)}
+    doc = {"format": "anncorra", "sentences": [sentence]}
+    assert text == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    doc = json.loads(text)["sentences"][0]["tree"]
+    assert doc["groups"] == [{"start": 0, "stop": 5, "tag": "s"}]
     assert doc["root"] == 4
     assert doc["nodes"][2] == {
         "position": 2,

@@ -1,17 +1,22 @@
+import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from treegen import random_tree, to_interchange
 
 import leril
 from leril import cli
+from leril.anncorra import Group, default_registry, emit_explicit, parse_sentence
 from leril.cli import _dump_json, run
 
 GO_DICT = "tests/fixtures/go.dict"
@@ -82,6 +87,12 @@ class TestTlg:
         code, out, err = _run(capsys, "tlg", "validate", str(broken))
         assert code == 2
         assert "TR_NAT" in err
+
+    def test_validate_reports_a_record_without_meanings_once(self, capsys, tmp_path):
+        path = tmp_path / "no-meanings.tlg"
+        path.write_text('HEADWORD::"go","V"\n' + (ROOT / GO_TLG).read_text(encoding="utf-8"))
+        code, out, err = _run(capsys, "tlg", "validate", str(path))
+        assert (code, out, err) == (0, "", "warning: record 'go' has no meanings (line 1)\n")
 
     def test_validate_strict_warnings_exit_1(self, capsys):
         # the empty TR_ENG-INFLNC lines in the fixture warn under strict
@@ -706,6 +717,54 @@ class TestExitCodes:
         code, out, err = _run(capsys, "corpus", "stats", "--store", str(store))
         tagset = store / "tagset.cfg"
         assert (code, out, err) == (3, "", f"error: {tagset}: not UTF-8 text at byte 22\n")
+
+
+# (seed, nodes, groups, kind): a random tree's explicit line, with "# id" or
+# without, or a line that does not parse in place of it
+_SENTENCES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=2**31),
+        st.integers(min_value=1, max_value=7),
+        st.booleans(),
+        st.sampled_from(["id", "no id", "fails"]),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SENTENCES)
+@example([])
+@example([(1, 3, True, "id"), (2, 1, False, "no id"), (3, 2, False, "fails")])
+def test_anncorra_parse_writes_the_json_dumps_text(sentences):
+    registry = default_registry()
+    lines, expected = [], []
+    for k, (seed, n, grouped, kind) in enumerate(sentences):
+        rng = random.Random(seed)
+        tree = random_tree(rng, n=n)
+        if grouped:
+            start = rng.randrange(n)
+            tree = tree._replace(groups=[Group(start, rng.randint(start + 1, n), "s")])
+        line = emit_explicit(tree)
+        sentence_id = None if kind == "no id" else f"s{k}"
+        if sentence_id is not None:
+            lines.append(f"# {sentence_id}")
+        if kind == "fails":
+            lines.append(line + " x/k1->z9")  # an undefined index label
+            continue
+        lines.append(line)
+        parsed, _ = parse_sentence(line, registry)
+        expected.append({"id": sentence_id, "line": len(lines), "tree": to_interchange(parsed)})
+    data = "".join(line + "\n" for line in lines).encode("utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(data))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["anncorra", "parse", "-"])
+    doc = {"format": "anncorra", "sentences": expected}
+    assert out.getvalue() == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    failing = sum(kind == "fails" for *_, kind in sentences)
+    assert err.getvalue().count("undefined index label 'z9'") == failing
+    assert code == (2 if failing else 0)
 
 
 SUBCOMMANDS = {

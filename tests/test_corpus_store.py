@@ -16,10 +16,10 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from treegen import random_tree
+from treegen import random_tree, to_interchange
 
 import leril.corpus_store as corpus_store_module
-from leril.anncorra import Group, emit_explicit, parse_sentence, to_interchange
+from leril.anncorra import Group, emit_explicit, parse_sentence
 from leril.cli import run
 from leril.corpus_store import SIDECAR_VERSION, CorpusError, CorpusStore, StoreLockedError
 from leril.diagnostics import Severity

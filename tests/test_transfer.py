@@ -9,7 +9,6 @@ from leril.diagnostics import info, warning
 from leril.transfer import (
     FrameElement,
     FrameError,
-    SlotBinding,
     TransferError,
     TransferMatch,
     _frame_error,
@@ -180,14 +179,14 @@ class TestMatchFrame:
     def test_simple_sentence(self):
         frame = parse_frame("A goes to B")
         binding = match_frame(frame, tokenize_sentence("I go to school."))
-        assert binding.bindings == {"A": ("I",), "B": ("school",)}
+        assert binding == {"A": ("I",), "B": ("school",)}
 
     def test_multiword_spans(self):
         frame = parse_frame("A goes into B")
         binding = match_frame(
             frame, tokenize_sentence("These clothes go into that suitcase.")
         )
-        assert binding.bindings == {
+        assert binding == {
             "A": ("These", "clothes"),
             "B": ("that", "suitcase"),
         }
@@ -200,7 +199,7 @@ class TestMatchFrame:
         frame = parse_frame("A x B")
         binding = match_frame(frame, ["p", "x", "q", "x", "r"])
         # A takes the shortest span that still lets the rest match
-        assert binding.bindings == {"A": ("p",), "B": ("q", "x", "r")}
+        assert binding == {"A": ("p",), "B": ("q", "x", "r")}
 
     @pytest.mark.parametrize("n", [200, 400])
     def test_long_no_match_with_many_slots(self, n):
@@ -215,7 +214,7 @@ class TestMatchFrame:
         sentence[200:202] = ["going", "to"]  # first place the rest can match
         sentence[300:302] = ["go", "to"]
         binding = match_frame(frame, sentence)
-        assert binding.bindings == {
+        assert binding == {
             "A": ("w0",),
             "B": ("w1",),
             "C": tuple(sentence[2:200]),
@@ -223,10 +222,16 @@ class TestMatchFrame:
             "E": tuple(sentence[203:]),
         }
 
+    def test_frame_of_only_literals_binds_nothing(self):
+        # an empty binding is falsy: a miss is None
+        assert match_frame(parse_frame("go home"), ["going", "home"]) == {}
+        matches, _ = transfer_pairs([("literal frames", "go home", "ghara jAo")], "Go home!")
+        assert [(m.output, m.binding) for m in matches] == [("ghara jAo", {})]
+
     def test_frame_longer_than_the_recursion_limit(self):
         frame = parse_frame(" ".join(["goes"] * 1500 + ["A"]))
         binding = match_frame(frame, ["go"] * 1500 + ["home"])
-        assert binding.bindings == {"A": ("home",)}
+        assert binding == {"A": ("home",)}
 
 
 _COLLIDING = ["go", "goes", "going", "Goed", "is", "to", "tos"]
@@ -280,28 +285,28 @@ def test_match_frame_agrees_with_brute_force(frame, sentence):
     expected = _reference_match(frame, sentence)
     folded = [inflection_fold(token) for token in sentence]
     for binding in (match_frame(frame, sentence), match_frame(frame, sentence, folded)):
-        assert (None if binding is None else dict(binding.bindings)) == expected
+        assert binding == expected
 
 
 class TestRenderTarget:
     def test_include_policy(self):
         frame = parse_frame("A B [ko] jAtA hai")
-        binding = SlotBinding({"A": ("I",), "B": ("school",)})
+        binding = {"A": ("I",), "B": ("school",)}
         assert render_target(frame, binding) == "I school ko jAtA hai"
 
     def test_bracket_policy(self):
         frame = parse_frame("A B [ko] jAtA hai")
-        binding = SlotBinding({"A": ("I",), "B": ("school",)})
+        binding = {"A": ("I",), "B": ("school",)}
         assert render_target(frame, binding, "bracket") == "I school [ko] jAtA hai"
 
     def test_drop_policy(self):
         frame = parse_frame("A B [ko] jAtA hai")
-        binding = SlotBinding({"A": ("I",), "B": ("school",)})
+        binding = {"A": ("I",), "B": ("school",)}
         assert render_target(frame, binding, "drop") == "I school jAtA hai"
 
     def test_multiword_literal_stays_joined(self):
         frame = parse_frame("A B meM rakhA_jAtA_hai")
-        binding = SlotBinding({"A": ("These", "clothes"), "B": ("that", "suitcase")})
+        binding = {"A": ("These", "clothes"), "B": ("that", "suitcase")}
         assert (
             render_target(frame, binding)
             == "These clothes that suitcase meM rakhA_jAtA_hai"
@@ -310,7 +315,7 @@ class TestRenderTarget:
     def test_unbound_slot_names_the_letter(self):
         frame = parse_frame("A B jAtA hai")
         with pytest.raises(TransferError, match="slot B"):
-            render_target(frame, SlotBinding({"A": ("I",)}))
+            render_target(frame, {"A": ("I",)})
 
 
 class TestTransferSentence:
@@ -331,7 +336,7 @@ class TestTransferSentence:
         assert [(m.label, m.output) for m in matches] == [
             ("meaning 1 of 'go'", "I school ko jAtA hai")
         ]
-        assert matches[0].binding == SlotBinding({"A": ("I",), "B": ("school",)})
+        assert matches[0].binding == {"A": ("I",), "B": ("school",)}
 
     def test_suitcase_sentence_matches_meaning_2(self, go_records):
         matches, _ = self._transfer(go_records, "These clothes go into that suitcase.")
@@ -366,7 +371,7 @@ class TestTransferSentence:
         pairs = [("literal frames", "A likes B", "A B [ko] pasanda karatA hai")]
         matches, _ = transfer_pairs(pairs, "Go likes go.", "drop", glosses)
         assert matches[0].output == "Go{=jAnA} go{=jAnA} pasanda karatA hai"
-        assert matches[0].binding == SlotBinding({"A": ("Go",), "B": ("go",)})
+        assert matches[0].binding == {"A": ("Go",), "B": ("go",)}
 
 
 def _render_source(
@@ -397,7 +402,7 @@ def test_slot_recovery_brute_force(pattern):
             sentence = _render_source(frame, planted)
             binding = match_frame(frame, sentence)
             assert binding is not None
-            assert binding.bindings == planted
+            assert binding == planted
 
 
 @given(
@@ -407,7 +412,7 @@ def test_slot_recovery_brute_force(pattern):
 )
 def test_render_token_count(a_span, b_span, policy):
     frame = parse_frame("A B [ko] jAtA hai")
-    binding = SlotBinding({"A": tuple(a_span), "B": tuple(b_span)})
+    binding = {"A": tuple(a_span), "B": tuple(b_span)}
     rendered = render_target(frame, binding, policy).split()
     literal_count = 2 + (0 if policy == "drop" else 1)
     assert len(rendered) == literal_count + len(a_span) + len(b_span)
@@ -432,11 +437,11 @@ def _reference_transfer_pairs(pairs, sentence, optional_policy="include", glosse
             continue
         shown = binding
         if glosses is not None:
-            shown = SlotBinding({
+            shown = {
                 letter: tuple(f"{t}{{={glosses[t.lower()]}}}" if t.lower() in glosses else t
                               for t in span)
-                for letter, span in binding.bindings.items()
-            })
+                for letter, span in binding.items()
+            }
         try:
             output = render_target(target, shown, optional_policy)
         except TransferError as exc:

@@ -1,4 +1,5 @@
-"""Tree construction, exhaustive enumeration and random sampling helpers."""
+"""Tree construction, exhaustive enumeration and random sampling helpers,
+and the reference dict of a tree's interchange JSON."""
 
 import random
 from itertools import product
@@ -14,6 +15,26 @@ def make_tree(parents, rel_tags, node_tags, surfaces=None):
     surfaces = surfaces or [f"w{p}" for p in range(len(parents))]
     assert list(parents).count(None) == 1
     return DepTree([DepNode(*node) for node in zip(surfaces, rel_tags, node_tags, parents)], [])
+
+
+def to_interchange(tree):
+    """The ``"tree"`` member of the interchange documents, as a dict that
+    ``json.dumps`` writes: the reference ``anncorra.emit_interchange`` is
+    tested against."""
+    return {
+        "nodes": [
+            {
+                "position": p,
+                "surface": n.surface,
+                "rel": n.rel_tag,
+                "node": n.node_tag,
+                "parent": n.parent,
+            }
+            for p, n in enumerate(tree.nodes)
+        ],
+        "root": tree.root,
+        "groups": [{"start": g.start, "stop": g.stop, "tag": g.tag} for g in tree.groups],
+    }
 
 
 def children(tree):
