@@ -23,8 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,75 +66,6 @@ def _read_text(path: str) -> str:
     return utf8_text(sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes(), path)
 
 
-_JSON_SCALARS = {
-    str: json_string,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda _value: "null",
-}
-
-
-def _dump_json(doc) -> str:
-    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``,
-    with each NamedTuple written as the object of its fields.
-
-    ``doc`` holds dicts with str keys, lists, tuples, NamedTuples, str, int,
-    finite float, bool and None, matched by exact type; a plain tuple is an
-    array. json.dumps with ``indent`` recurses once per nesting level; this
-    loop keeps the open containers on a stack, so no document is too deep.
-    Scalars, empty containers and arrays of only str are written as they are met.
-    """
-    out: list[str] = []
-    write = out.append
-    # each NamedTuple class met, sorted once a call: its quoted keys in order, and a getter of
-    # its fields in that order (None when it is the field order)
-    orders: dict = {}
-    # open containers, innermost last: (members left, their indent, closing text); the
-    # document is the member of a root whose indent adds a newline, cut from the first piece
-    stack: list = [(iter((("", doc),)), "\n", "\n")]
-    sep = ""
-    while stack:
-        members, indent, closing = stack[-1]
-        for key, value in members:
-            kind = type(value)
-            scalar = _JSON_SCALARS.get(kind)
-            if scalar is not None:
-                write(f"{sep}{indent}{key}{scalar(value)}")
-            elif not value:
-                write(f"{sep}{indent}{key}{'[]' if kind is list or kind is tuple else '{}'}")
-            elif (kind is list or kind is tuple) and {*map(type, value)} == {str}:
-                items = f",{indent}  ".join(map(json_string, value))
-                write(f"{sep}{indent}{key}[{indent}  {items}{indent}]")
-            else:
-                break
-            sep = ","
-        else:
-            stack.pop()
-            write(closing)
-            sep = ","
-            continue
-        if kind is list or kind is tuple:
-            brackets, fields = "[]", zip(repeat(""), value)
-        elif kind is dict:
-            brackets = "{}"
-            fields = ((json_string(k) + ": ", v) for k, v in sorted(value.items()))
-        else:  # a NamedTuple: the object of its fields
-            order = orders.get(kind)
-            if order is None:
-                ranked = sorted(range(len(value)), key=kind._fields.__getitem__)
-                keys = [json_string(kind._fields[k]) + ": " for k in ranked]
-                getter = None if ranked == sorted(ranked) else itemgetter(*ranked)
-                order = orders[kind] = keys, getter
-            keys, getter = order
-            brackets, fields = "{}", zip(keys, value if getter is None else getter(value))
-        write(f"{sep}{indent}{key}{brackets[0]}")
-        stack.append((fields, indent + "  ", indent + brackets[1]))
-        sep = ""
-    out[0] = out[0][1:]
-    return "".join(out)
-
-
 def _load_registry(args) -> TagRegistry | None:
     """The registry of --tagset, else of $LERIL_TAGSET; None when neither is set."""
     from . import anncorra
@@ -148,6 +77,13 @@ def _load_registry(args) -> TagRegistry | None:
 def _print(text: str) -> None:
     if text:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
+
+
+def _print_json(doc) -> None:
+    """Print ``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"``."""
+    import json  # here, so that the commands with their own writer never load it
+
+    _print(json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------- dict
@@ -187,7 +123,8 @@ def _cmd_tlg_parse(args):
 
     records, diags = translexgram.parse_tlg(_read_text(args.file))
     if args.format == "interchange":
-        _print(_dump_json({"format": "translexgram", "records": records}))
+        doc = [{**r._asdict(), "meanings": [m._asdict() for m in r.meanings]} for r in records]
+        _print_json({"format": "translexgram", "records": doc})
     else:
         _print(translexgram.emit_tlg(records))
     return diags
@@ -281,7 +218,7 @@ def _cmd_sutra_parse_formula(args):
     from . import shabdasutra
 
     formulas, diags = shabdasutra.parse_formula_file(_read_text(args.file))
-    _print(_dump_json({"formulas": [shabdasutra.formula_to_interchange(f) for f in formulas]}))
+    _print(shabdasutra.emit_interchange(formulas))
     return diags
 
 
@@ -289,7 +226,7 @@ def _cmd_sutra_parse_thread(args):
     from . import shabdasutra
 
     threads, diags = shabdasutra.parse_thread_file(_read_text(args.file))
-    _print(_dump_json({"threads": threads}))
+    _print_json({"threads": [{"stages": [s._asdict() for s in t.stages]} for t in threads]})
     return diags
 
 
@@ -400,8 +337,10 @@ def _cmd_corpus_read(args):  # ``corpus stats`` and ``corpus export``
     from . import corpus_store
 
     with corpus_store.CorpusStore(args.store, "r", _load_registry(args)) as store:
-        stats = args.subcommand == "stats"
-        _print(_dump_json(store.stats()) if stats else store.export(args.format))
+        if args.subcommand == "stats":
+            _print_json(store.stats()._asdict())
+        else:
+            _print(store.export(args.format))
     return store.diagnostics
 
 

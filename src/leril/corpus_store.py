@@ -73,6 +73,7 @@ from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, NamedTuple
+from zlib import crc32
 
 from .anncorra import NO_TAG, DepTree, TagRegistry, default_registry, emit_interchange
 from .anncorra import iter_sentences, load_tagset, parse_sentence
@@ -166,7 +167,7 @@ class CorpusStore:
         self._files: dict[str, _DataFile] = {}  # by language, in file name order
         self._rows: dict[str, list] = {}  # id to summary row, for lookups
         try:
-            self._tagset = _crc32(self.registry.signature().encode("utf-8"))
+            self._tagset = crc32(self.registry.signature().encode("utf-8"))
             for data_file in sorted(self.path.glob("*.anncorra")):
                 self._load(data_file)
         except Exception:
@@ -299,7 +300,7 @@ class CorpusStore:
         view, f.end = memoryview(data), covered
         for lineno, auto in parsed:
             end = covered + ends[lineno - 1]
-            f.crc = _crc32(view[f.end : end], f.crc)
+            f.crc = crc32(view[f.end : end], f.crc)
             f.marks.append([end, f.crc, f.lines + lineno, auto])
             f.end = end
         f.lines += last_record
@@ -371,7 +372,7 @@ class CorpusStore:
             self._files = dict(sorted(self._files.items(), key=lambda item: item[1].path))
         payload = text.encode("utf-8")
         f.append(payload, f.end + len(f.trailer))
-        f.crc = _crc32(f.trailer + payload, f.crc)
+        f.crc = crc32(f.trailer + payload, f.crc)
         f.end += len(f.trailer) + len(payload)
         f.lines += f.trailer_lines + 2
         f.trailer, f.trailer_lines, f.stale = b"", 0, True
@@ -444,12 +445,6 @@ class CorpusStore:
         raise ValueError(f"unknown export format: {format!r}")
 
 
-def _crc32(data, value: int = 0) -> int:
-    import zlib  # here, so that commands without a store never load it
-
-    return zlib.crc32(data, value)
-
-
 def _sidecar_path(data_file: Path) -> Path:
     return data_file.with_name(data_file.name + ".idx")
 
@@ -481,7 +476,7 @@ def _read_sidecar(
         or header["tagset"] != tagset
         # both block lengths at least 0, and both blocks after the header
         or not 0 <= header["trees"] <= header["trees"] + header["marks"] <= len(raw) - start
-        or header["crc"] != _crc32(memoryview(raw)[start:])
+        or header["crc"] != crc32(memoryview(raw)[start:])
     ):
         return None
     marks_at = len(raw) - header["marks"]
@@ -497,7 +492,7 @@ def _read_sidecar(
     covered, crc, *_ = point = last[0]
     if (
         0 <= covered <= len(data)
-        and crc == _crc32(memoryview(data)[:covered])
+        and crc == crc32(memoryview(data)[:covered])
         and _ends_line(data, covered)
     ):
         return point, rows, body, trees, marks, False
@@ -571,7 +566,7 @@ def _kept(data: bytes, points: list[list]) -> int:
     and does not end a line there."""
     view, crc, start, kept = memoryview(data), 0, 0, 0
     for count, (end, point_crc, _lines, _auto) in enumerate(points, 1):
-        crc = _crc32(view[start:end], crc)
+        crc = crc32(view[start:end], crc)
         if crc != point_crc:
             break
         start = end
@@ -605,7 +600,7 @@ def _write_sidecar(f: _DataFile, tagset: int) -> None:
     blocks = (f.body, rows, f.trees_body, trees, f.marks_body, marks)
     crc = 0
     for block in blocks:
-        crc = _crc32(block, crc)
+        crc = crc32(block, crc)
     values = (
         SIDECAR_VERSION, tagset, len(f.trees_body) + len(trees), len(f.marks_body) + len(marks), crc
     )

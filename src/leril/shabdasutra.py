@@ -27,9 +27,9 @@ are loops over the levels, so no nesting depth is too deep for them either.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .diagnostics import Diagnostic, LerilError, error, split_lines, warning
+from .diagnostics import Diagnostic, LerilError, error, json_string, split_lines, warning
 
 
 class SutraParseError(LerilError):
@@ -138,15 +138,40 @@ def _levels(formula: SutraFormula) -> tuple[tuple[str, ...], tuple[int, ...]]:
         raise ValueError("a formula's heads must be a non-empty tuple of str")
     if len(turns) != len(heads) - 1:
         raise ValueError(f"a formula of {len(heads)} heads needs {len(heads) - 1} turn counts")
+    if any(type(n) is not int or n < 0 for n in turns):
+        raise ValueError("a formula's turn counts must be int, none below 0")
     return heads, turns
 
 
 def emit_formula(formula: SutraFormula) -> str:
     """Canonical text; ``parse_formula(emit_formula(f)) == f``. A formula built
-    by hand that is not one raises ValueError, as in ``formula_to_interchange``."""
+    by hand that is not one raises ValueError, as in ``emit_interchange``."""
     heads, turns = _levels(formula)
     opening = [f"{head}[{'~' * n}{' ' if n else ''}< " for head, n in zip(heads, turns)]
     return "".join(opening) + heads[-1] + "]" * len(turns)
+
+
+def emit_interchange(formulas: Iterable[SutraFormula]) -> str:
+    """``json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\\n"`` of
+    ``{"formulas": [...]}``. A formula is ``{"derivation", "head"}`` of its outermost head,
+    its derivation null or ``{"source", "turn_count"}`` with the next formula in as its
+    source. Written as an opening and a closing piece per level, joined once."""
+    out = ['{\n  "formulas": [']
+    for formula in formulas:
+        heads, turns = _levels(formula)
+        out.append(",\n    " if len(out) > 1 else "\n    ")
+        closing, pad = [], "\n    "
+        for head, turn_count in zip(heads, turns):
+            out.append(f'{{{pad}  "derivation": {{{pad}    "source": ')
+            closing.append(
+                f',{pad}    "turn_count": {turn_count}{pad}  }},'
+                f'{pad}  "head": {json_string(head)}{pad}}}'
+            )
+            pad += "    "
+        out.append(f'{{{pad}  "derivation": null,{pad}  "head": {json_string(heads[-1])}{pad}}}')
+        out += reversed(closing)
+    out.append("\n  ]\n}\n" if len(out) > 1 else "]\n}\n")
+    return "".join(out)
 
 
 _EG_RE = re.compile(r"\beg\s*:")
@@ -314,11 +339,3 @@ def _locate(block: list[tuple[int, str]], position: int | None) -> tuple[int, in
                 position -= len(run.group()) + 1
     return block[0][0], None
 
-
-def formula_to_interchange(formula: SutraFormula) -> dict:
-    """JSON-shaped export of a formula, nested from its innermost source out."""
-    heads, turns = _levels(formula)
-    doc: dict = {"head": heads[-1], "derivation": None}
-    for head, turn_count in zip(heads[-2::-1], turns[::-1]):
-        doc = {"head": head, "derivation": {"turn_count": turn_count, "source": doc}}
-    return doc

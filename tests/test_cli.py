@@ -6,7 +6,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import NamedTuple
 from unittest import mock
 
 import pytest
@@ -17,7 +16,9 @@ from treegen import random_tree, to_interchange
 import leril
 from leril import cli
 from leril.anncorra import Group, default_registry, emit_explicit, parse_sentence
-from leril.cli import _dump_json, run
+from leril.cli import run
+from leril.corpus_store import CorpusStore
+from leril.shabdasutra import parse_thread_file
 
 GO_DICT = "tests/fixtures/go.dict"
 GO_TLG = "tests/fixtures/go.tlg"
@@ -889,9 +890,15 @@ class TestImports:
         )
         assert out.split()[-1] == "False"  # dataclasses
 
-    def test_dict_parse_leaves_the_json_package_unloaded(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [("dict", "parse", GO_DICT), ("sutra", "parse-formula", "tests/fixtures/issue.formula")],
+        ids=["dict-parse", "sutra-parse-formula"],
+    )
+    def test_its_own_writer_leaves_the_json_package_unloaded(self, argv):
         code = _IMPORTS_AFTER_RUN + 'print([m for m in sys.modules if m.startswith("json")])'
-        out = _fresh_python(code, "dict", "parse", GO_DICT)
+        out = _fresh_python(code, *argv)
+        assert out.split()[0] == "0"
         assert out.splitlines()[-1] == "[]"
 
     def test_import_leril_loads_a_layer_on_first_access(self):
@@ -910,32 +917,6 @@ class TestImports:
         ]
 
 
-class _Fields(NamedTuple):  # declared out of key order
-    zeta: object
-    alpha: object
-    mid: object = None
-
-
-class _NoFields(NamedTuple):
-    pass
-
-
-_odd_text = st.text(alphabet='aZ"\\/\x00\x1f\x7f \u00e9\u2028\U0001f600')
-_json_docs = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | _odd_text
-    | st.just(_NoFields()),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(_odd_text, inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.builds(_Fields, inner, inner, inner),
-    max_leaves=20,
-)
-
-
 def _plain(value):
     """``value`` with each NamedTuple as the dict of its fields and each tuple a list."""
     if hasattr(value, "_asdict"):
@@ -947,27 +928,26 @@ def _plain(value):
     return value
 
 
-@given(_json_docs)
-@example(["a", 'q"\\', ""])  # an array of only str
-@example(("x", "\u2028"))
-@example(["a", 1, "b"])  # str first, then not
-@example(_Fields(["a", "b"], ("c",), {"k": ["d"]}))  # str arrays as members, indented
-@example(_Fields(_Fields("a", None, 1.5), [], ()))  # a NamedTuple nested in one, empty arrays
-@example(_Fields({}, {"k": []}, _NoFields()))  # empty objects as field values
-@example([_Fields(1, 2, 3), _Fields("z", "a", "m")])  # field order is not key order
-def test_dump_json_matches_json_dumps(doc):
-    expected = json.dumps(_plain(doc), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    assert _dump_json(doc) == expected
+def _json_text(doc) -> str:
+    return json.dumps(_plain(doc), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
 
 
-def test_dump_json_of_2000_nested_containers():
-    doc = "leaf"
-    for k in range(1000):
-        doc = {"k": [doc, k]}
-    opening, closing = [], []
-    for k in reversed(range(1000)):
-        pad = "\n" + "    " * (999 - k)
-        opening.append(f'{{{pad}  "k": [{pad}    ')
-        closing.append(f",{pad}    {k}{pad}  ]{pad}}}")
-    expected = "".join(opening) + '"leaf"' + "".join(reversed(closing)) + "\n"
-    assert _dump_json(doc) == expected
+@pytest.mark.parametrize("name", ["issue.thread", "issue_examples.thread"])
+def test_parse_thread_writes_the_json_dumps_text(capsys, fixtures_dir, name):
+    threads, _ = parse_thread_file((fixtures_dir / name).read_text(encoding="utf-8"))
+    code, out, err = _run(capsys, "sutra", "parse-thread", str(fixtures_dir / name))
+    assert (code, err) == (0, "")
+    assert out == _json_text({"threads": threads})
+
+
+@pytest.mark.parametrize("sentences", [None, SENTENCES])
+def test_corpus_stats_writes_the_json_dumps_text(capsys, tmp_path, sentences):
+    store = tmp_path / "store"
+    if sentences is None:
+        store.mkdir()
+    else:
+        assert _run(capsys, "corpus", "add", sentences, "--store", str(store))[0] == 0
+    with CorpusStore(store, "r") as opened:
+        stats = opened.stats()
+    assert stats.sentences == (0 if sentences is None else 2)
+    assert _run(capsys, "corpus", "stats", "--store", str(store)) == (0, _json_text(stats), "")

@@ -237,6 +237,25 @@ class TestPersistence:
             with CorpusStore(path, "r") as reader:
                 assert len(reader) == 1
 
+    def test_an_added_auto_id_and_a_line_appended_without_one_collide(self, capsys, tmp_path):
+        # A known gap: `corpus add` writes `# und-1` for an id-less sentence, and a line
+        # appended by hand without `# id` is read as `und-1` too. Every corpus command then
+        # fails with exit 3, also once the sidecar is deleted.
+        path, source = tmp_path / "store", tmp_path / "one.anncorra"
+        source.write_text("x/k1 y::v\n")
+        assert run(["corpus", "add", str(source), "--store", str(path)]) == 0
+        assert capsys.readouterr().out == "und-1\n"
+        with open(path / "und.anncorra", "a") as fh:
+            fh.write("z/k2 w::v\n")
+        message = f"error: {path / 'und.anncorra'}:3: duplicate sentence id 'und-1'\n"
+        commands = [["corpus", "stats"], ["corpus", "export"], ["corpus", "add", str(source)]]
+        for sidecar in (True, False):
+            if not sidecar:
+                (path / "und.anncorra.idx").unlink()
+            for argv in commands:
+                assert run([*argv, "--store", str(path)]) == 3, (argv, sidecar)
+                assert capsys.readouterr() == ("", message), (argv, sidecar)
+
 
 class TestQuery:
     def test_query_k2(self, store, explicit_line):

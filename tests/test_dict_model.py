@@ -4,7 +4,6 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leril.cli import _dump_json
 from leril.diagnostics import Severity
 from leril.dict_model import (
     DictEntry,
@@ -298,5 +297,4 @@ def _plain(value):
 def test_interchange_is_the_text_json_dumps_writes(entries):
     plain = {"format": "shabdaanjali", "entries": _plain(entries)}
     expected = json.dumps(plain, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-    assert _dump_json({"format": "shabdaanjali", "entries": entries}) == expected
     assert emit_interchange(Dictionary(entries)) == expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leril.cli import _dump_json, run
+from leril.cli import run
 from leril.diagnostics import Severity
 from leril.shabdasutra import (
     SenseThread,
@@ -13,7 +13,7 @@ from leril.shabdasutra import (
     ThreadStage,
     check_consistency,
     emit_formula,
-    formula_to_interchange,
+    emit_interchange,
     load_aliases,
     parse_formula,
     parse_formula_file,
@@ -138,13 +138,15 @@ class TestEmit:
             (SutraFormula(["a", "b"], (1,)), "heads must be a non-empty tuple of str"),
             (SutraFormula(("a", "b")), "a formula of 2 heads needs 1 turn counts"),
             (SutraFormula(("a",), (1,)), "a formula of 1 heads needs 0 turn counts"),
+            (SutraFormula(("a", "b"), (True,)), "turn counts must be int, none below 0"),
+            (SutraFormula(("a", "b"), (-1,)), "turn counts must be int, none below 0"),
         ],
     )
     def test_a_hand_built_formula_that_is_not_one_is_refused(self, formula, message):
         with pytest.raises(ValueError, match=message):
             emit_formula(formula)
         with pytest.raises(ValueError, match=message):
-            formula_to_interchange(formula)
+            emit_interchange([SutraFormula(("a",)), formula])
 
     def test_thread_round_trip(self):
         thread = parse_thread(ISSUE_THREAD)
@@ -363,8 +365,7 @@ _odd_head = st.text(alphabet='aS"\\\x00\x1f\u00e9\u2028\U0001f600', min_size=1, 
     )
 )
 def test_formulas_json_matches_json_dumps(formulas):
-    doc = {"formulas": [formula_to_interchange(f) for f in formulas]}
-    assert _dump_json(doc) == _json_reference(formulas)
+    assert emit_interchange(formulas) == _json_reference(formulas)
 
 
 def test_formulas_json_of_a_deep_formula(capsys, fixtures_dir, tmp_path):
@@ -395,10 +396,6 @@ def test_formula_100000_levels_deep_round_trips():
     assert repr(parsed).startswith("SutraFormula(heads=('h99999', 'h99998', ")
     assert hash(parsed) == hash(formula)
     assert emit_formula(parsed) == text
-    doc, depth = formula_to_interchange(parsed), 0
-    while doc["derivation"] is not None:
-        doc, depth = doc["derivation"]["source"], depth + 1
-    assert (doc["head"], depth) == ("h0", 99_999)
 
 
 def _deep_json(depth: int) -> str:

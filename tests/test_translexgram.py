@@ -1,12 +1,15 @@
+import contextlib
+import io
 import json
 import re
+import sys
 from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leril import translexgram
-from leril.cli import _dump_json
+from leril.cli import run
 from leril.diagnostics import Severity, has_errors
 from leril.dict_model import parse_dictionary
 from leril.translexgram import (
@@ -251,18 +254,48 @@ def test_emit_parse_round_trip(records):
     assert reparsed == records
 
 
+def _tlg_parse(text: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``tlg parse`` on ``text`` read from stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8")))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(["tlg", "parse", "-"])
+    return code, out.getvalue(), err.getvalue()
+
+
 def test_interchange_shape(go_tlg_text):
     records, _ = parse_tlg(go_tlg_text)
     assert records[0].meanings[0].tr_nat == ("maiM skUla jAtA hUM.",)
     assert records[0].meanings[1].frame_i == "A B meM rakhA_jAtA_hai"
     # the interchange document's keys are the field names
-    doc = json.loads(_dump_json({"format": "translexgram", "records": records}))
+    code, out, _ = _tlg_parse(go_tlg_text)
+    assert code == 0
+    doc = json.loads(out)
     meaning = doc["records"][0]["meanings"][0]
     assert list(doc["records"][0]) == ["headword", "meanings", "pos"]
     assert list(meaning) == sorted(TlgMeaning._fields)
     assert meaning["tr_nat"] == ["maiM skUla jAtA hUM."]
     assert meaning["extras"] == []
     assert doc["records"][0]["meanings"][1]["frame_i"] == "A B meM rakhA_jAtA_hai"
+
+
+def _plain(value):
+    """``value`` with each NamedTuple as the dict of its fields and each tuple a list."""
+    if hasattr(value, "_asdict"):
+        return {key: _plain(item) for key, item in value._asdict().items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value
+
+
+@given(st.lists(_records(), max_size=3))
+@example([])
+@example([TlgRecord("go", "V", (TlgMeaning(1, "a\\b", tr_nat=('q"',), extras=(("X", "a\tb"),)),))])
+def test_tlg_parse_writes_the_json_dumps_text(records):
+    doc = {"format": "translexgram", "records": _plain(records)}
+    code, out, err = _tlg_parse(emit_tlg(records))
+    assert out == json.dumps(doc, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert code == 0, err
 
 
 # The field pattern of an earlier reader: its lazy value group ends in
