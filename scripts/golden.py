@@ -2,6 +2,7 @@
 """Golden differential check: what ``leril`` prints here against a base revision.
 
     python scripts/golden.py --base HEAD [--allow GLOB ...]
+    python scripts/golden.py --batch
 
 Builds a fixed, deterministic list of cases and runs every one through
 ``leril.cli.run`` in-process, once with the sources of this working tree
@@ -40,6 +41,16 @@ compared by digest.
 ``--allow GLOB`` (repeatable) names cases whose difference is intended;
 they are listed but do not fail the run. Exit status: 0 when no other case
 differs, 1 otherwise. Standard library only.
+
+``--batch`` checks ``leril batch`` against separate runs, in this working
+tree alone. Every case that a batch line can hold (it sets no LERIL_TAGSET,
+reads no stdin of its own and has at least one argument, none holding a line
+end) runs on its own, and then again through ``leril batch``: the standalone
+cases in one batch, and the commands of each store lifecycle (with sidecars)
+and bench scenario in one batch per stretch between two of its other steps,
+from the same starting state. Each command's framed stdout, its stderr and
+its ``exit N`` line must equal its separate run, and each batch must exit
+with the worst code of its commands.
 """
 
 from __future__ import annotations
@@ -51,6 +62,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -567,12 +580,8 @@ def _normalise(outcome: list, tmp: str) -> list:
     return result
 
 
-def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
-    """Run every case with the leril sources under ``src``; write the outcomes.
-
-    With ``keep``, the store each lifecycle leaves with its sidecars is also
-    copied into ``stores``. The reads then run on a copy of every store there.
-    """
+def _load_run(src: Path):
+    """``leril.cli.run`` of the sources under ``src``, and no other."""
     sys.path.insert(0, str(src))
     import leril
     import leril.cli
@@ -580,7 +589,16 @@ def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
     if Path(leril.__file__).resolve().parent != src.resolve() / "leril":
         raise SystemExit(f"error: imported leril from {leril.__file__}, not {src}")
     os.environ.pop("LERIL_TAGSET", None)
-    run = leril.cli.run
+    return leril.cli.run
+
+
+def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
+    """Run every case with the leril sources under ``src``; write the outcomes.
+
+    With ``keep``, the store each lifecycle leaves with its sidecars is also
+    copied into ``stores``. The reads then run on a copy of every store there.
+    """
+    run = _load_run(src)
     results: dict[str, list] = {}
 
     def record(case: str, cmd: Cmd) -> None:
@@ -628,6 +646,106 @@ def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
     out_path.write_text(json.dumps(results), encoding="utf-8")
 
 
+# ---------------------------------------------------------------- batch
+
+
+def _batchable(cmd: Cmd) -> bool:
+    return (cmd.tagset is None and cmd.stdin is None and bool(cmd.argv)
+            and not any("\n" in arg or "\r" in arg for arg in cmd.argv))
+
+
+def _alone(run, cmd: Cmd) -> list:
+    """``cmd``'s outcome, with the code of a SystemExit (``-h``) as its exit code."""
+    outcome = _execute(run, cmd)
+    if str(outcome[2]).startswith("SystemExit "):
+        outcome[2] = int(outcome[2].split()[1])
+    return outcome
+
+
+def _batched(run, script: Path, cmds: list) -> list:
+    """The outcome of each of ``cmds`` as one ``leril batch`` of them prints
+    it, read back from its framing, then the batch's own exit code."""
+    lines = [shlex.join(cmd.argv) for cmd in cmds]
+    script.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out, err, code = _execute(run, Cmd("batch", ["batch", str(script)]))
+    headers = [f"==> line {k}: {line} <==\n" for k, line in enumerate(lines, 1)]
+    starts, at = [], 0
+    for header in headers:
+        at = out.find(header, at)
+        if at < 0:
+            break
+        starts.append(at)
+        at += len(header)
+    stdouts = [out[start + len(header):end] for start, header, end
+               in zip(starts, headers, starts[1:] + [len(out)])]
+    parts = re.split(r"(?m)^exit (-?\d+)\n", err)  # stderr, code, stderr, code, ..., rest
+    outcomes = [[o, e, int(c)] for o, e, c in zip(stdouts, parts[0::2], parts[1::2])]
+    unframed = out[:starts[0] if starts else len(out)], parts[-1]
+    if any(unframed):  # output before the first header or after the last exit line
+        outcomes.append(["unframed", *unframed])
+    return outcomes + [code]
+
+
+def _steps_outcomes(run, tmp: Path, steps: list, batched: bool) -> list:
+    """The outcomes of the batchable commands of ``steps``, run on their own
+    or, with ``batched``, in one batch per stretch between two other steps;
+    after each stretch, the worst exit code of its commands."""
+    outcomes: list = []
+    stretch: list = []
+
+    def close() -> None:
+        if batched and stretch:
+            outcomes.extend(_batched(run, tmp / "batch.txt", stretch))
+        elif stretch:
+            alone = [_alone(run, cmd) for cmd in stretch]
+            outcomes.extend(alone + [max(code for *_, code in alone)])
+        stretch.clear()
+
+    for item in steps:
+        if isinstance(item, Cmd) and _batchable(item):
+            stretch.append(item)
+            continue
+        close()
+        if isinstance(item, Cmd):
+            _execute(run, item)
+        else:
+            item(tmp / "store")
+    close()
+    return outcomes
+
+
+def batch_check(src: Path) -> int:
+    """Every batchable case alone and in ``leril batch``; 0 when all agree."""
+    run = _load_run(src)
+    differing, cases = [], 0
+    with tempfile.TemporaryDirectory(prefix="golden-batch-") as name:
+        tmp = Path(name)
+        inputs = _inputs(tmp)
+        standalone = _help_cases() + _file_cases(inputs) + _transfer_cases(inputs)
+        sequences = [("standalone", lambda folder: standalone)]
+        sequences += _store_scenarios(inputs)
+        sequences += [(n, steps) for n, steps, _store_case in _bench_scenarios(tmp)]
+        for scenario, steps in sequences:
+            sides = []
+            for batched in (False, True):
+                folder = tmp / "run"
+                folder.mkdir()
+                sides.append(_steps_outcomes(run, folder, steps(folder), batched))
+                shutil.rmtree(folder)
+            alone, batch = sides
+            cases += sum(isinstance(outcome, list) for outcome in alone)
+            if alone != batch:
+                k = next((k for k, pair in enumerate(zip(alone, batch)) if pair[0] != pair[1]),
+                         min(len(alone), len(batch)))
+                differing.append(scenario)
+                print(f"DIFFERS: {scenario}, outcome {k} of {len(alone)}")
+                for side, outcomes in (("alone", alone), ("batch", batch)):
+                    print(f"  {side}: {str(outcomes[k:k + 1])[:300]!r}")
+    print(f"golden batch: {cases} cases in {len(sequences)} scenarios, "
+          f"{len(differing)} scenarios differ")
+    return 1 if differing else 0
+
+
 # ---------------------------------------------------------------- driver
 
 
@@ -658,10 +776,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--worker", nargs=3, metavar=("SRC", "OUT", "STORES"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--keep", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--batch", action="store_true",
+                        help="compare leril batch with separate runs, in this tree alone")
     args = parser.parse_args(argv)
     if args.worker:
         worker(*map(Path, args.worker), args.keep)
         return 0
+    if args.batch:
+        return batch_check(ROOT / "src")
     if not args.base:
         parser.error("--base is required")
     with tempfile.TemporaryDirectory(prefix="golden-base-") as name:

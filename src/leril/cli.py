@@ -15,7 +15,11 @@ its invoked subcommand (every one where a word names none: ``leril -h``, a
 command's own ``-h``, a missing or unknown name). Outside this module,
 ``leril.<layer>`` resolves through ``leril.__getattr__``. New commands follow
 the same rule; tests/test_cli.py pins each command's set of imported
-``leril`` modules.
+``leril`` modules. A process that runs many commands (``leril batch``, or a
+caller of ``run``) parses the same bytes once: ``_parse`` keeps the last
+lexicon, dictionary, formula or thread file parsed, keyed on the parser and
+the file's bytes, so an edited file parses again. ``main``, one command a
+process, keeps none.
 """
 
 from __future__ import annotations
@@ -61,9 +65,38 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_batch_stdin = False  # set while a batch reads its commands from stdin
+
+
+def _read_bytes(path: str) -> bytes:
+    if path != "-":
+        return Path(path).read_bytes()
+    if _batch_stdin:
+        raise LerilError("- is stdin, which holds the batch")
+    return sys.stdin.buffer.read()
+
+
 def _read_text(path: str) -> str:
     """The UTF-8 text of ``path``, or of stdin for ``-``."""
-    return utf8_text(sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes(), path)
+    return utf8_text(_read_bytes(path), path)
+
+
+_last_parse: tuple | None = (None, b"")  # (parser, raw bytes, result, diagnostics); None: keep none
+
+
+def _parse(parser, path: str):
+    """``parser(_read_text(path))``, reused while the same parser reads the
+    same bytes. The diagnostics come back as a new list for the caller to
+    extend; the result is shared, and no command changes it."""
+    global _last_parse
+    if _last_parse is None:
+        return parser(_read_text(path))
+    data = _read_bytes(path)
+    slot = _last_parse
+    if slot[:2] != (parser, data):
+        slot = _last_parse = (None, b"")  # the old parse freed first, and kept empty if this fails
+        slot = _last_parse = (parser, data, *parser(utf8_text(data, path)))
+    return slot[2], list(slot[3])
 
 
 def _load_registry(args) -> TagRegistry | None:
@@ -92,7 +125,7 @@ def _print_json(doc) -> None:
 def _cmd_dict_parse(args):  # also ``dict emit``, and ``dict lookup`` of one headword
     from . import dict_model
 
-    dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
+    dictionary, diags = _parse(dict_model.parse_dictionary, args.file)
     if args.subcommand == "lookup":
         entries = dict_model.lookup(dictionary, args.headword, args.pos)
         dictionary = dict_model.Dictionary(tuple(entries))
@@ -108,7 +141,7 @@ def _cmd_dict_parse(args):  # also ``dict emit``, and ``dict lookup`` of one hea
 def _cmd_dict_filter(args):
     from . import dict_model
 
-    dictionary, diags = dict_model.parse_dictionary(_read_text(args.file))
+    dictionary, diags = _parse(dict_model.parse_dictionary, args.file)
     words = {line.strip() for line in split_lines(_read_text(args.wordlist))}
     words = {word for word in words if word and not word.startswith("#")}
     _print(dict_model.emit_dictionary(dict_model.frequency_filter(dictionary, words)))
@@ -121,7 +154,7 @@ def _cmd_dict_filter(args):
 def _cmd_tlg_parse(args):
     from . import translexgram
 
-    records, diags = translexgram.parse_tlg(_read_text(args.file))
+    records, diags = _parse(translexgram.parse_tlg, args.file)
     if args.format == "interchange":
         doc = [{**r._asdict(), "meanings": [m._asdict() for m in r.meanings]} for r in records]
         _print_json({"format": "translexgram", "records": doc})
@@ -133,7 +166,7 @@ def _cmd_tlg_parse(args):
 def _cmd_tlg_validate(args):
     from . import translexgram
 
-    records, diags = translexgram.parse_tlg(_read_text(args.file))
+    records, diags = _parse(translexgram.parse_tlg, args.file)
     policy = "strict" if args.strict else "lenient"
     for record in records:
         diags.extend(translexgram.validate_tlg(record, policy))
@@ -143,7 +176,7 @@ def _cmd_tlg_validate(args):
 def _cmd_tlg_seed(args):
     from . import dict_model, translexgram
 
-    dictionary, diags = dict_model.parse_dictionary(_read_text(args.dict))
+    dictionary, diags = _parse(dict_model.parse_dictionary, args.dict)
     if args.headword is not None:
         entries = dict_model.lookup(dictionary, args.headword)
         if not entries:
@@ -163,7 +196,7 @@ def _cmd_tlg_seed(args):
 def _cmd_tlg_corpus(args):
     from . import translexgram
 
-    records, diags = translexgram.parse_tlg(_read_text(args.file))
+    records, diags = _parse(translexgram.parse_tlg, args.file)
     pairs = translexgram.extract_parallel_corpus(records)
     _print(translexgram.pairs_to_tsv(pairs))
     return diags
@@ -217,7 +250,7 @@ def _cmd_anncorra_convert(args):
 def _cmd_sutra_parse_formula(args):
     from . import shabdasutra
 
-    formulas, diags = shabdasutra.parse_formula_file(_read_text(args.file))
+    formulas, diags = _parse(shabdasutra.parse_formula_file, args.file)
     _print(shabdasutra.emit_interchange(formulas))
     return diags
 
@@ -225,7 +258,7 @@ def _cmd_sutra_parse_formula(args):
 def _cmd_sutra_parse_thread(args):
     from . import shabdasutra
 
-    threads, diags = shabdasutra.parse_thread_file(_read_text(args.file))
+    threads, diags = _parse(shabdasutra.parse_thread_file, args.file)
     _print_json({"threads": [{"stages": [s._asdict() for s in t.stages]} for t in threads]})
     return diags
 
@@ -233,8 +266,8 @@ def _cmd_sutra_parse_thread(args):
 def _cmd_sutra_check(args):
     from . import shabdasutra
 
-    formulas, diags = shabdasutra.parse_formula_file(_read_text(args.formulas))
-    threads, thread_diags = shabdasutra.parse_thread_file(_read_text(args.threads))
+    formulas, diags = _parse(shabdasutra.parse_formula_file, args.formulas)
+    threads, thread_diags = _parse(shabdasutra.parse_thread_file, args.threads)
     diags.extend(thread_diags)
     aliases = None
     if args.alias:
@@ -272,7 +305,7 @@ def _cmd_transfer(args):
     if args.lexicon is not None:
         from . import translexgram
 
-        records, diags = translexgram.parse_tlg(_read_text(args.lexicon))
+        records, diags = _parse(translexgram.parse_tlg, args.lexicon)
     if literal_frames:
         pairs = [("literal frames", args.frame_e, args.frame_i)]
     else:
@@ -344,6 +377,43 @@ def _cmd_corpus_read(args):  # ``corpus stats`` and ``corpus export``
     return store.diagnostics
 
 
+# ---------------------------------------------------------------- batch
+
+
+def _cmd_batch(args) -> int:
+    """Run each command line of ``args.file`` here; the worst exit code."""
+    import shlex
+
+    global _batch_stdin, _last_parse
+    text = _read_text(args.file)
+    _batch_stdin, _last_parse = args.file == "-", _last_parse or (None, b"")
+    worst = EXIT_OK
+    try:
+        for lineno, line in enumerate(split_lines(text), 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            _print(f"==> line {lineno}: {line} <==")
+            try:
+                argv = shlex.split(line)
+                if argv[0] == "batch":
+                    raise ValueError("a batch runs no batch")
+            except ValueError as exc:  # from shlex, or the refusal above
+                print(f"usage error: {exc}", file=sys.stderr)
+                code = EXIT_USAGE
+            else:
+                try:
+                    code = run(argv)
+                except SystemExit as exc:  # -h and --help
+                    code = exc.code or EXIT_OK
+            sys.stdout.flush()
+            print(f"exit {code}", file=sys.stderr)
+            worst = max(worst, code)
+    finally:
+        _batch_stdin = False
+    return worst
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -396,6 +466,11 @@ def _fill_transfer(p_tr: argparse.ArgumentParser) -> None:
     )
 
 
+def _fill_batch(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file", help="command lines, one a line (- for stdin)")
+    p.set_defaults(func=_cmd_batch)
+
+
 # command name: (its line in `leril -h`, the function that adds its arguments,
 # or, for a command with subcommands, the function that adds each one's by name)
 _COMMANDS = {
@@ -435,6 +510,7 @@ _COMMANDS = {
         "export": lambda p: _command(p, _cmd_corpus_read, tagset=True, store=True)
             .add_argument("--format", choices=["linear", "interchange"], default="linear"),
     }),
+    "batch": ("one command per line of a file, all in this process", _fill_batch),
 }
 
 
@@ -481,6 +557,8 @@ def run(argv: list[str]) -> int:
     except Exception as exc:  # a fault of leril itself, reported in one line
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    if isinstance(diagnostics, int):  # the worst exit code of a batch
+        return diagnostics
     for diag in diagnostics:
         print(diag.render(), file=sys.stderr)
     worst = worst_severity(diagnostics)
@@ -492,6 +570,8 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    global _last_parse
+    _last_parse = None  # one command a process: no parse to reuse, so no bytes kept
     sys.exit(run(sys.argv[1:]))
 
 

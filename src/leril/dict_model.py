@@ -28,7 +28,8 @@ its strings are escaped by ``diagnostics.json_string``, which loads no
 benchmark lexicon (min of 15 in-process runs, 2-CPU Xeon, Python 3.11): about
 6 ms, against 42 ms for ``json.dumps`` of the same document as dicts and
 lists, which is the reference the writer is tested against;
-``parse_dictionary`` takes about 8 ms.
+``parse_dictionary`` takes about 8 ms, which ``leril batch`` pays once for
+the same bytes (``cli._parse``).
 """
 
 from __future__ import annotations

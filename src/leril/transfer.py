@@ -22,7 +22,9 @@ holding whether the rest of the frame can consume the rest of the
 sentence, and the binding is read off its true states: O(elements x n)
 for n tokens, with no backtracking. A target slot that the source frame
 does not bind raises ``TransferError``; ``transfer_pairs`` reports it as a
-warning for that frame pair and goes on to the next.
+warning for that frame pair and goes on to the next. In ``leril batch``
+the CLI parses the same lexicon bytes once (``cli._parse``), so a run of
+transfers over one unchanged lexicon pays for its parse once.
 
 The ``transfer`` command is two calls: ``lexicon_pairs`` selects the
 labelled frame pairs of a lexicon (or the command passes its literal

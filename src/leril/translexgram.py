@@ -25,10 +25,11 @@ A field line that is present but empty parses to ``""``; an absent field
 is ``None``. Emission writes empty fields as bare ``FIELD::`` lines, which
 keeps parse/emit round-trips exact.
 
-Cost: every CLI command on a lexicon parses the whole file once.
-``parse_tlg`` splits each line once, at its first ``::``, and strips
-Unicode whitespace from both halves; the name pattern runs only on a name
-that is none of the known fields.
+Cost: one CLI command parses the whole lexicon once; a process that runs
+many (``leril batch``) parses it again only when its bytes change
+(``cli._parse``). ``parse_tlg`` splits each line once, at its first
+``::``, and strips Unicode whitespace from both halves; the name pattern
+runs only on a name that is none of the known fields.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -585,7 +586,7 @@ class TestExitCodes:
         assert code == 3
         # the help of every command, though only dict's parser was built for the run
         listed = err.partition("positional arguments:")[2]
-        for command in ("dict", "tlg", "anncorra", "sutra", "transfer", "corpus"):
+        for command in ("dict", "tlg", "anncorra", "sutra", "transfer", "corpus", "batch"):
             assert f"\n    {command} " in listed
 
     def test_missing_file_is_io_failure(self, capsys):
@@ -784,6 +785,9 @@ USAGE_CASES = [
     ["transfer"],
     ["transfer", "bogus", "--optional", "bogus"],
     ["transfer", "bogus", "--format", "bogus"],
+    ["batch"],
+    ["batch", "-h"],
+    ["batch", "bogus", "--format", "bogus"],
 ]
 for _command, _subs in SUBCOMMANDS.items():
     USAGE_CASES += [[_command], [_command, "-h"], [_command, "bogus"]]
@@ -951,3 +955,203 @@ def test_corpus_stats_writes_the_json_dumps_text(capsys, tmp_path, sentences):
         stats = opened.stats()
     assert stats.sentences == (0 if sentences is None else 2)
     assert _run(capsys, "corpus", "stats", "--store", str(store)) == (0, _json_text(stats), "")
+
+
+class TestParseMemo:
+    """The CLI keeps its last parse for as long as the same parser reads the
+    same bytes; every run must still print what a fresh process prints."""
+
+    def test_a_same_length_edit_is_read(self, capsys, tmp_path):
+        lexicon = tmp_path / "go.tlg"
+        data = (ROOT / GO_TLG).read_bytes()
+        lexicon.write_bytes(data)
+        before = lexicon.stat()
+        argv = ["transfer", "--lexicon", str(lexicon), "I go to school."]
+        assert _run(capsys, *argv)[1].startswith("I school ko jAtA hai\n")
+        edited = data.replace(b"[ko] jAtA hai", b"[ko] gayA hai")
+        assert len(edited) == len(data) and edited != data
+        lexicon.write_bytes(edited)
+        os.utime(lexicon, ns=(before.st_atime_ns, before.st_mtime_ns))  # same size, same mtime
+        assert _run(capsys, *argv)[1].startswith("I school ko gayA hai\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tlg", "validate", "--strict", GO_TLG],
+            ["transfer", "--lexicon", GO_TLG, "I go to school."],
+            ["dict", "lookup", GO_DICT, "nope"],
+            ["sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_a_repeated_command_prints_the_same(self, capsys, argv):
+        first = _run(capsys, *argv)
+        assert first[2]  # diagnostics that a shared list would repeat
+        assert _run(capsys, *argv) == _run(capsys, *argv) == first
+
+    def test_a_file_that_is_not_utf8_after_a_good_parse_exits_3(self, capsys, tmp_path):
+        good = _run(capsys, "tlg", "validate", GO_TLG)
+        bad = tmp_path / "bad.tlg"
+        bad.write_bytes(b"\xff" + (ROOT / GO_TLG).read_bytes())
+        assert _run(capsys, "tlg", "validate", str(bad)) == (
+            3, "", f"error: {bad}: not UTF-8 text at byte 0\n"
+        )
+        assert _run(capsys, "tlg", "validate", GO_TLG) == good
+
+    @staticmethod
+    def _count(monkeypatch, module, name):
+        calls = []
+        parser = getattr(module, name)
+
+        def counted(text):
+            calls.append(len(text))
+            return parser(text)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_unchanged_bytes_are_parsed_once(self, capsys, monkeypatch, tmp_path):
+        from leril import shabdasutra, translexgram
+
+        tlg_calls = self._count(monkeypatch, translexgram, "parse_tlg")
+        formula_calls = self._count(monkeypatch, shabdasutra, "parse_formula_file")
+        thread_calls = self._count(monkeypatch, shabdasutra, "parse_thread_file")
+        for argv in (["tlg", "validate", GO_TLG], ["tlg", "corpus", GO_TLG],
+                     ["transfer", "--lexicon", GO_TLG, "I go to school."]):
+            assert _run(capsys, *argv)[0] == 0
+        assert len(tlg_calls) == 1
+        lexicon = tmp_path / "go.tlg"
+        lexicon.write_bytes((ROOT / GO_TLG).read_bytes() + b"\n")
+        for _ in range(2):
+            assert _run(capsys, "tlg", "emit", str(lexicon))[0] == 0
+        assert len(tlg_calls) == 2  # the edited bytes, once
+        assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0  # the one slot now holds go.dict
+        assert _run(capsys, "tlg", "emit", str(lexicon))[0] == 0
+        assert len(tlg_calls) == 3
+        check = ["sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"]
+        for _ in range(2):
+            assert _run(capsys, *check)[0] == 0
+        assert (len(formula_calls), len(thread_calls)) == (2, 2)  # each file evicts the other
+
+    def test_one_command_a_process_keeps_no_parse(self, capsys, monkeypatch, tmp_path):
+        from leril import translexgram
+
+        monkeypatch.setattr(cli, "_last_parse", (None, b""))
+        calls = self._count(monkeypatch, translexgram, "parse_tlg")
+        commands = tmp_path / "commands.txt"
+        commands.write_text(f"tlg validate {GO_TLG}\ntlg corpus {GO_TLG}\n", encoding="utf-8")
+        validate = ["tlg", "validate", GO_TLG]
+        for argv in (validate, validate, ["batch", str(commands)]):
+            monkeypatch.setattr(sys, "argv", ["leril", *argv])
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+            assert exit_.value.code == 0
+        capsys.readouterr()
+        assert len(calls) == 3  # one a process for each command, then once for the batch
+
+
+def _batch(capsys, tmp_path, lines):
+    path = tmp_path / "commands.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return _run(capsys, "batch", str(path))
+
+
+def _framed(capsys, lines):
+    """The stdout and stderr ``leril batch`` must print for ``lines``: each
+    command run on its own, its stdout under a header naming its line and
+    its stderr followed by its exit code."""
+    out, err = [], []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip() and not line.lstrip().startswith("#"):
+            try:
+                code = run(shlex.split(line))
+            except SystemExit as exc:  # -h
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append(f"==> line {lineno}: {line.strip()} <==\n{captured.out}")
+            err.append(f"{captured.err}exit {code}\n")
+    return "".join(out), "".join(err)
+
+
+class TestBatch:
+    def test_each_command_prints_what_it_prints_alone(self, capsys, tmp_path, monkeypatch):
+        def broken(args):
+            raise RuntimeError("words out of order")
+
+        monkeypatch.setattr(cli, "_cmd_dict_filter", broken)
+        lines = [
+            "# the go fixtures",
+            "",
+            f"tlg validate --strict {GO_TLG}",
+            f"dict filter {GO_DICT} --wordlist tests/fixtures/wordlist.txt",  # exit 4
+            "dict parse no/such/file.dict",
+            f"  transfer --lexicon {GO_TLG} 'I go to school.'  ",
+            "   # an indented comment",
+            "dict -h",
+            f"anncorra check {SENTENCES}",
+            f"tlg validate --strict {GO_TLG}",
+        ]
+        code, out, err = _batch(capsys, tmp_path, lines)
+        assert (out, err) == _framed(capsys, lines)
+        assert code == 4
+        assert out.startswith(f"==> line 3: tlg validate --strict {GO_TLG} <==\n")
+        assert "internal error: RuntimeError: words out of order\nexit 4\n" in err
+        assert "comment" not in out + err
+
+    @pytest.mark.parametrize(
+        "lines, code",
+        [
+            ([], 0),
+            (["# only a comment", "   "], 0),
+            ([f"dict parse {GO_DICT}", f"tlg validate --strict {GO_TLG}"], 1),
+            ([f"tlg validate --strict {GO_TLG}", "tlg parse no/such", f"tlg emit {GO_TLG}"], 3),
+        ],
+        ids=["empty", "comments", "warnings", "missing-file"],
+    )
+    def test_the_batch_exits_with_the_worst_code(self, capsys, tmp_path, lines, code):
+        assert _batch(capsys, tmp_path, lines) == (code, *_framed(capsys, lines))
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("batch other.txt", "a batch runs no batch"),
+            ("transfer 'an open quote", "No closing quotation"),
+        ],
+        ids=["nested", "open-quote"],
+    )
+    def test_a_refused_line_is_a_usage_error(self, capsys, tmp_path, line, message):
+        lines = [line, f"dict lookup {GO_DICT} go"]
+        code, out, err = _batch(capsys, tmp_path, lines)
+        assert code == 3
+        assert err.startswith(f"usage error: {message}\nexit 3\n")
+        assert out.startswith(f"==> line 1: {line} <==\n==> line 2: ")
+        assert (out.partition("\n")[2], err.partition("exit 3\n")[2]) == _framed(
+            capsys, ["", lines[1]]
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        ["dict parse -", "transfer --lexicon=- 'I go to school.'",
+         f"dict filter {GO_DICT} --wordlist=-", "tlg validate --strict -"],
+        ids=["positional", "lexicon-option", "wordlist-option", "after-an-option"],
+    )
+    def test_stdin_is_refused_while_it_holds_the_batch(self, capsys, monkeypatch, line):
+        commands = f"{line}\ndict parse {GO_DICT} --strict\n".encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(commands)))
+        code, out, err = _run(capsys, "batch", "-")
+        assert code == 3
+        assert err.startswith("error: - is stdin, which holds the batch\nexit 3\n")
+        assert err.endswith("\nexit 0\n")
+        assert out.startswith(f"==> line 1: {line} <==\n==> line 2: ")
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"go\n")))
+        assert _run(capsys, "dict", "filter", GO_DICT, "--wordlist=-")[0] == 0  # stdin again
+
+    def test_a_command_of_a_batch_file_reads_stdin(self, capsys, tmp_path, monkeypatch):
+        data = (ROOT / GO_DICT).read_bytes()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = _batch(capsys, tmp_path, ["dict emit -"])
+        assert code == 0
+        alone_out, alone_err = _framed(capsys, [f"dict emit {GO_DICT}"])
+        header = "==> line 1: dict emit - <==\n"
+        assert (out, err) == (header + alone_out.partition("\n")[2], alone_err)
+        assert '--"1.jAnA"\nI go to school.\n' in out
