@@ -19,8 +19,10 @@ child process. The cases are:
   literal frames, transfer over a lexicon that mixes malformed frame pairs
   with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
 - ``-h`` of every command and subcommand, and usage errors;
-- treebank store lifecycles: adds, reads, hand edits, a data file cut back
-  or restored from a copy, a torn last line, damaged sidecars;
+- treebank store lifecycles: adds, reads, hand edits (a line without
+  ``# id`` appended after ``corpus add`` named a sentence without one), a
+  data file cut back or restored from a copy, a torn last line, damaged
+  sidecars;
 - the prepare ops and ops of the three bench workloads for seeds 1-3, built
   by the ``setup`` functions of ``bench/*.py`` (read, not changed).
 
@@ -39,8 +41,11 @@ with the temporary directory replaced by ``<TMP>``. Long outputs are
 compared by digest.
 
 ``--allow GLOB`` (repeatable) names cases whose difference is intended;
-they are listed but do not fail the run. Exit status: 0 when no other case
-differs, 1 otherwise. Standard library only.
+they are listed but do not fail the run. A case of this working tree that
+exits 4 (an internal error), lets an exception escape or prints
+``Traceback`` fails the run whatever ``--allow`` says, in both modes. Exit
+status: 0 when no case is such a fault and no other case differs, 1
+otherwise. Standard library only.
 
 ``--batch`` checks ``leril batch`` against separate runs, in this working
 tree alone. Every case that a batch line can hold (it sets no LERIL_TAGSET,
@@ -97,6 +102,13 @@ class Cmd:
 
     def __init__(self, name, argv, stdin=None, tagset=None):
         self.name, self.argv, self.stdin, self.tagset = name, argv, stdin, tagset
+
+
+def _fault(outcome: list) -> bool:
+    """Whether a case's outcome is a fault of leril: exit 4, an escaping
+    exception, or a traceback printed."""
+    code = outcome[-1]
+    return code == 4 or str(code).startswith("raised ") or "Traceback" in "".join(map(str, outcome))
 
 
 def _reads(store: Path, *extra: str) -> list:
@@ -485,6 +497,12 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
         return [Cmd("add -", ["corpus", "add", "-", "--store", str(store)], stdin=data),
                 *_reads(store)]
 
+    def id_collision(store):
+        # mixed.anncorra's sentence without an id is added as und-1; a line appended by hand
+        # without one then reads as the next free und-k
+        return [add(store, pool), _append(b"z/k2 w::v\n", "und.anncorra"), *_reads(store),
+                add(store, pool), _append(b"y/k1 x::v\n", "und.anncorra"), *_reads(store)]
+
     def store_tagset(store):
         def tagset(s):
             s.mkdir(parents=True, exist_ok=True)
@@ -497,6 +515,7 @@ def _store_scenarios(inputs: dict[str, Path]) -> list[tuple[str, object]]:
                         ("hand-appended", hand_appended), ("torn", torn),
                         ("torn-utf8", torn_utf8), ("unterminated", unterminated),
                         ("restored", restored), ("stdin", stdin_add),
+                        ("id-collision", id_collision),
                         ("store-tagset", store_tagset)]:
         scenarios.append((f"store/{name}", steps))
     for fraction in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
@@ -600,10 +619,14 @@ def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
     """
     run = _load_run(src)
     results: dict[str, list] = {}
+    faults: list[str] = []
 
     def record(case: str, cmd: Cmd) -> None:
         assert case not in results, f"two cases named {case!r}"
-        results[case] = _normalise(_execute(run, cmd), name)
+        outcome = _execute(run, cmd)
+        if _fault(outcome):
+            faults.append(case)
+        results[case] = _normalise(outcome, name)
 
     def read(label: str, store: Path) -> None:
         """The reads on a copy of ``store``, at one path for every copy."""
@@ -643,7 +666,7 @@ def worker(src: Path, out_path: Path, stores: Path, keep: bool) -> None:
         for k, (scenario, _steps, _store_case) in enumerate(sequences):
             if (stores / str(k)).exists():
                 read(f"kept/{scenario}", stores / str(k))
-    out_path.write_text(json.dumps(results), encoding="utf-8")
+    out_path.write_text(json.dumps({"outcomes": results, "faults": faults}), encoding="utf-8")
 
 
 # ---------------------------------------------------------------- batch
@@ -717,7 +740,7 @@ def _steps_outcomes(run, tmp: Path, steps: list, batched: bool) -> list:
 def batch_check(src: Path) -> int:
     """Every batchable case alone and in ``leril batch``; 0 when all agree."""
     run = _load_run(src)
-    differing, cases = [], 0
+    differing, faults, cases = [], 0, 0
     with tempfile.TemporaryDirectory(prefix="golden-batch-") as name:
         tmp = Path(name)
         inputs = _inputs(tmp)
@@ -734,6 +757,11 @@ def batch_check(src: Path) -> int:
                 shutil.rmtree(folder)
             alone, batch = sides
             cases += sum(isinstance(outcome, list) for outcome in alone)
+            for side, outcomes in (("alone", alone), ("batch", batch)):
+                for k, outcome in enumerate(outcomes):
+                    if isinstance(outcome, list) and _fault(outcome):
+                        faults += 1
+                        print(f"FAULT: {scenario}, {side} outcome {k}: {str(outcome)[:300]!r}")
             if alone != batch:
                 k = next((k for k, pair in enumerate(zip(alone, batch)) if pair[0] != pair[1]),
                          min(len(alone), len(batch)))
@@ -742,8 +770,8 @@ def batch_check(src: Path) -> int:
                 for side, outcomes in (("alone", alone), ("batch", batch)):
                     print(f"  {side}: {str(outcomes[k:k + 1])[:300]!r}")
     print(f"golden batch: {cases} cases in {len(sequences)} scenarios, "
-          f"{len(differing)} scenarios differ")
-    return 1 if differing else 0
+          f"{len(differing)} scenarios differ, {faults} faults")
+    return 1 if differing or faults else 0
 
 
 # ---------------------------------------------------------------- driver
@@ -792,6 +820,7 @@ def main(argv: list[str] | None = None) -> int:
         stores.mkdir()
         base = _run_worker(_extract(args.base, tmp / "base"), tmp / "base.json", stores, True)
         here = _run_worker(ROOT / "src", tmp / "here.json", stores, False)
+    faults, base, here = here["faults"], base["outcomes"], here["outcomes"]
     pairs = [(case, base.get(case), here.get(case)) for case in base.keys() | here.keys()]
     # a store the base wrote reads here as the store written here does
     pairs += [(f"{case} against own/", here.get(f"own/{case[5:]}"), outcome)
@@ -804,9 +833,11 @@ def main(argv: list[str] | None = None) -> int:
         for field, a, b in zip(("stdout", "stderr", "exit"), old or [None] * 3, new or [None] * 3):
             if a != b:
                 print(f"  {field}: {str(a)[:300]!r}\n  {' ' * len(field)}  -> {str(b)[:300]!r}")
+    for case in faults:
+        print(f"FAULT: {case}: {str(here[case])[:300]!r}")
     print(f"golden: {len(here)} cases, {len(differing)} differences "
-          f"({len(allowed)} allowed) against {args.base}")
-    return 1 if len(differing) > len(allowed) else 0
+          f"({len(allowed)} allowed) against {args.base}, {len(faults)} faults")
+    return 1 if len(differing) > len(allowed) or faults else 0
 
 
 if __name__ == "__main__":

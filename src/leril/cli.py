@@ -339,20 +339,11 @@ def _cmd_corpus_add(args):
     text = _read_text(args.file)  # before the store is created or locked
     with corpus_store.CorpusStore(args.store, "rw", registry) as store:
         diags = store.diagnostics
-        auto = len(store)
         for sentence_id, lineno, line in anncorra.iter_sentences(text):
-            if sentence_id is None:
-                auto += 1
-                sentence_id = f"{args.lang}-{auto}"
-                while sentence_id in store:
-                    auto += 1
-                    sentence_id = f"{args.lang}-{auto}"
             try:
-                store.add_sentence(sentence_id, line, args.lang, diagnostics=diags)
+                added.append(store.add_sentence(sentence_id, line, args.lang, diagnostics=diags))
             except corpus_store.CorpusError as exc:
                 diags.append(error(str(exc), line=lineno))
-                continue
-            added.append(sentence_id)
     _print("\n".join(added))
     return diags
 

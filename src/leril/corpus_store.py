@@ -3,57 +3,62 @@
 A store is a plain directory holding one append-only ``<lang>.anncorra``
 file per language, with records written as a ``# id`` comment line
 followed by the sentence's linear notation; lines end at ``\\n``,
-``\\r\\n`` or ``\\r`` only (``diagnostics.split_lines``). An optional
+``\\r\\n`` or ``\\r`` only (``diagnostics.split_lines``). A record without
+``# id`` is named ``<lang>-k``, k the smallest number above the previous
+such record's that no earlier record of its file holds. An optional
 ``tagset.cfg`` extends the default tag registry for everything read
-through the store. The layout is deliberately human-readable so dumps
-can be shipped as-is.
+through the store. The layout is deliberately human-readable so dumps can
+be shipped as-is.
 
 Contract: single writer, any number of readers. Opening read-write takes
 an exclusive ``flock`` on ``.lock`` in the store directory, which the
 kernel drops when the writer exits or dies, so a crashed writer leaves no
 stale lock; the file keeps the holder's pid for the error message of a
 writer turned away, and stays in place, empty, when released. Where
-``fcntl`` is missing, the lock is the file itself, created with
-``O_EXCL`` and removed on close. Readers take a snapshot at open and
-ignore the lock.
+``fcntl`` is missing, the lock is the file itself, created with ``O_EXCL``
+and removed on close. Readers ignore the lock and take a snapshot at open,
+whose lines the export reads again: a data file cut back since fails it.
 
 Summary sidecar. Beside each data file a writer keeps
-``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a
-JSON header (format version, tag registry digest, byte lengths of the
-tree and checkpoint blocks, and one ``zlib.crc32`` of the three blocks),
-one row line per record, ``[id, "k1 - k2", "- v -", depth]``, then the
-tree block, one line per record, ``["rAma_ne phala piyA", parents, groups
-as [start, stop, tag]]``, then the checkpoint block, one line per record,
-``[end, crc32, lines, auto ids]`` of the data file up to the end of that
-record; the last one is the prefix the sidecar covers. A row's relation
-tags and node tags, and a tree's surfaces, are the columns of
-``anncorra.DepTree.columns``: one string each, fields joined by single
+``<lang>.anncorra.idx`` (``glob("*.anncorra")`` does not match it): a JSON
+header (format version, tag registry digest, byte lengths of the tree and
+checkpoint blocks, and one ``zlib.crc32`` of the three blocks), one row
+line per record, ``[id, "k1 - k2", "- v -", depth]``, then the tree block,
+one line per record, ``["rAma_ne phala piyA", parents, groups as [start,
+stop, tag]]``, then the checkpoint block, one line per record, ``[end,
+crc32, lines, k]`` of the data file up to the end of that record, with
+the k of its last ``<lang>-k``; the last one is the prefix the sidecar covers. A
+row's relation tags and node tags, and a tree's surfaces, are the columns
+of ``anncorra.DepTree.columns``: one string each, fields joined by single
 spaces and ``-`` for no tag. No field is empty or holds a space, so a
 record decodes to a few objects, split only when read; memory holds
-records in the same shape.
-Nothing is stored twice. Every open checks the crc32 and decodes the
-rows, which ``query_by_relation`` and ``stats`` read, and the last
-checkpoint; ``export`` reads the prefix's lines unparsed, and the interchange
-export also decodes the tree block, checked by column like the rows, and
-hands the columns to ``anncorra.emit_interchange``. Lines
-without the rows' ids, or a block without one rooted tree per row, fail it
-with "does not describe". A writer, which rewrites the sidecar, first reads
-the prefix's lines the same way and keeps the rows only when their ids match,
-so rows naming wrong ids are rebuilt by the next writer; it does not check the
-tree block. When the data file no longer holds the covered prefix (it was
-cut back, as by a restore from an earlier copy, or edited), the open
-decodes every checkpoint and keeps the records up to the last one whose
-prefix still matches its crc32; it parses only what follows, and a writer
+records in the same shape. Nothing is stored twice. Every open checks the
+crc32 and decodes the rows, which ``query_by_relation`` and ``stats``
+read, and the last checkpoint. In memory each block is a list of byte
+pieces: the block loaded (a view of the sidecar's bytes), then one line
+per record parsed or added, encoded then; a writer's sidecar joins them.
+``export`` reads the data file's lines again, unparsed, up to the end of
+the last record the open saw, and the interchange export also decodes the
+tree block, checked by column like the rows, and hands the columns to
+``anncorra.emit_interchange``. Lines without the ids of all the rows, or a
+block without one rooted tree per row, fail it with "does not describe". A
+writer, which rewrites the sidecar, first reads the prefix's lines the
+same way and keeps the rows only when their ids match, so rows naming
+wrong ids are rebuilt by the next writer; it does not check the tree
+block. When the data file no longer holds the covered prefix (it was cut
+back, as by a restore from an earlier copy, or edited), the open decodes
+every checkpoint and keeps the records up to the last one whose prefix
+still matches its crc32; it parses only what follows, and a writer
 rewrites the sidecar with the kept rows, trees and checkpoints. A sidecar
 that is missing, cannot be read, fails its crc32, is of another version
 (so a version-5 one after an upgrade, until the next writer) or registry,
 or has no matching checkpoint covers nothing, and every record is parsed:
 deleting one is always safe. Only writers write one, at close, under the
-lock, via ``os.replace``, reusing the block bytes they loaded. The crc32
-notices damage, not forgery (``hashlib`` would map OpenSSL into every
-corpus command, 3.6 MB resident). ``SIDECAR_VERSION`` must change with
-any change to what a line parses to: rows and trees (surfaces, parents,
-groups) are trusted without parsing their lines.
+lock, via ``os.replace``. The crc32 notices damage, not forgery
+(``hashlib`` would map OpenSSL into every corpus command, 3.6 MB
+resident). ``SIDECAR_VERSION`` must change with any change to what a line
+parses to: rows and trees (surfaces, parents, groups) are trusted without
+parsing their lines.
 
 Torn tail. A writer that dies mid-append can leave the last line of a
 data file unterminated. Such a line is read like any other when it
@@ -101,14 +106,12 @@ class CorpusStats(NamedTuple):
 
 
 class _DataFile:
-    """One data file: its records' columns and what its next sidecar covers."""
+    """One data file: its records' rows and the blocks of its next sidecar."""
 
-    prefix = memoryview(b"")  # the bytes the sidecar covered at open, not copied
-    unread = 0  # records of the prefix, whose lines and trees stay on disk
-    body = trees_body = marks_body = b""  # the sidecar's rows, tree and checkpoint blocks for them
     # The file up to the end of its last record: length, crc32, line count
-    # and auto-id count. A sidecar covers no more, so that a ``# id`` line
-    # after the last record still names the sentence appended below it.
+    # and the k of its last record without ``# id`` (``<lang>-k``). A sidecar
+    # covers no more, so that a ``# id`` line after the last record still
+    # names the sentence appended below it.
     end = crc = lines = auto = 0
     trailer = b""  # blank and comment lines after the last record
     trailer_lines = 0
@@ -119,10 +122,9 @@ class _DataFile:
         self.path = path
         self.language = language
         self.rows: list[list] = []  # [id, rels, nodes, depth], in file order, as stored
-        # the lines and [surfaces, parents, groups] of the records parsed, as stored
-        self.raws: list[str] = []
-        self.trees: list[list] = []
-        self.marks: list[list] = []  # [end, crc, lines, auto] after each of them
+        # The sidecar's row, tree and checkpoint blocks as byte pieces: the
+        # block loaded from the sidecar, then one line per record indexed.
+        self.blocks: tuple[list, list, list] = ([], [], [])
 
     def append(self, payload: bytes, size: int) -> None:
         """Append ``payload`` with one ``write`` to the file, now ``size``
@@ -165,7 +167,7 @@ class CorpusStore:
             self._acquire_lock()
         self.diagnostics: list[Diagnostic] = []
         self._files: dict[str, _DataFile] = {}  # by language, in file name order
-        self._rows: dict[str, list] = {}  # id to summary row, for lookups
+        self._rows: set[str] = set()  # the ids of every data file
         try:
             self._tagset = crc32(self.registry.signature().encode("utf-8"))
             for data_file in sorted(self.path.glob("*.anncorra")):
@@ -173,6 +175,7 @@ class CorpusStore:
         except Exception:
             self.close()
             raise
+        self._auto = len(self._rows)  # the n of the last ``<lang>-n`` that add_sentence named
         self._open = True
 
     def _acquire_lock(self) -> None:
@@ -237,15 +240,15 @@ class CorpusStore:
         if (
             sidecar is not None
             # with an id another data file holds, the full parse names the duplicate
-            and self._rows.keys().isdisjoint(ids)
+            and self._rows.isdisjoint(ids)
             # a writer, about to rewrite the sidecar, keeps no rows whose ids the prefix lacks
             and (self.mode == "r" or _read_prefix(view[: sidecar[0][0]], f.language)[0] == ids)
         ):
-            point, rows, f.body, f.trees_body, f.marks_body, f.stale = sidecar
+            point, f.rows, blocks, f.stale = sidecar
             covered, f.crc, f.lines, f.auto = point
-            f.prefix, f.rows, f.unread = view[:covered], rows, len(rows)
-            for row in rows:
-                self._rows[row[0]] = row
+            f.blocks = tuple([block] for block in blocks)
+            self._rows.update(ids)
+        held = {row[0] for row in f.rows}  # the ids of this file's records so far
 
         tail = data[covered:]
         torn = None  # (byte offset, reason) of a torn last line, the one after ``parts``
@@ -262,11 +265,11 @@ class CorpusStore:
         if torn is None and parts and parts[-1][-1] not in "\r\n":
             last_raw = parts[-1]
 
-        parsed = []  # the line number in the tail and the auto-id count of each record
+        parsed = []  # the line number in the tail and the ``auto`` of each record
         for sentence_id, lineno, line in iter_sentences(text):
-            auto_id = sentence_id is None
-            if auto_id:
-                sentence_id = f"{f.language}-{f.auto + 1}"
+            auto = f.auto
+            if sentence_id is None:
+                sentence_id, auto = _auto_id(f.language, auto, held)
             try:
                 if sentence_id in self._rows:
                     raise CorpusError(f"duplicate sentence id '{sentence_id}'")
@@ -277,9 +280,10 @@ class CorpusStore:
                 torn = (len(data) - len(last_raw.encode("utf-8")), str(exc))
                 parts.pop()
                 break
-            f.auto += auto_id
-            parsed.append((lineno, f.auto))
-            self._index(f, sentence_id, line, tree)
+            f.auto = auto
+            held.add(sentence_id)
+            parsed.append((lineno, auto))
+            self._index(f, sentence_id, tree)
         if torn is not None:
             offset, reason = torn
             action = "removed" if self.mode == "rw" else "skipped"
@@ -301,17 +305,18 @@ class CorpusStore:
         for lineno, auto in parsed:
             end = covered + ends[lineno - 1]
             f.crc = crc32(view[f.end : end], f.crc)
-            f.marks.append([end, f.crc, f.lines + lineno, auto])
+            f.blocks[2].append(_encode([end, f.crc, f.lines + lineno, auto]))
             f.end = end
         f.lines += last_record
         f.stale = f.stale or last_record > 0
 
-    def _index(self, f: _DataFile, sentence_id: str, line: str, tree: DepTree) -> None:
+    def _index(self, f: _DataFile, sentence_id: str, tree: DepTree) -> None:
         surfaces, rels, tags, parents = tree.columns
-        row = self._rows[sentence_id] = [sentence_id, rels, tags, tree.depth]
+        row = [sentence_id, rels, tags, tree.depth]
+        self._rows.add(sentence_id)
         f.rows.append(row)
-        f.raws.append(line)
-        f.trees.append([surfaces, parents, [list(group) for group in tree.groups]])
+        f.blocks[0].append(_encode(row))
+        f.blocks[1].append(_encode([surfaces, parents, tree.groups]))
 
     def _parse(self, sentence_id: str, line: str) -> tuple[DepTree, list[Diagnostic]]:
         """The tree of one sentence line and the parse's warnings; rejects a
@@ -324,30 +329,29 @@ class CorpusStore:
             )
         return tree, diagnostics
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, sentence_id: str) -> bool:
-        return sentence_id in self._rows
-
     def add_sentence(
         self,
-        sentence_id: str,
+        sentence_id: str | None,
         line: str,
         language: str,
         diagnostics: list[Diagnostic] | None = None,
-    ) -> None:
-        """Validate, persist and index one sentence.
+    ) -> str:
+        """Validate, persist and index one sentence; the id it is stored under.
 
-        Rejects a language that does not name a data file of this store,
-        duplicates, lines that do not parse and resolve cleanly, and any id
-        or line that would not read back unchanged from the data file (an
-        empty id or one with whitespace; a line starting with ``#``, with
-        leading or trailing whitespace or with ``\\n`` or ``\\r``). Parse warnings
-        are appended to ``diagnostics`` when a list is supplied.
+        A sentence without an id (None) is named ``<language>-n``: n counts on
+        from the store's record count at open, one step per such sentence
+        offered, past the ids the store holds. Rejects a language that does
+        not name a data file of this store, duplicates, lines that do not
+        parse and resolve cleanly, and any id or line that would not read
+        back unchanged from the data file (an empty id or one with
+        whitespace; a line starting with ``#``, with leading or trailing
+        whitespace or with ``\\n`` or ``\\r``). Parse warnings are appended
+        to ``diagnostics`` when a list is supplied.
         """
         if self.mode != "rw":
             raise CorpusError("store opened read-only")
+        if sentence_id is None:
+            sentence_id, self._auto = _auto_id(language, self._auto, self._rows)
         data_file = self._data_file(language)
         if sentence_id in self._rows:
             raise CorpusError(f"duplicate sentence id '{sentence_id}'")
@@ -376,8 +380,9 @@ class CorpusStore:
         f.end += len(f.trailer) + len(payload)
         f.lines += f.trailer_lines + 2
         f.trailer, f.trailer_lines, f.stale = b"", 0, True
-        f.marks.append([f.end, f.crc, f.lines, f.auto])
-        self._index(f, sentence_id, line, tree)
+        f.blocks[2].append(_encode([f.end, f.crc, f.lines, f.auto]))
+        self._index(f, sentence_id, tree)
+        return sentence_id
 
     def _data_file(self, language: str) -> Path:
         """The data file of ``language``, which a reopen finds again under it.
@@ -451,15 +456,15 @@ def _sidecar_path(data_file: Path) -> Path:
 
 def _read_sidecar(
     data_file: Path, data: bytes, tagset: int
-) -> tuple[list, list[list], bytes, memoryview, memoryview, bool] | None:
-    """The last kept checkpoint, rows, row bytes, tree block and checkpoint
-    block of the sidecar of ``data_file`` for the prefix of ``data`` it
+) -> tuple[list, list[list], tuple[memoryview, ...], bool] | None:
+    """The last kept checkpoint, the rows, the row, tree and checkpoint
+    blocks of the sidecar of ``data_file`` for the prefix of ``data`` it
     still describes, read under registry digest ``tagset``, and whether
     records were dropped from its end; None when it describes none.
 
-    The crc32 of the blocks is checked and the rows decoded; the tree and
-    checkpoint blocks stay views of the file's bytes, since a copy would
-    cost every open more than the crc32 does. While ``data`` holds the
+    The crc32 of the blocks is checked and the rows decoded; the blocks
+    stay views of the file's bytes, since a copy would cost every open
+    more than the crc32 does. While ``data`` holds the
     prefix of the last checkpoint, no other one is decoded; otherwise the
     records up to the last checkpoint ``data`` still matches are kept."""
     try:
@@ -481,8 +486,9 @@ def _read_sidecar(
         return None
     marks_at = len(raw) - header["marks"]
     end = marks_at - header["trees"]
-    body, trees, marks = raw[start:end], memoryview(raw)[end:marks_at], memoryview(raw)[marks_at:]
-    rows = _decode_rows(body)
+    view, bounds = memoryview(raw), ((start, end), (end, marks_at), (marks_at, len(raw)))
+    blocks = tuple(view[at:stop] for at, stop in bounds)
+    rows = _decode_rows(blocks[0])
     if rows is None or raw.count(b"\n", marks_at) != len(rows):
         return None
     # the last line of the checkpoint block
@@ -495,20 +501,16 @@ def _read_sidecar(
         and crc == crc32(memoryview(data)[:covered])
         and _ends_line(data, covered)
     ):
-        return point, rows, body, trees, marks, False
-    points = _json_lines(marks)
+        return point, rows, blocks, False
+    points = _json_lines(blocks[2])
     kept = _kept(data, points) if _are_checkpoints(points, len(rows)) else 0
     if not kept:
         return None
     try:
-        rows_end, trees_end, marks_end = (
-            _line_end(raw, at, stop, kept)
-            for at, stop in ((start, end), (end, marks_at), (marks_at, len(raw)))
-        )
+        blocks = tuple(view[at : _line_end(raw, at, stop, kept)] for at, stop in bounds)
     except ValueError:  # a tree block of fewer lines than rows
         return None
-    trees, marks = memoryview(raw)[end:trees_end], memoryview(raw)[marks_at:marks_end]
-    return points[kept - 1], rows[:kept], raw[start:rows_end], trees, marks, True
+    return points[kept - 1], rows[:kept], blocks, True
 
 
 def _json_lines(block) -> list | None:
@@ -520,7 +522,7 @@ def _json_lines(block) -> list | None:
         return None
 
 
-def _decode_rows(body: bytes) -> list[list] | None:
+def _decode_rows(body: memoryview) -> list[list] | None:
     """The rows of ``body``; None unless each is [id, rels, nodes, depth] of
     types [str, str, str, int], ids unique, rels and nodes with as many fields,
     none empty. Checked column by column, which keeps the loops in C."""
@@ -589,27 +591,23 @@ def _line_end(raw: bytes, at: int, stop: int, count: int) -> int:
     return at
 
 
+def _encode(item: list) -> bytes:
+    """One line of a sidecar block."""
+    return (_ROW_ENCODER.encode(item) + "\n").encode("utf-8")
+
+
 def _write_sidecar(f: _DataFile, tagset: int) -> None:
-    """Write the sidecar of ``f`` atomically; a failed write leaves none,
-    which only costs the next open a full parse. Only the records parsed in
-    this session are encoded; the crc32 runs over every block written."""
-    rows, trees, marks = (
-        "".join(_ROW_ENCODER.encode(item) + "\n" for item in items).encode("utf-8")
-        for items in (f.rows[f.unread :], f.trees, f.marks)
-    )
-    blocks = (f.body, rows, f.trees_body, trees, f.marks_body, marks)
-    crc = 0
-    for block in blocks:
-        crc = crc32(block, crc)
-    values = (
-        SIDECAR_VERSION, tagset, len(f.trees_body) + len(trees), len(f.marks_body) + len(marks), crc
-    )
+    """Write the sidecar of ``f``, the pieces of its blocks joined, atomically;
+    a failed write leaves none, which only costs the next open a full parse."""
+    body = b"".join(chain.from_iterable(f.blocks))
+    trees, marks = (sum(map(len, block)) for block in f.blocks[1:])
+    values = (SIDECAR_VERSION, tagset, trees, marks, crc32(body))
     header = json.dumps(dict(zip(_HEADER_KEYS, values))).encode("ascii") + b"\n"
     path = _sidecar_path(f.path)
     temp = path.with_name(path.name + ".tmp")
     try:
         with temp.open("wb") as fh:
-            fh.writelines((header, *blocks))
+            fh.writelines((header, body))
         os.replace(temp, path)
     except OSError:
         temp.unlink(missing_ok=True)
@@ -620,39 +618,46 @@ def _not_described(f: _DataFile) -> CorpusError:
     return CorpusError(f"{_sidecar_path(f.path)} does not describe {f.path}")
 
 
+def _auto_id(language: str, k: int, held) -> tuple[str, int]:
+    """``<language>-n`` for the smallest n above ``k`` that ``held`` lacks, and n."""
+    k += 1
+    while f"{language}-{k}" in held:
+        k += 1
+    return f"{language}-{k}", k
+
+
 def _read_prefix(prefix, language: str) -> tuple[list[str], list[str]]:
-    """The ids and sentence lines of the records of a covered prefix, read
-    unparsed."""
-    ids, raws, auto = [], [], 0
+    """The ids and sentence lines of the records of the start of a data
+    file, read unparsed. A record without ``# id`` is named ``<language>-k``
+    by ``_auto_id``, above the k of the previous such record, past the ids
+    of the records before it."""
+    ids, raws, auto, held = [], [], 0, set()
     for sentence_id, _lineno, line in iter_sentences(str(prefix, "utf-8")):
         if sentence_id is None:
-            auto += 1
-            sentence_id = f"{language}-{auto}"
+            sentence_id, auto = _auto_id(language, auto, held)
+        held.add(sentence_id)
         ids.append(sentence_id)
         raws.append(line)
     return ids, raws
 
 
 def _lines(f: _DataFile) -> list[str]:
-    """The sentence lines of the records of ``f``; those of the covered
-    prefix are read unparsed and must carry the ids of the sidecar's rows."""
-    if not f.unread:
-        return f.raws
-    ids, raws = _read_prefix(f.prefix, f.language)
-    if ids != [row[0] for row in f.rows[: f.unread]]:
+    """The sentence lines of the records of ``f``, read unparsed from its
+    data file up to ``f.end``; they must carry the ids of its rows."""
+    with open(f.path, "rb") as fh:
+        ids, raws = _read_prefix(fh.read(f.end), f.language)
+    if ids != [row[0] for row in f.rows]:
         raise _not_described(f)
-    return raws + f.raws
+    return raws
 
 
 def _trees(f: _DataFile) -> list[list]:
-    """The trees of the records of ``f``; those of the covered prefix are
-    decoded from the tree block and must pass ``_are_trees``."""
-    if not f.unread:
-        return f.trees
-    trees = _json_lines(f.trees_body)
-    if trees is None or len(trees) != f.unread or not _are_trees(f.rows[: f.unread], trees):
+    """The trees of the records of ``f``, decoded from its tree block; they
+    must pass ``_are_trees``."""
+    trees = _json_lines(b"".join(f.blocks[1]))
+    if trees is None or len(trees) != len(f.rows) or not _are_trees(f.rows, trees):
         raise _not_described(f)
-    return trees + f.trees
+    return trees
 
 
 def _are_trees(rows: list[list], trees: list) -> bool:
@@ -662,7 +667,7 @@ def _are_trees(rows: list[list], trees: list) -> bool:
     column, in C loops; each type before the comparisons that rely on it (True < 2.5)."""
     if set(map(type, trees)) - {list} or set(map(len, trees)) - {3}:
         return False
-    surfaces, parents, groups = zip(*trees)
+    surfaces, parents, groups = zip(*trees) if trees else ((), (), ())
     if set(map(type, surfaces)) - {str} or set(map(type, chain(parents, groups))) - {list}:
         return False
     spans = list(chain.from_iterable(groups))
@@ -675,7 +680,7 @@ def _are_trees(rows: list[list], trees: list) -> bool:
         list(map(str.count, surfaces, repeat(" ")))
         == list(map(int.__sub__, counts, repeat(1)))
         == list(map(str.count, map(itemgetter(1), rows), repeat(" ")))
-        and set(map(list.count, parents, repeat(None))) == {1}
+        and set(map(list.count, parents, repeat(None))) <= {1}  # {1} unless no trees
         and set(map(type, chain.from_iterable(parents))) <= {int, type(None)}
         and all(map(frozenset.issuperset, map(ranges.__getitem__, counts), parents))
         and (set(map(type, starts)) | set(map(type, stops))) <= {int}

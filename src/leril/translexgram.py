@@ -93,6 +93,9 @@ _SINGLE_FIELDS = {
     "ERR": _FIELD("err"),
     "COMNT": _FIELD("comment"),
 }
+# Every meaning field emit_record writes after the gloss, in order: TR_NAT, a list, after ENG_EXP.
+_EMITTED = [*_SINGLE_FIELDS.items()]
+_EMITTED.insert(2, ("TR_NAT", _TR_NAT))
 _FIELD_ALIASES = {"TR_ENG_INFLNCE": "TR_ENG-INFLNC"}
 # Names known to match _NAME_RE, which the reader then does not run.
 _NAMES = frozenset(["HEADWORD", "MEANING", "TR_NAT", *_SINGLE_FIELDS, *_FIELD_ALIASES])
@@ -369,22 +372,10 @@ def emit_record(record: TlgRecord) -> str:
     lines = [f'HEADWORD::"{record.headword}","{record.pos}"']
     for m in record.meanings:
         lines.append(f'MEANING::{m.number}::"{m.gloss}"')
-        if m.gloss_other is not None:
-            lines.append(_field_line("MEANING_OTH", m.gloss_other))
-        if m.eng_exp is not None:
-            lines.append(_field_line("ENG_EXP", m.eng_exp))
-        for value in m.tr_nat:
-            lines.append(_field_line("TR_NAT", value))
-        if m.tr_eng_influence is not None:
-            lines.append(_field_line("TR_ENG-INFLNC", m.tr_eng_influence))
-        if m.frame_e is not None:
-            lines.append(_field_line("FRAME_E", m.frame_e))
-        if m.frame_i is not None:
-            lines.append(_field_line("FRAME_I", m.frame_i))
-        if m.err is not None:
-            lines.append(_field_line("ERR", m.err))
-        if m.comment is not None:
-            lines.append(_field_line("COMNT", m.comment))
+        for name, at in _EMITTED:
+            for value in m[at] if at == _TR_NAT else (m[at],):
+                if value is not None:
+                    lines.append(_field_line(name, value))
         for name, value in m.extras:
             lines.append(_field_line(name, value))
     return "\n".join(lines)

@@ -1,8 +1,10 @@
 import contextlib
 import importlib.util
+import io
 import json
 import os
 import random
+import re
 import shutil
 import signal
 import subprocess
@@ -36,9 +38,13 @@ def _records(store):
     return json.loads(store.export("interchange"))["records"]
 
 
+def _ids(store):
+    return [record["id"] for record in _records(store)]
+
+
 class TestAdd:
     def test_add_explicit_sentence(self, store, explicit_line):
-        assert store.add_sentence("s1", explicit_line, "hin") is None
+        assert store.add_sentence("s1", explicit_line, "hin") == "s1"
         [record] = _records(store)
         assert (record["id"], record["raw"]) == ("s1", explicit_line)
         assert len(record["tree"]["nodes"]) == 5
@@ -60,7 +66,7 @@ class TestAdd:
         with pytest.raises(CorpusError) as exc:
             store.add_sentence("bad", "a/k1->q piyA::v:i", "hin")
         assert str(exc.value) == "sentence 'bad' rejected: error: undefined index label 'q'"
-        assert "bad" not in store
+        assert "bad" not in _ids(store)
 
     def test_read_only_store_rejects_writes(self, tmp_path, explicit_line):
         with CorpusStore(tmp_path / "store", "rw") as writer:
@@ -88,7 +94,7 @@ class TestAdd:
             writer.add_sentence("s1", "piyA::v:i", "hin")
             with pytest.raises(CorpusError, match="line would not read back"):
                 writer.add_sentence("s2", line, "hin")
-            assert "s2" not in writer
+            assert "s2" not in _ids(writer)
         with CorpusStore(path, "r") as reader:
             assert reader.export("linear") == "# s1\npiyA::v:i\n"
 
@@ -124,7 +130,7 @@ class TestAdd:
             writer.add_sentence("s1", "piyA::v:i", "hin")
             with pytest.raises(CorpusError, match="id .* would not read back"):
                 writer.add_sentence(sentence_id, "piyA::v:i", "hin")
-            assert sentence_id not in writer
+            assert sentence_id not in _ids(writer)
         with CorpusStore(path, "r") as reader:
             assert [r["id"] for r in _records(reader)] == ["s1"]
 
@@ -142,7 +148,7 @@ class TestAdd:
             writer.add_sentence("s1", "piyA::v:i", "hin")
             with pytest.raises(CorpusError, match="language .* rejected"):
                 writer.add_sentence("s2", "piyA::v:i", language)
-            assert "s2" not in writer
+            assert "s2" not in _ids(writer)
         with CorpusStore(path, "r") as reader:
             assert [(r["id"], r["language"]) for r in _records(reader)] == [("s1", "hin")]
         assert [p.name for p in tmp_path.rglob("*anncorra")] == ["hin.anncorra"]
@@ -169,7 +175,7 @@ class TestPersistence:
         with CorpusStore(path, "rw") as writer:
             writer.add_sentence("s1", explicit_line, "hin")
         with CorpusStore(path, "r") as reader:
-            assert len(reader) == 1
+            assert reader.stats().sentences == 1
             [record] = _records(reader)
             assert (record["id"], record["language"], record["raw"]) == ("s1", "hin", explicit_line)
 
@@ -235,26 +241,45 @@ class TestPersistence:
         with CorpusStore(path, "rw") as writer:
             writer.add_sentence("s1", explicit_line, "hin")
             with CorpusStore(path, "r") as reader:
-                assert len(reader) == 1
+                assert reader.stats().sentences == 1
 
-    def test_an_added_auto_id_and_a_line_appended_without_one_collide(self, capsys, tmp_path):
-        # A known gap: `corpus add` writes `# und-1` for an id-less sentence, and a line
-        # appended by hand without `# id` is read as `und-1` too. Every corpus command then
-        # fails with exit 3, also once the sidecar is deleted.
+    def test_an_added_auto_id_and_a_line_appended_without_one_collision_free(
+        self, capsys, tmp_path
+    ):
+        # `corpus add` writes `# und-1` for an id-less sentence; a line appended by hand
+        # without `# id` reads as `und-2`, past the ids of the records before it, so every
+        # corpus command goes on reading the store, with its sidecar and without it.
         path, source = tmp_path / "store", tmp_path / "one.anncorra"
         source.write_text("x/k1 y::v\n")
         assert run(["corpus", "add", str(source), "--store", str(path)]) == 0
         assert capsys.readouterr().out == "und-1\n"
         with open(path / "und.anncorra", "a") as fh:
             fh.write("z/k2 w::v\n")
-        message = f"error: {path / 'und.anncorra'}:3: duplicate sentence id 'und-1'\n"
-        commands = [["corpus", "stats"], ["corpus", "export"], ["corpus", "add", str(source)]]
-        for sidecar in (True, False):
+        records = "# und-1\nx/k1 y::v\n# und-2\nz/k2 w::v\n"
+        for sidecar, added in ((True, "und-3"), (False, "und-4")):
             if not sidecar:
                 (path / "und.anncorra.idx").unlink()
-            for argv in commands:
-                assert run([*argv, "--store", str(path)]) == 3, (argv, sidecar)
-                assert capsys.readouterr() == ("", message), (argv, sidecar)
+            assert run(["corpus", "stats", "--store", str(path)]) == 0, sidecar
+            assert json.loads(capsys.readouterr().out)["sentences"] == records.count("# ")
+            assert run(["corpus", "export", "--store", str(path)]) == 0, sidecar
+            assert capsys.readouterr() == (records, "")
+            assert run(["corpus", "add", str(source), "--store", str(path)]) == 0, sidecar
+            assert capsys.readouterr() == (f"{added}\n", "")
+            records += f"# {added}\nx/k1 y::v\n"
+
+    def test_a_reader_opened_before_an_add_exports_what_it_saw_at_open(self, capsys, tmp_path):
+        path = tmp_path / "store"
+        assert _cli_add(capsys, path, f"# s1\n{POOL[0]}\n{POOL[1]}\n")[0] == 0
+        for sidecar in (True, False):
+            if not sidecar:
+                (path / "hin.anncorra.idx").unlink()
+            with CorpusStore(path) as early, CorpusStore(path) as reference:
+                seen = reference.export(), reference.export("interchange")
+                assert _cli_add(capsys, path, f"{POOL[2]}\n")[0] == 0
+                assert (early.export(), early.export("interchange")) == seen
+            with CorpusStore(path) as late:
+                assert late.export().startswith(seen[0])
+                assert late.stats().sentences == len(_records(early)) + 1
 
 
 class TestQuery:
@@ -1206,6 +1231,81 @@ def test_sidecar_never_changes_what_readers_see(ops):
             )
 
 
+def _cli(argv):
+    """(exit code, stdout, stderr) of one ``leril`` command run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_ID_SENTENCE = st.tuples(
+    st.sampled_from([None, None, "und-1", "und-2", "und-3", "s1"]), st.sampled_from(POOL[:3])
+)
+_ID_OPS = st.one_of(
+    st.tuples(st.just("add"), st.lists(_ID_SENTENCE, min_size=1, max_size=3)),
+    st.tuples(st.just("hand"), st.lists(_ID_SENTENCE, min_size=1, max_size=2)),
+)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_ID_OPS, min_size=1, max_size=6))
+# an added sentence without an id, then a line appended by hand without one
+@example([("add", [(None, POOL[0])]), ("hand", [(None, POOL[1])]), ("add", [(None, POOL[2])])])
+# a hand-appended id-less line goes past an id written by hand
+@example([("hand", [("und-1", POOL[0]), (None, POOL[1])]), ("add", [(None, POOL[2])])])
+def test_sentence_ids_collide_only_where_the_user_wrote_the_duplicate(ops):
+    """``corpus add`` of sentences with and without ids interleaved with lines
+    appended by hand with and without ``# id``: every read exits 0 or reports
+    a duplicate that the user wrote, and the ids are the same across a
+    reopen and without the sidecar."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, plain, source = Path(tmp) / "store", Path(tmp) / "plain", Path(tmp) / "in.anncorra"
+        path.mkdir()
+        ids = []  # the store's ids in file order; None for a hand-appended line without one
+        for op, sentences in ops:
+            text = "".join(f"# {i}\n{line}\n" if i else f"{line}\n" for i, line in sentences)
+            written, duplicate = set(), False  # the ids written by hand in this step
+            if op == "add":
+                source.write_text(text, encoding="utf-8")
+                code, out, err = _cli(["corpus", "add", str(source), "--store", str(path)])
+                added, refused = iter(out.split()), 0
+                for i, _line in sentences:
+                    if i in ids:  # the user's duplicate, refused
+                        refused += 1
+                        continue
+                    new = next(added)
+                    assert new == i if i is not None else new not in ids
+                    ids.append(new)
+                assert next(added, None) is None
+                assert (code, err.count("duplicate sentence id")) == (2 if refused else 0, refused)
+            else:
+                with (path / "und.anncorra").open("a", encoding="utf-8") as fh:
+                    fh.write(text)
+                written = {i for i, _line in sentences} - {None}
+                duplicate = not written.isdisjoint(ids)  # an id of an earlier record, by hand
+                ids += [i for i, _line in sentences]
+            shutil.rmtree(plain, ignore_errors=True)
+            plain.mkdir()
+            shutil.copyfile(path / "und.anncorra", plain / "und.anncorra")
+            stores = (path, path, plain)
+            reads = [_cli(["corpus", "export", "--store", str(store)]) for store in stores]
+            first, again, without = (str(o).replace(str(at), "S") for o, at in zip(reads, stores))
+            assert first == again == without, "ids change across a reopen or without the sidecar"
+            code, out, err = reads[0]
+            if written and (duplicate or code):
+                reported = re.search(r"duplicate sentence id '([^']*)'", err)
+                assert (code, out) == (3, "") and reported and reported[1] in written, err
+                return  # the store holds the user's duplicate until the user removes it
+            assert (code, err) == (0, "")
+            seen = [line[2:] for line in out.split("\n") if line.startswith("# ")]
+            assert len(seen) == len(set(seen)) == len(ids)
+            assert all(i is None or i == s for i, s in zip(ids, seen))
+            ids = seen
+            code, out, err = _cli(["corpus", "stats", "--store", str(path)])
+            assert (code, err, json.loads(out)["sentences"]) == (0, "", len(ids))
+
+
 # Surfaces with "-" (the sidecar's no-tag field), quotes, backslashes and
 # non-ASCII text; tags in other casing than the registry's, an unknown one,
 # and a tagset.cfg that adds "K4", renames "k1" to "K1" and makes "-" a tag.
@@ -1402,8 +1502,10 @@ def _tree_block(draw, mutation):
 def test_tree_block_check_agrees_with_the_per_tree_reference(mutation, data):
     rows, trees = data.draw(_tree_block(mutation))
     f = corpus_store_module._DataFile(Path("hin.anncorra"), "hin")
-    f.rows, f.unread = rows, len(rows)
-    f.trees_body = "".join(json.dumps(tree) + "\n" for tree in trees).encode("utf-8")
+    f.rows = rows
+    # the block as a sidecar loads it, then one piece per tree indexed since
+    lines = [(json.dumps(tree) + "\n").encode("utf-8") for tree in trees]
+    f.blocks[1].extend([memoryview(b"".join(lines[:-1])), lines[-1]])
     decoded = json.loads("[" + ",".join(map(json.dumps, trees)) + "]")
     accepted = all(map(_reference_is_tree, rows, decoded)) and _reference_no_empty_field(
         [tree[0] for tree in decoded]
@@ -1439,7 +1541,7 @@ class TestTornTail:
             with pytest.raises(OSError, match="short write"):
                 writer.add_sentence("s2", "siitaa/k1 gayA::v", "hin")
             monkeypatch.undo()
-            assert "s2" not in writer
+            assert "s2" not in _ids(writer)
             writer.add_sentence("s3", "siitaa/k2 dekhA::v", "hin")
         assert (path / "hin.anncorra").read_text() == (
             "# s1\nraama/k1 gayA::v\n# s3\nsiitaa/k2 dekhA::v\n"
