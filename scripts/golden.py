@@ -12,9 +12,9 @@ child process. The cases are:
 
 - every subcommand on ``tests/fixtures/`` and on a few generated inputs
   (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
-  and LF that ``str.splitlines`` breaks at, deep brackets, a dictionary
-  with every character JSON escapes, a lexicon record without meanings,
-  a missing file, a directory), with
+  and LF that ``str.splitlines`` breaks at, deep and malformed brackets, a
+  dictionary with every character JSON escapes, a lexicon record without
+  meanings, a missing file, a directory), with
   and without ``--strict``, plus transfer sentences and
   literal frames, transfer over a lexicon that mixes malformed frame pairs
   with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
@@ -175,6 +175,12 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             b"[x/k1:i::v:j piyA::v]<s>\nx:y piyA::v\npiyA::v:i->j\nx::zz:I piyA::v\n"
             b"[a[b piyA::v]<s>]<s>\na<b c>d x/k1:A piyA::v\nx/ y/k1-> /k1 piyA::v\n"
         ),
+        # each bracket shape alone, before a verb and inside a group; then 16 groups on one token
+        "brackets.anncorra": b"".join(
+            b"%s\n%s piyA::v\n[a/k1 %s piyA::v]<s>\n" % (shape, shape, shape)
+            for shape in (b"]<s>", b"x]", b"x]<>", b"[]<s>", b"x/k1]<s>]<t>", b"x]<a>b]<c>",
+                          b"]<a]<b>", b"[", b"]<s", b"[x/k1", b"[[[a/k1 b/k2]<s> c::v]<s>]<s>")
+        ) + b"[" * 16 + b"a/k1" + b"]<s>" * 16 + b" piyA::v\n[[[a/k1]<s>]<k1>]<zz> piyA::v\n",
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"

@@ -29,9 +29,10 @@ A tree is its nodes and groups: each node holds its surface, its tags and
 the position of its head, so the nodes form one parent array. Default
 attachment and the tree checks are linear in sentence length: two sweeps
 give every token's nearest verbal token, and one walk over the parent
-links gives every node's depth and finds any cycle. Group-head lookups
-cost the summed length of the groups, which is the sentence length times
-the bracket nesting depth.
+links gives every node's depth and finds any cycle. A chunk's brackets
+are read in one pass, linear in the chunk. Group-head lookups cost the
+summed length of the groups, which is the sentence length times the
+bracket nesting depth.
 
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
@@ -503,10 +504,7 @@ def resolve(
         diagnostics.append(error("cycle in parent references"))
         return None, diagnostics
 
-    roots = [p for p, parent in enumerate(parents) if parent is None]
-    if not roots:
-        diagnostics.append(error("no root: every token has a parent"))
-        return None, diagnostics
+    roots = [p for p, parent in enumerate(parents) if parent is None]  # one at least: no cycle
     if len(roots) > 1:
         surfaces = ", ".join(f"'{tokens[r].surface}'" for r in roots)
         diagnostics.append(error(f"multiple roots: {surfaces}"))
@@ -520,7 +518,15 @@ def resolve(
 
 
 _CHUNK_RE = re.compile(r"\S+")
-_CLOSER_RE = re.compile(r"\]<([^<>\[\]]*)>$")
+_CLOSER_RE = re.compile(r"\]<([^<>\[\]]*)>")
+_CLOSERS_REVERSED_RE = re.compile(r"(?:>[^<>\[\]]*<\])*")  # trailing ``]<tag>``s, read backward
+
+
+def _brackets(chunk: str) -> tuple[int, str, list[str]]:
+    """A chunk's count of leading ``[``, its text, and its closers' tags in reading order."""
+    opens = len(chunk) - len(chunk.lstrip("["))
+    cut = len(chunk) - _CLOSERS_REVERSED_RE.match(chunk[::-1]).end()
+    return opens, chunk[opens:cut], _CLOSER_RE.findall(chunk, cut)
 
 
 def parse_sentence(
@@ -547,21 +553,9 @@ def parse_sentence(
             continue
 
         column = m.start() + 1
-        opens = 0
-        while chunk.startswith("["):
-            opens += 1
-            chunk = chunk[1:]
-        closers: list[str] = []
-        while True:
-            cm = _CLOSER_RE.search(chunk)
-            if cm is None:
-                break
-            closers.append(cm.group(1))
-            chunk = chunk[: cm.start()]
+        opens, chunk, closers = _brackets(chunk)
         if chunk.endswith("]"):
-            diagnostics.append(
-                error("group close without a '<tag>'", column=column)
-            )
+            diagnostics.append(error("group close without a '<tag>'", column=column))
             failed = True
             continue
 
@@ -583,7 +577,7 @@ def parse_sentence(
                 token = None  # still a member of its group; the line fails anyway
             tokens.append(token)
 
-        for tag in reversed(closers):
+        for tag in closers:
             if not stack:
                 diagnostics.append(error("unbalanced ']'", column=column))
                 failed = True
@@ -668,12 +662,12 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
         labeled.add(root)
     label = {pos: _index_label(k) for k, pos in enumerate(sorted(labeled))}
 
-    # the brackets at each position where a group opens or closes
-    opens: dict[int, str] = {}
-    closes: dict[int, str] = {}
+    # the brackets at each position where a group opens or closes: a count, and closers
+    opens: dict[int, int] = {}
+    closes: dict[int, list[str]] = {}
     for group in sorted(tree.groups, key=lambda g: -g.start):  # inner groups close first
-        opens[group.start] = opens.get(group.start, "") + "["
-        closes[group.stop - 1] = closes.get(group.stop - 1, "") + f"]<{group.tag}>"
+        opens[group.start] = opens.get(group.start, 0) + 1
+        closes.setdefault(group.stop - 1, []).append(f"]<{group.tag}>")
 
     chunks = []
     for p, (surface, rel_tag, node_tag, _) in enumerate(nodes):
@@ -690,7 +684,7 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
         if lbl is not None:
             raise EmitError(f"node '{surface}' needs an index label but has no tag to carry it")
         if p in opens or p in closes:
-            text = opens.get(p, "") + text + closes.get(p, "")
+            text = "[" * opens.get(p, 0) + text + "".join(closes.get(p, ()))
         chunks.append(text)
     return " ".join(chunks)
 

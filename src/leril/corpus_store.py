@@ -642,10 +642,13 @@ def _read_prefix(prefix, language: str) -> tuple[list[str], list[str]]:
 
 
 def _lines(f: _DataFile) -> list[str]:
-    """The sentence lines of the records of ``f``, read unparsed from its
-    data file up to ``f.end``; they must carry the ids of its rows."""
+    """The sentence lines of the records of ``f``, read unparsed from its data
+    file up to ``f.end``; they must be the bytes read at open, with its rows' ids."""
     with open(f.path, "rb") as fh:
-        ids, raws = _read_prefix(fh.read(f.end), f.language)
+        prefix = fh.read(f.end)
+    if len(prefix) != f.end or crc32(prefix) != f.crc:
+        raise CorpusError(f"{f.path} changed since the store was opened")
+    ids, raws = _read_prefix(prefix, f.language)
     if ids != [row[0] for row in f.rows]:
         raise _not_described(f)
     return raws

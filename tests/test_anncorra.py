@@ -237,6 +237,42 @@ def test_parse_sentence_matches_character_walk(chunks, registry):
     assert parse_sentence(line, registry) == expected
 
 
+_LAST_CLOSER_RE = re.compile(r"\]<([^<>\[\]]*)>$")
+
+
+def _peeled(chunk):
+    """The reference bracket peel, one bracket at a time: strip each leading '[',
+    then cut each trailing ']<tag>' off with a search anchored at the end."""
+    opens = 0
+    while chunk.startswith("["):
+        opens += 1
+        chunk = chunk[1:]
+    closers = []
+    while (m := _LAST_CLOSER_RE.search(chunk)) is not None:
+        closers.append(m.group(1))
+        chunk = chunk[: m.start()]
+    return opens, chunk, closers[::-1]
+
+
+_bracket_pieces = st.sampled_from(
+    ["[", "]", "<", ">", "]<s>", "]<>", "]<k1>", "a", "s", "/k1", "::v", ":i", "->", "-"]
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text("[]<>as/:k-", max_size=16), st.lists(_bracket_pieces).map("".join)))
+@example("]<s>" * 40 + "x")  # closers, then one other character: quadratic for a lazy fullmatch
+@example("[" * 3 + "a/k1" + "]<s>" * 3)
+@example("[[x/k1]<s>]<t>")
+@example("[]<s>")
+@example("x]<a>b]<c>")
+@example("]<a]<b>")
+@example("[[[")
+@example("[x]<s")
+def test_bracket_peel_matches_the_loops_it_replaced(chunk):
+    assert anncorra._brackets(chunk) == _peeled(chunk)
+
+
 # Sentences whose brackets nest, around the verbal root ``r::v:x``: most of
 # them resolve to trees through every kind of attachment, by label, by
 # default and by group head. Sentences of raw ``_chunks`` add the rest.
@@ -477,6 +513,12 @@ class TestParseSentence:
             assert [(d.message, d.column) for d in diags] == [
                 ("empty or invalid index after ':'", column)
             ]
+
+    def test_a_line_in_which_every_token_has_a_parent_is_a_cycle(self, registry):
+        for line in ("a/k1:i->j b/k2:j->i", "a/k1:i->j b/k1:j->i c/k1->j"):
+            tree, diags = parse_sentence(line, registry)
+            assert tree is None
+            assert [d.message for d in diags] == ["cycle in parent references"]
 
     def test_parse_error_reports_column(self, registry):
         tree, diags = parse_sentence("piyA::v:i x/k1->", registry)

@@ -108,6 +108,10 @@ class TestTlg:
         assert out.startswith('HEADWORD::"go","V"')
         assert 'MEANING::7::"nikala~jAnA"' in out
 
+    def test_seed_of_an_unknown_headword(self, capsys):
+        code, out, err = _run(capsys, "tlg", "seed", "--dict", GO_DICT, "--headword", "nope")
+        assert (code, out, err) == (2, "", "error: headword 'nope' not found\n")
+
     def test_corpus_tsv(self, capsys):
         code, out, _ = _run(capsys, "tlg", "corpus", GO_TLG)
         assert code == 0
@@ -179,6 +183,12 @@ class TestAnnCorra:
         assert code == 0
         assert "unknown" not in err
 
+    def test_a_token_that_refers_to_itself(self, capsys, tmp_path):
+        src = tmp_path / "s.txt"
+        src.write_text("a/k1:i->i piyA::v\n")
+        code, out, err = _run(capsys, "anncorra", "check", str(src))
+        assert (code, out, err) == (2, "", "error: token 'a' refers to itself (line 1)\n")
+
     def test_parse_error_exits_2_with_line(self, capsys, tmp_path):
         src = tmp_path / "s.txt"
         src.write_text("piyA::v:i\nx/k1->\n")
@@ -212,6 +222,14 @@ class TestSutra:
         )
         assert code == 1
         assert "viSaya" in err
+
+    def test_check_of_more_formulas_than_threads(self, capsys, tmp_path):
+        formulas = tmp_path / "two.formula"
+        formulas.write_text("viSaya[~~ < a]\n\nb[~ < c]\n")
+        code, out, err = _run(
+            capsys, "sutra", "check", str(formulas), "tests/fixtures/issue.thread"
+        )
+        assert (code, out, err) == (2, "", "error: cannot pair 2 formulas with 1 threads\n")
 
     def test_check_with_alias_is_clean(self, capsys):
         code, _, err = _run(

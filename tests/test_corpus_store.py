@@ -281,6 +281,29 @@ class TestPersistence:
                 assert late.export().startswith(seen[0])
                 assert late.stats().sentences == len(_records(early)) + 1
 
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+    @pytest.mark.parametrize("edit", ["cut-back", "same-length"])
+    def test_a_reader_export_names_the_data_file_changed_since_open(
+        self, capsys, tmp_path, edit, sidecar
+    ):
+        path = tmp_path / "store"
+        assert _cli_add(capsys, path, f"# s1\n{POOL[0]}\n# s2\n{POOL[1]}\n")[0] == 0
+        data = path / "hin.anncorra"
+        if not sidecar:
+            (path / "hin.anncorra.idx").unlink()
+        raw = data.read_bytes()
+        changed = {
+            "cut-back": raw[: raw.index(b"# s2\n")],  # the first record alone
+            "same-length": raw.replace(b"raama", b"Raama"),
+        }[edit]
+        assert changed != raw
+        with CorpusStore(path) as reader:
+            data.write_bytes(changed)
+            for format in ("linear", "interchange"):
+                with pytest.raises(CorpusError) as caught:
+                    reader.export(format)
+                assert str(caught.value) == f"{data} changed since the store was opened"
+
 
 class TestQuery:
     def test_query_k2(self, store, explicit_line):
@@ -761,6 +784,18 @@ class TestSidecar:
         expected = self._same_as_without_sidecar(capsys, store_dir)
         assert "hin-1\t0" in expected[1][1] and "t1\t0" in expected[0][1]
         assert len(calls) == 6 * 14 + 6 * 2  # the tail is parsed on every open
+
+    def test_a_failed_sidecar_replace_leaves_neither_sidecar(self, capsys, store_dir, monkeypatch):
+        def refuse(*args):
+            raise OSError("replace refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(corpus_store_module.os, "replace", refuse)
+            assert _cli_add(capsys, store_dir, "# late\nraama/k1 gayA::v\n")[0] == 0
+        assert list(store_dir.glob("*.idx*")) == []  # neither the temp file nor the old sidecar
+        assert _cli_add(capsys, store_dir, "# later\nsiitaa/k2 dekhA::v\n")[0] == 0
+        expected = self._same_as_without_sidecar(capsys, store_dir)
+        assert "# late\n" in expected[4][1] and "# later\n" in expected[4][1]
 
     def test_restored_shorter(self, capsys, store_dir):
         data = store_dir / "hin.anncorra"

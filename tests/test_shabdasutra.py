@@ -251,6 +251,8 @@ class TestFiles:
             ("x\n\n  a\n  -->  b)\t c\n", ("unbalanced ')' in stage", 4, 9)),
             ("a\n-->\tb (c)  d\n", ("unexpected text after stage gloss", 2, 12)),
             ("a --> --> c\n", ("empty stage between arrows", 1, None)),
+            ("(x) --> b\n", ("empty stage label", 1, None)),
+            ("a eg: , --> b\n", ("no examples after 'eg:'", 1, None)),
         ],
     )
     def test_bad_thread_reported_at_its_column(self, text, reported):
@@ -262,6 +264,13 @@ class TestFiles:
         formulas, diags = parse_formula_file("ok\n   broken[\n")
         assert len(formulas) == 1
         assert [(d.message, d.line, d.column) for d in diags] == [("unbalanced '['", 2, 10)]
+
+    def test_turns_without_a_source_reported_at_their_column(self):
+        formulas, diags = parse_formula_file("a[~~]\n")
+        assert formulas == []
+        assert [(d.message, d.line, d.column) for d in diags] == [
+            ("expected '<' in derivation", 1, 5)
+        ]
 
 
 def _derive(head: str, turns: int, source: SutraFormula) -> SutraFormula:

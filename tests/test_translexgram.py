@@ -70,6 +70,16 @@ class TestParseTlg:
         assert records == []
         assert any(d.severity == Severity.ERROR for d in diags)
 
+    def test_field_before_headword_and_empty_tr_nat(self):
+        text = 'ENG_EXP:: I go.\nHEADWORD::"go","V"\nMEANING::1::"jAnA"\nTR_NAT::\nTR_NAT:: x\n'
+        records, diags = parse_tlg(text)
+        assert records[0].meanings[0].eng_exp is None
+        assert records[0].meanings[0].tr_nat == ("x",)
+        assert [(d.severity, d.message, d.line, d.field) for d in diags] == [
+            (Severity.ERROR, "field ENG_EXP before HEADWORD; skipped", 1, "ENG_EXP"),
+            (Severity.WARNING, "empty TR_NAT value ignored", 4, "TR_NAT"),
+        ]
+
     def test_duplicate_single_field_warns_later_wins(self):
         text = (
             'HEADWORD::"go","V"\nMEANING::1::"jAnA"\n'
@@ -122,6 +132,15 @@ class TestValidate:
         )
         diags = validate_tlg(record)
         assert any("slot B unbound in source frame" in d.message for d in diags)
+
+    def test_duplicate_slot_letter_is_an_unparseable_frame(self):
+        meaning = TlgMeaning(
+            1, gloss="jAnA", eng_exp="I go.", tr_nat=("x",), frame_e="A A goes", frame_i="A jAtA"
+        )
+        diags = validate_tlg(TlgRecord("go", "V", (meaning,)))
+        assert [(d.severity, d.message) for d in diags] == [
+            (Severity.WARNING, "meaning 1: unparseable frame: duplicate slot letter 'A'")
+        ]
 
     def test_strict_flags_empty_influence_line(self, go_tlg_text):
         records, _ = parse_tlg(go_tlg_text)
