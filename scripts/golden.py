@@ -12,9 +12,9 @@ child process. The cases are:
 
 - every subcommand on ``tests/fixtures/`` and on a few generated inputs
   (empty, not UTF-8, BOM, NUL, CR line ends, the characters other than CR
-  and LF that ``str.splitlines`` breaks at, deep and malformed brackets, a
-  dictionary with every character JSON escapes, a lexicon record without
-  meanings, a missing file, a directory), with
+  and LF that ``str.splitlines`` breaks at, deep, nested and malformed
+  brackets, a dictionary with every character JSON escapes, a lexicon
+  record without meanings, a missing file, a directory), with
   and without ``--strict``, plus transfer sentences and
   literal frames, transfer over a lexicon that mixes malformed frame pairs
   with good ones, and ``--tagset`` / ``LERIL_TAGSET`` variants;
@@ -181,6 +181,16 @@ def _inputs(tmp: Path) -> dict[str, Path]:
             for shape in (b"]<s>", b"x]", b"x]<>", b"[]<s>", b"x/k1]<s>]<t>", b"x]<a>b]<c>",
                           b"]<a]<b>", b"[", b"]<s", b"[x/k1", b"[[[a/k1 b/k2]<s> c::v]<s>]<s>")
         ) + b"[" * 16 + b"a/k1" + b"]<s>" * 16 + b" piyA::v\n[[[a/k1]<s>]<k1>]<zz> piyA::v\n",
+        # 64 nested groups, each opening on a tagged token, then on a bare one; bare
+        # tokens that their innermost group cannot take; bare tokens in a longer
+        # group and a shorter one
+        "nested.anncorra": "".join(
+            "".join(f"[a{i}{tag} " for i in range(64)) + "piyA::v" + "]<s>" * 64 + "\n"
+            for tag in ("/k1", "")
+        ).encode() + (
+            b"[[x/k1 c y/k2]<k1> v::v]<s>\n[[[c]<s>]<k1>]<s> v::v\n"
+            b"[a b/k1 c::v]<s> [d e/k2::v]<k1>\n"
+        ),
         "mixed.anncorra": (
             b"# m1\nraama/k1 gayA::v\n\nsiitaa/k2 dekhA::v\n# c\n# m3 note\n"
             b"[x/k1 y::v]<s> z/k2\na/k1->q b::v\n# m1\npiyA::v\n"

@@ -30,9 +30,11 @@ the position of its head, so the nodes form one parent array. Default
 attachment and the tree checks are linear in sentence length: two sweeps
 give every token's nearest verbal token, and one walk over the parent
 links gives every node's depth and finds any cycle. A chunk's brackets
-are read in one pass, linear in the chunk. Group-head lookups cost the
-summed length of the groups, which is the sentence length times the
-bracket nesting depth.
+are read in one pass, linear in the chunk. One walk over the groups in
+start order finds the innermost group of every position asked about, and a
+group's head is looked for once, over its span, only for a group that
+directly holds a bare token (in ``resolve``) or a relation-less node (in
+``_emit``).
 
 Tags are matched case-insensitively against a registry; emission keeps
 registry casing. ``kr`` is registered both as a relation and (as ``Kr``) a
@@ -410,16 +412,41 @@ def _is_bare(token: AnnToken | DepNode) -> bool:
     return token.rel_tag is None and token.node_tag is None
 
 
-def _group_head(
-    tokens: Sequence[AnnToken | DepNode], parents: Sequence[int | None], group: Group
-) -> int | None:
-    candidates = [
-        p
-        for p, token in enumerate(tokens[group.start : group.stop], group.start)
-        if not _is_bare(token)
-        and (parents[p] is None or not (group.start <= parents[p] < group.stop))
-    ]
-    return candidates[0] if len(candidates) == 1 else None
+def _innermost_heads(
+    tokens: Sequence[AnnToken | DepNode],
+    parents: Sequence[int | None],
+    groups: Sequence[Group],
+    positions: Iterable[int],
+) -> dict[int, tuple[Group, int | None]]:
+    """Map each of ``positions`` (ascending) that a group covers to its innermost
+    group and that group's head: its one tagged token whose parent lies outside
+    it, or None. Innermost means shortest, the first listed on a tie.
+
+    Groups nest, so one walk in start order keeps the open groups on a stack,
+    the inner one on top and, of two equal spans, the first listed. A head is
+    looked for once, only for a group that some position has as its innermost.
+    """
+    pending = sorted(groups, key=lambda g: (-g.start, g.stop))  # popped from the end
+    stack: list[Group] = []
+    heads: dict[Group, int | None] = {}
+    innermost = {}
+    for p in positions:
+        while pending and pending[-1].start <= p:
+            stack.append(pending.pop())
+        while stack and stack[-1].stop <= p:
+            stack.pop()
+        if stack:
+            group = stack[-1]
+            if group not in heads:
+                start, stop, _ = group
+                candidates = [
+                    q
+                    for q, t in enumerate(tokens[start:stop], start)
+                    if not _is_bare(t) and (parents[q] is None or not start <= parents[q] < stop)
+                ]
+                heads[group] = candidates[0] if len(candidates) == 1 else None
+            innermost[p] = group, heads[group]
+    return innermost
 
 
 def resolve(
@@ -448,6 +475,7 @@ def resolve(
     verbal = registry.verbal_flags(tokens)
     nearest_verbal = _nearest_verbal_table(verbal)
     parents: list[int | None] = [None] * len(tokens)
+    bare: list[int] = []  # tokens without tags, left to their group heads
     for p, token in enumerate(tokens):
         if token.parent_ref is not None:
             target = labels.get(token.parent_ref)
@@ -468,35 +496,24 @@ def resolve(
                 failed = True
             else:
                 parents[p] = target
+        elif token.node_tag is None:
+            bare.append(p)
     if failed:
         return None, diagnostics
 
-    # Bare tokens attach to the head of their innermost group.
-    for group in sorted(groups, key=lambda g: g.stop - g.start):
-        head = None
-        head_known = False
-        for p, token in enumerate(tokens[group.start : group.stop], group.start):
-            if not _is_bare(token) or parents[p] is not None:
-                continue
-            if not head_known:
-                head = _group_head(tokens, parents, group)
-                head_known = True
-            if head is None or not verbal[head]:
-                diagnostics.append(
-                    error(
-                        f"group '<{group.tag}>' has no verbal head for bare token "
-                        f"'{token.surface}'"
-                    )
-                )
-                failed = True
-                continue
-            parents[p] = head
-            diagnostics.append(
-                warning(
-                    f"bare token '{token.surface}' attached to group head "
-                    f"'{tokens[head].surface}'"
-                )
-            )
+    # Bare tokens attach to the head of their innermost group, shortest group first.
+    innermost = _innermost_heads(tokens, parents, groups, bare)
+    for p in sorted(innermost, key=lambda p: innermost[p][0].stop - innermost[p][0].start):
+        group, head = innermost[p]
+        surface = tokens[p].surface
+        if head is None or not verbal[head]:
+            message = f"group '<{group.tag}>' has no verbal head for bare token '{surface}'"
+            diagnostics.append(error(message))
+            failed = True
+            continue
+        parents[p] = head
+        message = f"bare token '{surface}' attached to group head '{tokens[head].surface}'"
+        diagnostics.append(warning(message))
     if failed:
         return None, diagnostics
 
@@ -559,12 +576,9 @@ def parse_sentence(
             failed = True
             continue
 
-        for _ in range(opens):
-            if len(stack) >= 2:
-                diagnostics.append(
-                    warning("group nesting deeper than one level", column=column)
-                )
-            stack.append(len(tokens))
+        if opens and len(stack) + opens > 2:
+            diagnostics.append(warning("group nesting deeper than one level", column=column))
+        stack += [len(tokens)] * opens
 
         if chunk:
             try:
@@ -639,22 +653,23 @@ def emit_minimal(tree: DepTree, registry: TagRegistry) -> str:
 def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
     nodes = tree.nodes
     nearest_verbal = _nearest_verbal_table(registry.verbal_flags(nodes)) if minimal else None
-    group_heads = _innermost_group_heads(tree)
 
     keep: dict[int, int] = {}
+    untagged = []  # nodes whose parent must head their innermost group
     for p, node in enumerate(nodes):
         if node.parent is None:
             continue
         if node.rel_tag is None:
-            if group_heads.get(p) != node.parent:
-                raise EmitError(
-                    f"cannot serialize node '{node.surface}': no relation tag and no "
-                    "covering group headed by its parent"
-                )
-            continue
-        if minimal and nearest_verbal[p] == node.parent:
-            continue
-        keep[p] = node.parent
+            untagged.append(p)
+        elif not (minimal and nearest_verbal[p] == node.parent):
+            keep[p] = node.parent
+    innermost = _innermost_heads(nodes, [node.parent for node in nodes], tree.groups, untagged)
+    for p in untagged:
+        if p not in innermost or innermost[p][1] != nodes[p].parent:
+            raise EmitError(
+                f"cannot serialize node '{nodes[p].surface}': no relation tag and no "
+                "covering group headed by its parent"
+            )
 
     labeled = set(keep.values())
     root = tree.root
@@ -687,23 +702,6 @@ def _emit(tree: DepTree, minimal: bool, registry: TagRegistry | None) -> str:
             text = "[" * opens.get(p, 0) + text + "".join(closes.get(p, ()))
         chunks.append(text)
     return " ".join(chunks)
-
-
-def _innermost_group_heads(tree: DepTree) -> dict[int, int | None]:
-    """Map each position a group covers to the head of its innermost group.
-
-    Innermost means shortest, the first listed on a tie. Groups are painted
-    longest first, equal spans the last listed first, so the last group
-    written at a position is its innermost one.
-    """
-    n = len(tree.nodes)
-    innermost: dict[int, Group] = {}
-    for group in sorted(reversed(tree.groups), key=lambda g: g.start - g.stop):
-        for p in range(max(group.start, 0), min(group.stop, n)):
-            innermost[p] = group
-    parents = [node.parent for node in tree.nodes]
-    heads = {group: _group_head(tree.nodes, parents, group) for group in set(innermost.values())}
-    return {p: heads[group] for p, group in innermost.items()}
 
 
 def emit_interchange(form: str, key: str, fields: Sequence[str], records: Iterable) -> str:

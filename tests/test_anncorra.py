@@ -16,6 +16,8 @@ from leril.anncorra import (
     AnnToken,
     DepNode,
     DepTree,
+    EmitError,
+    Group,
     TagRegistry,
     TagsetError,
     _depths,
@@ -29,7 +31,7 @@ from leril.anncorra import (
     parse_token,
     resolve,
 )
-from leril.diagnostics import Severity, has_errors
+from leril.diagnostics import Severity, error, has_errors, warning
 
 
 def _shape(tree):
@@ -321,6 +323,141 @@ def test_parsed_trees_are_trees(line):
     assert all(0 <= g.start < g.stop <= n for g in tree.groups)
 
 
+def _group_head(tokens, parents, group):
+    """The reference head lookup: the group's one tagged token whose parent lies outside it."""
+    candidates = [
+        p
+        for p, token in enumerate(tokens[group.start : group.stop], group.start)
+        if not anncorra._is_bare(token)
+        and (parents[p] is None or not (group.start <= parents[p] < group.stop))
+    ]
+    return candidates[0] if len(candidates) == 1 else None
+
+
+def _innermost_group_heads(tree):
+    """The reference innermost rule, by painting: groups are written over their
+    positions longest first, equal spans the last listed first, so the last group
+    written at a position is its innermost one. Maps a position to that group's head."""
+    n = len(tree.nodes)
+    innermost = {}
+    for group in sorted(reversed(tree.groups), key=lambda g: g.start - g.stop):
+        for p in range(max(group.start, 0), min(group.stop, n)):
+            innermost[p] = group
+    parents = [node.parent for node in tree.nodes]
+    heads = {group: _group_head(tree.nodes, parents, group) for group in set(innermost.values())}
+    return {p: heads[group] for p, group in innermost.items()}
+
+
+def _painted(tokens, parents, groups, positions):
+    """``_innermost_heads`` by the painting above, for ``_emit``, which reads only the head."""
+    heads = _innermost_group_heads(DepTree(tokens, groups))
+    return {p: (None, heads[p]) for p in positions if p in heads}
+
+
+def _grouped(tokens, parents, groups, verbal):
+    """The reference group step of ``resolve``: each group, shortest first, walks its
+    tokens and attaches every unattached bare one to the group's head, so a token that
+    its innermost group cannot take is tried again in each enclosing group. Returns the
+    parents and every report, each with the position of its token."""
+    parents, reports = list(parents), []
+    for group in sorted(groups, key=lambda g: g.stop - g.start):
+        head = None
+        head_known = False
+        for p, token in enumerate(tokens[group.start : group.stop], group.start):
+            if not anncorra._is_bare(token) or parents[p] is not None:
+                continue
+            if not head_known:
+                head = _group_head(tokens, parents, group)
+                head_known = True
+            if head is None or not verbal[head]:
+                message = f"group '<{group.tag}>' has no verbal head for bare token '{token.surface}'"
+                reports.append((p, error(message)))
+                continue
+            parents[p] = head
+            message = f"bare token '{token.surface}' attached to group head '{tokens[head].surface}'"
+            reports.append((p, warning(message)))
+    return parents, reports
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sentences)
+@example("[[x/k1 c y/k2]<k1> v::v]<s>")
+@example("[[[c]<s>]<k1>]<s> v::v")
+@example("r::v:x [[c]<s>]<k1>")  # equal spans: the first listed is innermost
+@example("[a b/k1 c::v]<s> [d e/k2::v]<k1>")
+@example("[[c e/kr g/k2::v]<zz>]<s> r::v:x [a/k1 c]<k1>")
+def test_innermost_groups_match_the_loops_they_replaced(line):
+    # the same trees and emitted lines; the same group reports, except that a
+    # bare token is reported once, for its innermost group
+    registry = default_registry()
+    innermost_heads, seen = anncorra._innermost_heads, []
+
+    def spy(tokens, parents, groups, positions):
+        seen.append((tokens, list(parents), groups))
+        return innermost_heads(tokens, parents, groups, positions)
+
+    with mock.patch.object(anncorra, "_innermost_heads", spy):
+        tree, diags = parse_sentence(line, registry)
+    if not seen:
+        return  # the line failed before resolve's group step
+    tokens, parents, groups = seen[0]
+    parents, reports = _grouped(tokens, parents, groups, registry.verbal_flags(tokens))
+    first = {}
+    for p, report in reports:
+        first.setdefault(p, report)
+    reported = [d for d in diags if d.message.startswith(("group '<", "bare token '"))]
+    assert reported == list(first.values())
+    failed = has_errors(first.values())
+    if tree is None:
+        assert failed or _depths(parents) is None or parents.count(None) > 1
+        return
+    assert not failed and [node.parent for node in tree.nodes] == parents
+    heads = innermost_heads(tree.nodes, parents, tree.groups, range(len(parents)))
+    assert {p: head for p, (_, head) in heads.items()} == _innermost_group_heads(tree)
+    emitted = emit_explicit(tree), emit_minimal(tree, registry)
+    with mock.patch.object(anncorra, "_innermost_heads", _painted):
+        assert emitted == (emit_explicit(tree), emit_minimal(tree, registry))
+
+
+class TestGroups:
+    def test_a_bare_token_its_innermost_group_cannot_take_gets_one_error(self, registry):
+        # no enclosing group is tried: '<s>' could take 'c' in the first line
+        cases = {
+            "[[x/k1 c y/k2]<k1> v::v]<s>": [
+                (Severity.ERROR, "group '<k1>' has no verbal head for bare token 'c'", None),
+            ],
+            "[[[c]<s>]<k1>]<s> v::v": [
+                (Severity.WARNING, "group nesting deeper than one level", 1),
+                (Severity.ERROR, "group '<s>' has no verbal head for bare token 'c'", None),
+            ],
+        }
+        for line, expected in cases.items():
+            tree, diags = parse_sentence(line, registry)
+            assert tree is None
+            assert [(d.severity, d.message, d.column) for d in diags] == expected
+
+    def test_bare_tokens_attach_shorter_group_first(self, registry):
+        tree, diags = parse_sentence("[a b/k1 c::v]<s> [d e/k2::v]<k1>", registry)
+        assert [node.parent for node in tree.nodes] == [2, 2, None, 4, 2]
+        assert [d.message for d in diags] == [
+            "bare token 'd' attached to group head 'e'",
+            "bare token 'a' attached to group head 'c'",
+        ]
+
+    def test_nesting_is_warned_once_for_each_chunk_that_opens_past_two(self, registry):
+        # a closing chunk inside three open groups opens none, so it is not warned about
+        cases = {
+            "[" * 4 + "a/k1" + "]<s>" * 4 + " piyA::v": [1],
+            "[a/k1 [b/k2 [c::v d/k2]<s>]<s>]<s>": [13],
+            "[a/k1 [[b/k2 c::v]<s>]<s> [[d/k2]<s>]<s>]<s>": [7, 27],
+        }
+        for line, columns in cases.items():
+            tree, diags = parse_sentence(line, registry)
+            assert tree is not None
+            assert [d.column for d in diags] == columns
+            assert {d.message for d in diags} == {"group nesting deeper than one level"}
+
+
 def _parse_tokens(line, registry):
     return [parse_token(t, registry) for t in line.split()]
 
@@ -468,6 +605,33 @@ class TestEmit:
         back, diags = parse_sentence(emitted, registry)
         assert not has_errors(diags)
         assert back == tree
+
+
+    @pytest.mark.parametrize(
+        "nodes, groups, message",
+        [
+            # a relation-less node that no group covers
+            ([("a", None, None, 1), ("v", None, "v", None)], [], "cannot serialize node 'a'"),
+            # its parent heads the outer group, but its innermost group's head is 'b'
+            (
+                [("a", None, None, 2), ("b", "k1", None, 2), ("v", None, "v", None)],
+                [Group(0, 3, "s"), Group(0, 2, "k1")],
+                "cannot serialize node 'a'",
+            ),
+            # a kept reference points at a node without tags
+            (
+                [("v", None, "v", None), ("a", None, None, 0), ("x", "k1", None, 1)],
+                [Group(0, 2, "s")],
+                "node 'a' needs an index label but has no tag to carry it",
+            ),
+        ],
+    )
+    def test_a_tree_the_notation_cannot_express(self, registry, nodes, groups, message):
+        tree = DepTree([DepNode(*node) for node in nodes], groups)
+        with pytest.raises(EmitError, match=message):
+            emit_explicit(tree)
+        with pytest.raises(EmitError, match=message):
+            emit_minimal(tree, registry)
 
 
 class TestParseSentence:

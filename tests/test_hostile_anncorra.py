@@ -117,18 +117,34 @@ def test_a_hostile_anncorra_file_keeps_the_exit_contract(
         assert out == again + "\n"
 
 
-def test_anncorra_convert_time_grows_linearly_with_bracket_depth(tmp_path):
-    """``anncorra convert`` of one token in 4k groups takes at most 5x its time
-    in 1k (about 4x when linear).
+# a line of n nested groups and the explicit form ``anncorra convert`` writes of it
+DEPTH_SHAPES = {
+    # one token in n groups
+    "single-token": lambda n: (
+        "[" * n + "a/k1" + "]<s>" * n + " piyA::v", "[" * n + "a/k1->i" + "]<s>" * n + " piyA::v:i"
+    ),
+    # each group opens on a token of its own and spans every group inside it
+    "nested-span": lambda n: (
+        "".join(f"[a{i}/k1 " for i in range(n)) + "piyA::v" + "]<s>" * n,
+        "".join(f"[a{i}/k1->i " for i in range(n)) + "piyA::v:i" + "]<s>" * n,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", DEPTH_SHAPES)
+def test_anncorra_convert_time_grows_linearly_with_bracket_depth(tmp_path, shape):
+    """``anncorra convert`` of a line of 4k nested groups takes at most 5x its
+    time on 1k (about 4x when linear).
 
     The sizes take turns, so drift on the machine reaches both, and each keeps
     its best of five. The test session's objects are frozen out of the cyclic
     collector's scans, whose cost would otherwise follow the session's heap."""
     paths, explicit = {}, {}
     for n in (1000, 4000):
+        line, explicit[n] = DEPTH_SHAPES[shape](n)
         paths[n] = tmp_path / f"{n}.anncorra"
-        paths[n].write_text("[" * n + "a/k1" + "]<s>" * n + " piyA::v\n", encoding="utf-8")
-        explicit[n] = "[" * n + "a/k1->i" + "]<s>" * n + " piyA::v:i\n"
+        paths[n].write_text(line + "\n", encoding="utf-8")
+        explicit[n] += "\n"
     times = dict.fromkeys(paths, float("inf"))
     gc.collect()
     gc.freeze()
