@@ -18,8 +18,9 @@ the same rule; tests/test_cli.py pins each command's set of imported
 ``leril`` modules. A process that runs many commands (``leril batch``, or a
 caller of ``run``) parses the same bytes once: ``_parse`` keeps the last
 lexicon, dictionary, formula or thread file parsed, keyed on the parser and
-the file's bytes, so an edited file parses again. ``main``, one command a
-process, keeps none.
+the file's bytes, so an edited file parses again. Beside a lexicon it keeps
+the lexicon's checked frame pairs (``_derived``), so a run of ``transfer
+--lexicon`` checks them once. ``main``, one command a process, keeps none.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _read_text(path: str) -> str:
     return utf8_text(_read_bytes(path), path)
 
 
-_last_parse: tuple | None = (None, b"")  # (parser, raw bytes, result, diagnostics); None: keep none
+_last_parse: tuple | None = (None, b"")  # (parser, bytes, result, diagnostics[, derive, derived])
 
 
 def _parse(parser, path: str):
@@ -97,6 +98,17 @@ def _parse(parser, path: str):
         slot = _last_parse = (None, b"")  # the old parse freed first, and kept empty if this fails
         slot = _last_parse = (parser, data, *parser(utf8_text(data, path)))
     return slot[2], list(slot[3])
+
+
+def _derived(result, derive):
+    """``derive(result)``, kept beside the ``_parse`` result and freed with it."""
+    global _last_parse
+    slot = _last_parse
+    if slot is None or slot[2] is not result:
+        return derive(result)
+    if slot[4:5] != (derive,):
+        slot = _last_parse = (*slot[:4], derive, derive(result))
+    return slot[5]
 
 
 def _load_registry(args) -> TagRegistry | None:
@@ -307,17 +319,17 @@ def _cmd_transfer(args):
 
         records, diags = _parse(translexgram.parse_tlg, args.lexicon)
     if literal_frames:
-        pairs = [("literal frames", args.frame_e, args.frame_i)]
+        pairs, pair_diags = [("literal frames", args.frame_e, args.frame_i)], []
+    elif args.headword is None:  # the whole lexicon's pairs, checked once per parse
+        pairs, pair_diags = _derived(records, transfer.lexicon_pairs)
     else:
         pairs, pair_diags = transfer.lexicon_pairs(records, args.headword, args.sense)
-        diags.extend(pair_diags)
-        if pairs is None:
-            return diags
+    diags.extend(pair_diags)
+    if pairs is None:
+        return diags
     # glosses come from the whole lexicon, also for literal frames
     glosses = transfer.gloss_index(records) if args.gloss_slots else None
-    matches, match_diags = transfer.transfer_pairs(
-        pairs, args.sentence, args.optional, glosses
-    )
+    matches, match_diags = transfer.transfer_pairs(pairs, args.sentence, args.optional, glosses)
     diags.extend(match_diags)
     blocks = []
     for match in matches:

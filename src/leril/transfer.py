@@ -14,32 +14,19 @@ still lets the rest of the frame match, which makes matching
 deterministic. Rendering substitutes captured spans verbatim; slot fillers
 are never translated here, that belongs to a full MT system downstream.
 
-Cost: a sentence is tokenized and folded once per transfer, however many
-frames are tried on it. A frame whose required literal's fold is not among
-the sentence's folds is rejected before any search. Otherwise one table of
-(element, token) states is filled from the last element back, each state
-holding whether the rest of the frame can consume the rest of the
-sentence, and the binding is read off its true states: O(elements x n)
-for n tokens, with no backtracking. A target slot that the source frame
-does not bind raises ``TransferError``; ``transfer_pairs`` reports it as a
-warning for that frame pair and goes on to the next. In ``leril batch``
-the CLI parses the same lexicon bytes once (``cli._parse``), so a run of
-transfers over one unchanged lexicon pays for its parse once.
-
-The ``transfer`` command is two calls: ``lexicon_pairs`` selects the
-labelled frame pairs of a lexicon (or the command passes its literal
-frames as one pair), and ``transfer_pairs`` tries them on the sentence.
-
-Every frame pair is checked token by token, source frame then target
-frame, for the faults ``parse_frame`` raises on: a malformed pair is
-reported whether or not its source could match, so the warnings of a
-lexicon do not depend on the sentence. Only a pair whose source frame's
-required literals all occur in the sentence is parsed and matched. Each
-distinct literal is folded at most once per transfer, and not at all when
-no fold of the sentence starts with its first two lowercased characters
-(a fold keeps them). Parsing looks each token up in one table of the 26
-slot elements, which every frame shares, and builds elements as named
-tuples; a parsed frame is the tuple of its elements.
+Cost: ``FramePairs`` checks each frame pair once, source frame then target
+frame, for the faults ``parse_frame`` raises on, so the warnings of a
+lexicon do not depend on the sentence; the CLI keeps a whole lexicon's
+``FramePairs`` with its parse (``cli._derived``). A transfer folds the
+sentence once and asks them for its candidates, the pairs filed under the
+first two letters of its folds; a literal is folded once, and only when it
+starts as a fold of the sentence does. Only the pairs whose required source
+literals all occur among the sentence's folds are parsed and matched.
+Matching fills one table of (element, token) states from the last element
+back and reads the binding off its true states: O(elements x n) for n
+tokens, with no backtracking. A target slot that the source frame does not
+bind raises ``TransferError``, which ``transfer_pairs`` reports as a
+warning for that pair before it goes on to the next.
 """
 
 from __future__ import annotations
@@ -231,8 +218,8 @@ def render_target(
 
 def lexicon_pairs(
     records: Sequence[TlgRecord], headword: str | None = None, sense: int | None = None
-) -> tuple[list[tuple[str, str, str]] | None, list[Diagnostic]]:
-    """Select the frame pairs of a lexicon as ``(label, frame_e, frame_i)``.
+) -> tuple[FramePairs | None, list[Diagnostic]]:
+    """Select the frame pairs of a lexicon as ``FramePairs`` of ``(label, frame_e, frame_i)``.
 
     Records keep their file order and meanings go in numeric order.
     ``headword`` keeps the records of that headword and ``sense`` their
@@ -255,13 +242,11 @@ def lexicon_pairs(
                 continue
         for meaning in sorted(meanings, key=lambda m: m.number):
             label = f"meaning {meaning.number} of '{record.headword}'"
-            frame_e = meaning.frame_e or ""
-            frame_i = meaning.frame_i or ""
-            if frame_e and frame_i:
-                pairs.append((label, frame_e, frame_i))
-            elif frame_e or frame_i:
+            if meaning.frame_e and meaning.frame_i:
+                pairs.append((label, meaning.frame_e, meaning.frame_i))
+            elif meaning.frame_e or meaning.frame_i:
                 diagnostics.append(warning(f"{label}: incomplete frame pair; skipped"))
-    return pairs, diagnostics
+    return FramePairs(pairs), diagnostics
 
 
 def gloss_index(records: Sequence[TlgRecord]) -> dict[str, str]:
@@ -279,8 +264,56 @@ class TransferMatch(NamedTuple):
     binding: dict[str, tuple[str, ...]]
 
 
+class FramePairs:
+    """Labelled frame pairs, each checked once, for ``transfer_pairs`` to try
+    on many sentences. A well-formed pair is filed under the first two
+    characters of its first required source literal, lowercased (its fold
+    keeps them), so a sentence looks only at the pairs filed under the heads
+    of its folds. ``folds`` keeps each literal's fold for later sentences."""
+
+    def __init__(self, pairs: Iterable[tuple[str, str, str]]) -> None:
+        self.pairs = list(pairs)
+        self.warnings: dict[int, Diagnostic] = {}  # a malformed pair's, at its position
+        self.always: list[int] = []  # the pairs without a required literal
+        self.heads: dict[str, list] = {}  # head: [literal, k, literal, k, ...], lowercased
+        self.folds: dict[str, str] = {}
+        for k, (label, frame_e, frame_i) in enumerate(self.pairs):
+            source = frame_e.split()
+            message = _frame_error(source) or _frame_error(frame_i.split())
+            if message is not None:
+                self.warnings[k] = warning(f"{label}: {message}")
+                continue
+            for token in source:  # the first required literal: no slot, no [optional]
+                if token not in _SLOTS and not (token[0] == "[" and token[-1] == "]"):
+                    literal = token.lower()
+                    self.heads.setdefault(literal[:2], []).extend((literal, k))
+                    break
+            else:
+                self.always.append(k)
+
+    def _fold(self, literal: str) -> str:
+        return self.folds.get(literal) or self.folds.setdefault(literal, inflection_fold(literal))
+
+    def candidates(self, present: set[str]) -> list[int]:
+        """In pair order, the positions of the malformed pairs and of the
+        pairs whose required source literals all have their fold in ``present``."""
+        found = [*self.always, *self.warnings]
+        for fold in present:  # a literal with this fold starts with it
+            group = self.heads.get(fold[:2], ())
+            found += [
+                k for literal, k in zip(group[::2], group[1::2])
+                if literal.startswith(fold) and self._fold(literal) == fold
+            ]
+        return [
+            k for k in sorted(found) if k in self.warnings or all(
+                self._fold(t) in present for t in self.pairs[k][1].split()
+                if t not in _SLOTS and not (t[0] == "[" and t[-1] == "]")
+            )
+        ]
+
+
 def transfer_pairs(
-    pairs: Iterable[tuple[str, str, str]],
+    pairs: FramePairs | Iterable[tuple[str, str, str]],
     sentence: str,
     optional_policy: str = "include",
     glosses: Mapping[str, str] | None = None,
@@ -293,48 +326,28 @@ def transfer_pairs(
     annotates the rendered slot tokens it knows, e.g. ``school{=pAThaSAlA}``;
     the match's binding keeps the bare tokens. Every match adds a
     ``matched`` info in pair order, and no match adds one info saying so.
+    Pairs tried on many sentences are checked once, as ``FramePairs``.
     """
+    compiled = pairs if isinstance(pairs, FramePairs) else FramePairs(pairs)
     tokens = tokenize_sentence(sentence)
     folded = [inflection_fold(token) for token in tokens]
     present = set(folded)
-    heads = {fold[:2] for fold in present}  # a fold starts as its lowercased token does
-    seen: set[str] = set()  # frame tokens met so far in this call
-    absent: set[str] = set()  # those of them that are required literals not in the sentence
     matches: list[TransferMatch] = []
     diagnostics: list[Diagnostic] = []
-    for label, frame_e, frame_i in pairs:
-        source_tokens = frame_e.split()
-        message = _frame_error(source_tokens) or _frame_error(frame_i.split())
-        if message is not None:
-            diagnostics.append(warning(f"{label}: {message}"))
+    for k in compiled.candidates(present):
+        label, frame_e, frame_i = compiled.pairs[k]
+        if k in compiled.warnings:
+            diagnostics.append(compiled.warnings[k])
             continue
-        if not seen.issuperset(source_tokens):
-            for token in source_tokens:
-                if token in seen:
-                    continue
-                seen.add(token)
-                if token in _SLOTS or (token[0] == "[" and token[-1] == "]"):
-                    continue
-                if token.lower()[:2] not in heads or inflection_fold(token) not in present:
-                    absent.add(token)
-        if not absent.isdisjoint(source_tokens):
-            continue
-        source = parse_frame(frame_e)
-        target = parse_frame(frame_i)
-        binding = match_frame(source, tokens, folded)
+        binding = match_frame(parse_frame(frame_e), tokens, folded)
         if binding is None:
             continue
-        shown = binding
-        if glosses is not None:
-            shown = {
-                letter: [
-                    f"{tok}{{={glosses[tok.lower()]}}}" if tok.lower() in glosses else tok
-                    for tok in span
-                ]
-                for letter, span in binding.items()
-            }
+        shown = binding if glosses is None else {
+            letter: [f"{t}{{={glosses[t.lower()]}}}" if t.lower() in glosses else t for t in span]
+            for letter, span in binding.items()
+        }
         try:
-            output = render_target(target, shown, optional_policy)
+            output = render_target(parse_frame(frame_i), shown, optional_policy)
         except TransferError as exc:
             diagnostics.append(warning(f"{label}: {exc}"))
             continue

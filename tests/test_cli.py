@@ -6,6 +6,7 @@ import random
 import shlex
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -1066,6 +1067,69 @@ class TestParseMemo:
             assert exit_.value.code == 0
         capsys.readouterr()
         assert len(calls) == 3  # one a process for each command, then once for the batch
+
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """The ``FramePairs`` built from now on, in order."""
+        from leril import transfer
+
+        built = []
+        init = transfer.FramePairs.__init__
+
+        def counted(self, pairs):
+            built.append(self)
+            init(self, pairs)
+
+        monkeypatch.setattr(transfer.FramePairs, "__init__", counted)
+        return built
+
+    def test_a_lexicon_s_frame_pairs_are_built_once_and_freed_with_its_parse(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(cli, "_last_parse", (None, b""))
+        built = self._count_builds(monkeypatch)
+        lexicon = tmp_path / "go.tlg"
+        data = (ROOT / GO_TLG).read_bytes()
+        lexicon.write_bytes(data)
+        school = ["transfer", "--lexicon", str(lexicon), "I go to school."]
+        suitcase = ["transfer", "--lexicon", str(lexicon), "These clothes go into that suitcase."]
+        first = _run(capsys, *school)
+        assert first[1].startswith("I school ko jAtA hai\n")
+        second = _run(capsys, *suitcase)
+        assert second[1].startswith("These clothes that suitcase meM rakhA_jAtA_hai\n")
+        assert len(built) == 1  # two whole-lexicon transfers, one build
+
+        # --headword checks its own pairs on each run and leaves the lexicon's in place
+        one = [*suitcase[:3], "--headword", "go", "--sense", "2", suitcase[3]]
+        assert _run(capsys, *one)[1] == second[1]
+        assert len(built) == 2
+        assert (_run(capsys, *school), _run(capsys, *suitcase)) == (first, second)
+        assert len(built) == 2
+
+        # an edited lexicon builds again and answers from its new bytes
+        lexicon.write_bytes(data.replace(b"[ko] jAtA hai", b"[ko] gayA hai"))
+        assert _run(capsys, *school)[1].startswith("I school ko gayA hai\n")
+        assert len(built) == 3
+
+        # nothing outside the slot holds the pairs: the next parse frees them
+        old = weakref.ref(built.pop())
+        built.clear()
+        assert old() is not None
+        assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
+        assert old() is None
+
+    def test_one_command_a_process_keeps_no_frame_pairs(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_last_parse", (None, b""))
+        built = self._count_builds(monkeypatch)
+        for _ in range(2):
+            monkeypatch.setattr(sys, "argv", ["leril", "transfer", "--lexicon", GO_TLG, "I go."])
+            with pytest.raises(SystemExit) as exit_:
+                cli.main()
+            assert exit_.value.code == 0
+            assert cli._last_parse is None
+        capsys.readouterr()
+        assert len(built) == 2  # one a process
 
 
 def _batch(capsys, tmp_path, lines):

@@ -1,3 +1,8 @@
+import gc
+import io
+import random
+import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 
 import pytest
@@ -5,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leril import transfer
+from leril.cli import run
 from leril.diagnostics import info, warning
 from leril.transfer import (
     FrameElement,
@@ -21,7 +27,7 @@ from leril.transfer import (
     tokenize_sentence,
     transfer_pairs,
 )
-from leril.translexgram import parse_tlg
+from leril.translexgram import TlgMeaning, TlgRecord, parse_tlg
 
 
 class TestParseFrame:
@@ -524,6 +530,62 @@ def test_transfer_pairs_matches_parsing_every_pair(case, policy, glosses):
     assert transfer_pairs(pairs, sentence, policy, glosses) == expected
 
 
+_POLICIES = ["include", "drop", "bracket"]
+_GLOSSES = [None, {"go": "jAnA", "school": "pAThaSAlA", "\u00df": "x"}]
+
+
+@st.composite
+def _lexicon(draw):
+    """Records of drawn frame pairs, two meanings a record and numbered out of
+    order; one pair in five loses a side. Returns the records, the complete
+    pairs with their labels, in the order ``lexicon_pairs`` gives them, and
+    the warnings of the incomplete ones."""
+    frames = draw(st.lists(_frame_pairs(), max_size=8))
+    records, pairs, incomplete = [], [], []
+    for r in range(0, len(frames), 2):
+        headword, meanings = f"w{r}", []
+        for number, (source, target) in enumerate(frames[r : r + 2], 1):
+            if draw(st.integers(0, 4)) == 0:
+                source, target = draw(st.sampled_from([(None, target), (source, None)]))
+            meanings.insert(0, TlgMeaning(number, frame_e=source, frame_i=target))
+            label = f"meaning {number} of '{headword}'"
+            if source and target:
+                pairs.append((label, source, target))
+            elif source or target:  # "" is a missing frame too
+                incomplete.append(warning(f"{label}: incomplete frame pair; skipped"))
+        records.append(TlgRecord(headword, "V", tuple(meanings)))
+    return records, pairs, incomplete
+
+
+@settings(max_examples=300)
+@given(
+    _lexicon().flatmap(
+        lambda lexicon: st.tuples(
+            st.just(lexicon),
+            st.lists(
+                st.tuples(
+                    _sentences([(source, target) for _label, source, target in lexicon[1]]),
+                    st.sampled_from(_POLICIES),
+                    st.sampled_from(_GLOSSES),
+                ),
+                min_size=2,
+                max_size=5,
+            ),
+        )
+    )
+)
+def test_frame_pairs_reused_across_sentences_answer_as_each_alone(case):
+    """One ``FramePairs`` tried on sentence after sentence, its folds
+    carried from each to the next, answers every sentence as the
+    reference does for that sentence alone, diagnostics in order."""
+    (records, pairs, incomplete), queries = case
+    compiled, diagnostics = lexicon_pairs(records)
+    assert diagnostics == incomplete
+    for sentence, policy, glosses in queries:
+        expected = _reference_transfer_pairs(pairs, sentence, policy, glosses)
+        assert transfer_pairs(compiled, sentence, policy, glosses) == expected
+
+
 def test_only_frames_whose_literals_all_occur_are_parsed(monkeypatch):
     parsed = []
 
@@ -540,3 +602,54 @@ def test_only_frames_whose_literals_all_occur_are_parsed(monkeypatch):
         "info: matched school", "warning: bad: duplicate slot letter 'A'"
     ]
     assert parsed == ["A goes [into] to B", "A B [ko] jAtA hai"]
+
+
+def test_a_hot_lexicon_transfer_costs_its_candidates_not_the_lexicon(tmp_path):
+    """With its frame pairs checked, ``transfer --lexicon`` over 4k records
+    takes under 2x its time over 500 (a scan of every pair takes about 8x).
+
+    Each lexicon's verbs share their first letters with the sentence's
+    words, so many pairs sit under the sentence's heads. The sizes take
+    turns, each run first untimed to parse and check its lexicon, and each
+    size keeps its best of 15 timed runs; the test session's objects are
+    frozen out of the cyclic collector's scans."""
+    rng = random.Random(13)
+
+    def word(end: str) -> str:
+        return "".join(rng.choice("kgtdpbmnrl") + rng.choice("aiou") for _ in range(3)) + end
+
+    verbs = list(dict.fromkeys(word("a") for _ in range(12000)))[:8000]
+    records = [
+        f'HEADWORD::"{verbs[k]}","V"\n'
+        + "".join(
+            f'MEANING::{m}::"x"\nFRAME_E:: A {verbs[k + 4000 * (m - 1)]}s {p} B\n'
+            f"FRAME_I:: A B [ko] {p}A hai\n"
+            for m, p in ((1, "to"), (2, "into"))[: 1 + k % 2]
+        )
+        for k in range(4000)
+    ]
+    filler = [word("m") for _ in range(12)]
+    sentence = " ".join(filler) + f" {verbs[7]}ed to {filler[0]}."
+    answer = f"{' '.join(filler)} {filler[0]} ko toA hai\n"
+    paths = {}
+    for n in (500, 4000):
+        paths[n] = tmp_path / f"{n}.tlg"
+        paths[n].write_text("\n".join(records[:n]), encoding="utf-8")
+    times = dict.fromkeys(paths, float("inf"))
+    gc.collect()
+    gc.freeze()
+    try:
+        for _ in range(5):
+            for n, path in paths.items():
+                argv = ["transfer", "--lexicon", str(path), sentence]
+                for timed in (False, True, True, True):
+                    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()):
+                        start = time.perf_counter()
+                        code = run(argv)
+                        elapsed = time.perf_counter() - start
+                    assert (code, out.getvalue().partition("\n")[0] + "\n") == (0, answer)
+                    if timed:
+                        times[n] = min(times[n], elapsed)
+    finally:
+        gc.unfreeze()
+    assert times[4000] < 2 * times[500], times
