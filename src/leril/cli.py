@@ -16,11 +16,13 @@ command's own ``-h``, a missing or unknown name). Outside this module,
 ``leril.<layer>`` resolves through ``leril.__getattr__``. New commands follow
 the same rule; tests/test_cli.py pins each command's set of imported
 ``leril`` modules. A process that runs many commands (``leril batch``, or a
-caller of ``run``) parses the same bytes once: ``_parse`` keeps the last
-lexicon, dictionary, formula or thread file parsed, keyed on the parser and
-the file's bytes, so an edited file parses again. Beside a lexicon it keeps
-the lexicon's checked frame pairs (``_derived``), so a run of ``transfer
---lexicon`` checks them once. ``main``, one command a process, keeps none.
+caller of ``run``) builds each parser once, kept by ``build_parser`` under
+the names it registered alone (never a ``transfer`` sentence), and parses
+the same bytes once: ``_parse`` keeps the last lexicon, dictionary, formula
+or thread file parsed, keyed on the parser and the file's bytes, so an
+edited file parses again. Beside a lexicon it keeps what ``_derived`` built
+from it (checked frame pairs, glosses), so a run of ``transfer --lexicon``
+builds them once. ``main``, one command a process, keeps no parse.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def _read_text(path: str) -> str:
     return utf8_text(_read_bytes(path), path)
 
 
-_last_parse: tuple | None = (None, b"")  # (parser, bytes, result, diagnostics[, derive, derived])
+_last_parse: tuple | None = (None, b"")  # (parser, bytes, result, diagnostics, {derive: derived})
 
 
 def _parse(parser, path: str):
@@ -96,19 +98,19 @@ def _parse(parser, path: str):
     slot = _last_parse
     if slot[:2] != (parser, data):
         slot = _last_parse = (None, b"")  # the old parse freed first, and kept empty if this fails
-        slot = _last_parse = (parser, data, *parser(utf8_text(data, path)))
+        slot = _last_parse = (parser, data, *parser(utf8_text(data, path)), {})
     return slot[2], list(slot[3])
 
 
 def _derived(result, derive):
     """``derive(result)``, kept beside the ``_parse`` result and freed with it."""
-    global _last_parse
     slot = _last_parse
-    if slot is None or slot[2] is not result:
+    if slot is None or len(slot) < 5 or slot[2] is not result:  # main, or no parse kept
         return derive(result)
-    if slot[4:5] != (derive,):
-        slot = _last_parse = (*slot[:4], derive, derive(result))
-    return slot[5]
+    derived = slot[4]
+    if derive not in derived:
+        derived[derive] = derive(result)
+    return derived[derive]
 
 
 def _load_registry(args) -> TagRegistry | None:
@@ -328,7 +330,7 @@ def _cmd_transfer(args):
     if pairs is None:
         return diags
     # glosses come from the whole lexicon, also for literal frames
-    glosses = transfer.gloss_index(records) if args.gloss_slots else None
+    glosses = _derived(records, transfer.gloss_index) if args.gloss_slots else None
     matches, match_diags = transfer.transfer_pairs(pairs, args.sentence, args.optional, glosses)
     diags.extend(match_diags)
     blocks = []
@@ -522,23 +524,34 @@ def _named(table: dict, name: str | None):
     return [(name, table[name])] if name in table else table.items()
 
 
+_parsers: dict[tuple[str | None, str | None], _ArgumentParser] = {}  # by the words built on
+
+
 def build_parser(command: str | None = None, subcommand: str | None = None) -> _ArgumentParser:
     """The ``leril`` parser of a command line that starts with ``command``
     and ``subcommand``. Each level registers the one its word names, or all
     when the word names none of them (the whole parser for no arguments).
     The command line parses the same either way: a level holds only the
     names below it, and each argument belongs to its subcommand's parser.
+    Each parser is built once a process, kept under the names it was built on.
     """
+    command = command if command in _COMMANDS else None
+    table = _COMMANDS[command][1] if command else None
+    if not isinstance(table, dict) or subcommand not in table:
+        subcommand = None  # no such name at that level, or free text: a sentence, an option
+    if (command, subcommand) in _parsers:
+        return _parsers[command, subcommand]
     parser = _ArgumentParser(prog="leril", description=_DESCRIPTION)
     top = parser.add_subparsers(dest="command")
     for name, (help_text, fill) in _named(_COMMANDS, command):
         p = top.add_parser(name, help=help_text)
         if isinstance(fill, dict):
             sub = p.add_subparsers(dest="subcommand")
-            for sub_name, sub_fill in _named(fill, subcommand if name == command else None):
+            for sub_name, sub_fill in _named(fill, subcommand):
                 sub_fill(sub.add_parser(sub_name))
         else:
             fill(p)
+    _parsers[command, subcommand] = parser
     return parser
 
 

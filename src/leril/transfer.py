@@ -19,8 +19,9 @@ frame, for the faults ``parse_frame`` raises on, so the warnings of a
 lexicon do not depend on the sentence; the CLI keeps a whole lexicon's
 ``FramePairs`` with its parse (``cli._derived``). A transfer folds the
 sentence once and asks them for its candidates, the pairs filed under the
-first two letters of its folds; a literal is folded once, and only when it
-starts as a fold of the sentence does. Only the pairs whose required source
+stems of its folds (``_stem``); a literal is folded once, and only when it
+has the stem of a fold of the sentence. So a query costs its candidates, not
+the lexicon, from the first sentence on. Only the pairs whose required source
 literals all occur among the sentence's folds are parsed and matched.
 Matching fills one table of (element, token) states from the last element
 back and reads the binding off its true states: O(elements x n) for n
@@ -100,6 +101,7 @@ def parse_frame(text: str) -> tuple[FrameElement, ...]:
 
 
 _FOLD_SUFFIXES = ("es", "ed", "ing", "s")
+_SUFFIX_LETTERS = "".join(set("".join(_FOLD_SUFFIXES)))
 
 
 def inflection_fold(token: str) -> str:
@@ -118,6 +120,14 @@ def inflection_fold(token: str) -> str:
         else:
             break
     return folded
+
+
+def _stem(word: str) -> str:
+    """A lowercased word less its trailing suffix letters, or its first two
+    characters when that leaves nothing. ``_stem(w) == _stem(inflection_fold(w))``,
+    as the fold strips only suffixes and keeps the first two characters, so
+    all the words of one fold have one stem."""
+    return word.rstrip(_SUFFIX_LETTERS) or word[:2]
 
 
 def tokenize_sentence(sentence: str) -> list[str]:
@@ -266,16 +276,17 @@ class TransferMatch(NamedTuple):
 
 class FramePairs:
     """Labelled frame pairs, each checked once, for ``transfer_pairs`` to try
-    on many sentences. A well-formed pair is filed under the first two
-    characters of its first required source literal, lowercased (its fold
-    keeps them), so a sentence looks only at the pairs filed under the heads
-    of its folds. ``folds`` keeps each literal's fold for later sentences."""
+    on many sentences. A well-formed pair is filed under the ``_stem`` of its
+    first required source literal, lowercased, so a sentence looks only at
+    the pairs filed under the stems of its folds: a dict lookup a fold, and
+    the pairs found are all candidates but for words that share a stem and
+    not a fold. ``folds`` keeps each literal's fold for later sentences."""
 
     def __init__(self, pairs: Iterable[tuple[str, str, str]]) -> None:
         self.pairs = list(pairs)
         self.warnings: dict[int, Diagnostic] = {}  # a malformed pair's, at its position
         self.always: list[int] = []  # the pairs without a required literal
-        self.heads: dict[str, list] = {}  # head: [literal, k, literal, k, ...], lowercased
+        self.stems: dict[str, list] = {}  # stem: [literal, k, literal, k, ...], lowercased
         self.folds: dict[str, str] = {}
         for k, (label, frame_e, frame_i) in enumerate(self.pairs):
             source = frame_e.split()
@@ -286,7 +297,7 @@ class FramePairs:
             for token in source:  # the first required literal: no slot, no [optional]
                 if token not in _SLOTS and not (token[0] == "[" and token[-1] == "]"):
                     literal = token.lower()
-                    self.heads.setdefault(literal[:2], []).extend((literal, k))
+                    self.stems.setdefault(_stem(literal), []).extend((literal, k))
                     break
             else:
                 self.always.append(k)
@@ -298,11 +309,10 @@ class FramePairs:
         """In pair order, the positions of the malformed pairs and of the
         pairs whose required source literals all have their fold in ``present``."""
         found = [*self.always, *self.warnings]
-        for fold in present:  # a literal with this fold starts with it
-            group = self.heads.get(fold[:2], ())
+        for fold in present:
+            group = self.stems.get(_stem(fold), ())
             found += [
-                k for literal, k in zip(group[::2], group[1::2])
-                if literal.startswith(fold) and self._fold(literal) == fold
+                k for literal, k in zip(group[::2], group[1::2]) if self._fold(literal) == fold
             ]
         return [
             k for k in sorted(found) if k in self.warnings or all(

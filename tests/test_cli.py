@@ -656,6 +656,7 @@ class TestExitCodes:
             raise RuntimeError("frames out of order")
 
         monkeypatch.setattr(cli, "_cmd_tlg_parse", broken)
+        monkeypatch.setattr(cli, "_parsers", {})  # a parser built from here on runs `broken`
         code, out, err = _run(capsys, "tlg", "parse", GO_TLG)
         assert (code, out, err) == (4, "", "internal error: RuntimeError: frames out of order\n")
         assert cli.EXIT_INTERNAL == 4
@@ -818,6 +819,17 @@ for _command, _subs in SUBCOMMANDS.items():
         ]
 
 
+_VALID_CASES = [
+    ["dict", "parse", GO_DICT],
+    ["dict", "parse", GO_DICT, "--format", "text"],
+    ["tlg", "validate", "--strict", GO_TLG],
+    ["transfer", "--lexicon", GO_TLG, "I go to school."],
+    ["transfer", "I go to school.", "--frame-e", "A goes to B", "--frame-i", "A B jAtA hai"],
+    ["sutra", "check", "tests/fixtures/issue.formula", "tests/fixtures/issue.thread"],
+    ["batch", "tests/commands.batch"],
+]
+
+
 def _outcome(capsys, argv):
     code = exit_code = None
     try:
@@ -832,10 +844,44 @@ class TestParserBuild:
     @pytest.mark.parametrize("argv", USAGE_CASES, ids=lambda argv: " ".join(argv) or "-")
     def test_one_command_parses_like_the_whole_parser(self, capsys, monkeypatch, argv):
         one_command = _outcome(capsys, argv)
-        whole = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda command=None, subcommand=None: whole())
+        whole, calls = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda *words: calls.append(words) or whole())
         assert _outcome(capsys, argv) == one_command
+        assert calls[0] == tuple(argv[:2])  # the run asked the patched builder
         assert one_command[:2] in ((3, None), (None, 0))
+
+    @pytest.mark.parametrize(
+        "argv", USAGE_CASES + _VALID_CASES, ids=lambda argv: " ".join(argv) or "-"
+    )
+    def test_a_kept_parser_parses_as_a_new_one(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "_parsers", {})
+        first = _outcome(capsys, argv)
+        assert _outcome(capsys, argv) == first
+
+    @pytest.mark.parametrize("argv", _VALID_CASES, ids=" ".join)
+    def test_a_command_after_a_usage_error_or_help_prints_the_same(
+        self, capsys, monkeypatch, argv
+    ):
+        monkeypatch.setattr(cli, "_parsers", {})
+        first = _outcome(capsys, argv)
+        words = argv[:2] if argv[0] in SUBCOMMANDS else argv[:1]
+        for other in ([*words, "-h"], [*words, "--format", "bogus"], [*words, "--optional", "x"]):
+            assert _outcome(capsys, other)[:2] in ((3, None), (None, 0))
+            assert _outcome(capsys, argv) == first
+
+    def test_transfer_keeps_one_parser_whatever_its_second_word(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_parsers", {})
+        for k in range(50):
+            sentence = f"I go to school {k}."
+            argv = [
+                ["transfer", sentence, "--lexicon", GO_TLG],
+                ["transfer", "--lexicon", GO_TLG, sentence],
+                ["transfer", "--optional", "drop", "--lexicon", GO_TLG, sentence],
+                ["transfer", "--frame-e", "A goes to B", "--frame-i", "A B jAtA hai", sentence],
+                ["transfer", f"--bogus{k}", sentence],
+            ][k % 5]
+            assert _outcome(capsys, argv)[0] == (3 if k % 5 == 4 else 0)
+        assert list(cli._parsers) == [("transfer", None)]
 
     def test_a_subcommand_parser_holds_that_subcommand_alone(self):
         parser = cli.build_parser("corpus", "query")
@@ -1084,11 +1130,26 @@ class TestParseMemo:
         monkeypatch.setattr(transfer.FramePairs, "__init__", counted)
         return built
 
+    @staticmethod
+    def _count_glosses(monkeypatch):
+        """The gloss indexes built from now on, in order."""
+        from leril import transfer
+
+        built = []
+        index = transfer.gloss_index
+
+        def counted(records):
+            built.append(index(records))
+            return built[-1]
+
+        monkeypatch.setattr(transfer, "gloss_index", counted)
+        return built
+
     def test_a_lexicon_s_frame_pairs_are_built_once_and_freed_with_its_parse(
         self, capsys, monkeypatch, tmp_path
     ):
         monkeypatch.setattr(cli, "_last_parse", (None, b""))
-        built = self._count_builds(monkeypatch)
+        built, glosses = self._count_builds(monkeypatch), self._count_glosses(monkeypatch)
         lexicon = tmp_path / "go.tlg"
         data = (ROOT / GO_TLG).read_bytes()
         lexicon.write_bytes(data)
@@ -1100,24 +1161,36 @@ class TestParseMemo:
         assert second[1].startswith("These clothes that suitcase meM rakhA_jAtA_hai\n")
         assert len(built) == 1  # two whole-lexicon transfers, one build
 
+        # the glosses too are built once for the parse, for lexicon and literal frames alike
+        go = [*school[:3], "--gloss-slots", "Go goes to go."]
+        glossed = _run(capsys, *go)
+        assert glossed[1].startswith("Go{=jAnA} go{=jAnA} ko jAtA hai\n")
+        frames = ["--frame-e", "A goes to B", "--frame-i", "A B [ko] jAtA hai"]
+        assert _run(capsys, *go, *frames)[1] == glossed[1]
+        assert _run(capsys, *go) == glossed
+        assert (len(built), len(glosses)) == (2, 1)  # the literal frames' own pair, one index
+
         # --headword checks its own pairs on each run and leaves the lexicon's in place
         one = [*suitcase[:3], "--headword", "go", "--sense", "2", suitcase[3]]
         assert _run(capsys, *one)[1] == second[1]
-        assert len(built) == 2
+        assert len(built) == 3
         assert (_run(capsys, *school), _run(capsys, *suitcase)) == (first, second)
-        assert len(built) == 2
+        assert len(built) == 3
 
         # an edited lexicon builds again and answers from its new bytes
         lexicon.write_bytes(data.replace(b"[ko] jAtA hai", b"[ko] gayA hai"))
         assert _run(capsys, *school)[1].startswith("I school ko gayA hai\n")
-        assert len(built) == 3
+        assert len(built) == 4
+        assert _run(capsys, *go)[1].startswith("Go{=jAnA} go{=jAnA} ko gayA hai\n")
+        assert (len(built), len(glosses)) == (4, 2)
 
-        # nothing outside the slot holds the pairs: the next parse frees them
+        # nothing outside the slot holds the pairs or the glosses: the next parse frees them
         old = weakref.ref(built.pop())
         built.clear()
-        assert old() is not None
+        glosses.clear()
+        assert old() is not None and len(cli._last_parse[4]) == 2
         assert _run(capsys, "dict", "parse", GO_DICT)[0] == 0
-        assert old() is None
+        assert old() is None and cli._last_parse[4] == {}
 
     def test_one_command_a_process_keeps_no_frame_pairs(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_last_parse", (None, b""))
@@ -1161,6 +1234,7 @@ class TestBatch:
             raise RuntimeError("words out of order")
 
         monkeypatch.setattr(cli, "_cmd_dict_filter", broken)
+        monkeypatch.setattr(cli, "_parsers", {})  # a parser built from here on runs `broken`
         lines = [
             "# the go fixtures",
             "",

@@ -171,6 +171,7 @@ class TestInflectionFold:
         folded = inflection_fold(token)
         assert folded == self._reference_fold(token)
         assert lowered.startswith(folded) and folded[:2] == lowered[:2]
+        assert transfer._stem(lowered) == transfer._stem(folded)  # FramePairs files under it
 
 
 class TestTokenize:
@@ -577,11 +578,13 @@ def _lexicon(draw):
 def test_frame_pairs_reused_across_sentences_answer_as_each_alone(case):
     """One ``FramePairs`` tried on sentence after sentence, its folds
     carried from each to the next, answers every sentence as the
-    reference does for that sentence alone, diagnostics in order."""
+    reference does for that sentence alone, diagnostics in order. The
+    queries run three times over, so that each stem a sentence looks up is
+    looked up again with the folds that earlier sentences kept."""
     (records, pairs, incomplete), queries = case
     compiled, diagnostics = lexicon_pairs(records)
     assert diagnostics == incomplete
-    for sentence, policy, glosses in queries:
+    for sentence, policy, glosses in queries + queries[::-1] + queries:
         expected = _reference_transfer_pairs(pairs, sentence, policy, glosses)
         assert transfer_pairs(compiled, sentence, policy, glosses) == expected
 
